@@ -83,11 +83,6 @@ pub struct CheckCtx<'a> {
     /// environments can never exchange verdicts (a predicate name alone
     /// does not identify its definition). Zero when no cache is used.
     pub env_tag: u64,
-    /// Remote cache tier consulted on local misses and offered fresh
-    /// verdicts for write-behind upload (see [`crate::remote`]). Only
-    /// meaningful together with `cache`: the remote tier fills and is
-    /// filled from the local one, never bypasses it.
-    pub remote: Option<&'a dyn crate::remote::RemoteCache>,
 }
 
 impl<'a> CheckCtx<'a> {
@@ -99,7 +94,6 @@ impl<'a> CheckCtx<'a> {
             config: CheckConfig::default(),
             cache: None,
             env_tag: 0,
-            remote: None,
         }
     }
 
@@ -116,7 +110,6 @@ impl<'a> CheckCtx<'a> {
             config,
             cache: Some(cache),
             env_tag: crate::cache::env_fingerprint(types, preds),
-            remote: None,
         }
     }
 
@@ -184,73 +177,17 @@ impl<'a> CheckCtx<'a> {
         if let Some(entry) = cache.lookup(&query.key) {
             return entry.map(|cached| query.decode(model, &cached));
         }
-        // Local miss: consult the remote tier before running the
-        // search. A hit lands in the local cache as a warm entry at the
-        // server's generation, so later snapshot merges and anti-entropy
-        // rounds order against it correctly; an undecodable blob (or a
-        // degraded tier) simply falls through to the cold search.
-        if let Some(remote) = self.remote {
-            use crate::remote::{RemoteLookup, RemoteQuery};
-            let started = std::time::Instant::now();
-            let lookup = remote.fetch(&RemoteQuery {
-                node_budget: scope.node_budget,
-                fuel_slack: scope.fuel_slack,
-                text: query.key.text.as_ref(),
-            });
-            let nanos = started.elapsed().as_nanos() as u64;
-            match lookup {
-                RemoteLookup::Hit(hit) => {
-                    let value = match &hit.value {
-                        None => Some(None),
-                        Some(blob) => crate::remote::decode_verdict(blob).map(Some),
-                    };
-                    match value {
-                        Some(value) => {
-                            cache.note_remote_hit(nanos);
-                            let preds: Vec<Symbol> =
-                                hit.preds.iter().map(|name| Symbol::intern(name)).collect();
-                            cache.store_warm(
-                                query.key.clone(),
-                                value.clone(),
-                                &preds,
-                                hit.generation,
-                            );
-                            return value.map(|cached| query.decode(model, &cached));
-                        }
-                        None => cache.note_remote_miss(nanos),
-                    }
-                }
-                RemoteLookup::Miss => cache.note_remote_miss(nanos),
-                RemoteLookup::Degraded => cache.note_remote_degraded(nanos),
-            }
-        }
         let result = Search::new(*self, model, f).run(f);
-        // `encode` only declines when a value escapes the canonical
-        // frame; in that case skip storing (and publishing) rather than
-        // memoize something untranslatable.
-        let encoded = match &result {
-            Some(r) => query.encode(r).map(Some),
-            None => Some(None),
-        };
-        if let Some(value) = encoded {
-            // Freshly computed verdicts — and only fresh ones; remote
-            // hits absorbed above are never re-published — are offered
-            // to the write-behind queue before the key moves into the
-            // local store.
-            if let Some(remote) = self.remote {
-                remote.publish(crate::remote::RemotePublish {
-                    node_budget: scope.node_budget,
-                    fuel_slack: scope.fuel_slack,
-                    text: query.key.text.to_string(),
-                    value: value.as_ref().map(crate::remote::encode_verdict),
-                    preds: query
-                        .preds
-                        .iter()
-                        .map(|name| name.as_str().to_string())
-                        .collect(),
-                });
+        match &result {
+            Some(r) => {
+                // `encode` only declines when a value escapes the
+                // canonical frame; in that case skip storing rather than
+                // memoize something untranslatable.
+                if let Some(encoded) = query.encode(r) {
+                    cache.store(query.key, Some(encoded), &query.preds);
+                }
             }
-            cache.store(query.key, value, &query.preds);
+            None => cache.store(query.key, None, &query.preds),
         }
         result
     }

@@ -250,9 +250,6 @@ const GENERATION_SUB_BITS: u32 = 12;
 /// before; `floor` (callers pass the highest generation they have
 /// absorbed) keeps a process ahead of future-stamped siblings it has
 /// already merged.
-///
-/// The cache server reuses this stamp for `put` batches, which is what
-/// makes its anti-entropy watermark strictly increasing.
 pub fn generation_stamp(floor: u64) -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static LAST: AtomicU64 = AtomicU64::new(0);

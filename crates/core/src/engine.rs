@@ -118,7 +118,6 @@ use sling_logic::{check_pred_env, parse_predicates, PredDef, PredEnv, Symbol, Ty
 
 use crate::collect::Executor;
 use crate::pipeline::{infer_location, run_target, SlingConfig, VerifySettings};
-use crate::remote::RemoteCacheClient;
 use crate::report::{BatchReport, LocationAnalysis, Report};
 use crate::request::AnalysisRequest;
 
@@ -201,8 +200,6 @@ pub struct EngineBuilder {
     parallelism: Option<usize>,
     executor: Option<Executor>,
     analysis: Option<AnalysisSettings>,
-    remote_cache: Option<String>,
-    remote_sync_interval: Option<std::time::Duration>,
 }
 
 impl EngineBuilder {
@@ -324,32 +321,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Joins the distributed entailment-cache tier at `addr` (a
-    /// `host:port` served by `sling-serve --cache-server`): every local
-    /// cache miss consults the server before searching, fresh verdicts
-    /// are uploaded write-behind, and a periodic anti-entropy round
-    /// pulls entries computed by sibling engines. Fetched entries are
-    /// validated against this engine's per-predicate fingerprints
-    /// (exactly the snapshot-loading rule), so engines with divergent
-    /// predicate libraries share only what their closures agree on.
-    ///
-    /// The tier is an accelerator, never a dependency: a dead, slow,
-    /// or mid-run-killed server degrades the engine to local-only
-    /// operation ([`CacheStats::remote_degraded`] counts it) with
-    /// reconnect backoff — it never fails or stalls an analysis.
-    pub fn remote_cache(mut self, addr: impl Into<String>) -> EngineBuilder {
-        self.remote_cache = Some(addr.into());
-        self
-    }
-
-    /// Overrides the anti-entropy period of the remote cache tier
-    /// ([`crate::remote::DEFAULT_SYNC_INTERVAL`] by default). No effect
-    /// without [`EngineBuilder::remote_cache`].
-    pub fn remote_sync_interval(mut self, interval: std::time::Duration) -> EngineBuilder {
-        self.remote_sync_interval = Some(interval);
-        self
-    }
-
     /// Enables the static-diagnostics pass (`sling-analysis`) at
     /// `build()`: the program's control flow is analyzed before any
     /// trace runs, deny-level findings (definite use-before-init,
@@ -430,18 +401,6 @@ impl EngineBuilder {
             },
             _ => 0,
         };
-        // Joining the cache tier never touches the network at build
-        // time: connections are lazy, so a dead server costs nothing
-        // until the first fetch (which degrades instantly).
-        let remote = self.remote_cache.map(|addr| {
-            RemoteCacheClient::new(
-                addr,
-                profile.clone(),
-                Arc::clone(&cache),
-                self.remote_sync_interval
-                    .unwrap_or(crate::remote::DEFAULT_SYNC_INTERVAL),
-            )
-        });
         Ok(Engine {
             program,
             compiled,
@@ -455,21 +414,8 @@ impl EngineBuilder {
             profile,
             parallelism: self.parallelism.unwrap_or_else(default_parallelism),
             analysis,
-            remote,
         })
     }
-}
-
-/// Copies a report's remote-cache counters from its (exact) cache
-/// delta into the run metrics, converting the round-trip nanoseconds
-/// to seconds. Only called where the per-report delta is authoritative
-/// — [`Engine::analyze`] and sequential batches; parallel batches
-/// leave the per-report fields zeroed, like the cache delta itself.
-fn stamp_remote_metrics(report: &mut Report) {
-    report.metrics.remote_hits = report.cache.remote_hits;
-    report.metrics.remote_misses = report.cache.remote_misses;
-    report.metrics.remote_degraded = report.cache.remote_degraded;
-    report.metrics.remote_seconds = report.cache.remote_nanos as f64 / 1e9;
 }
 
 /// The default worker count: `SLING_PARALLELISM` when set to a positive
@@ -592,10 +538,6 @@ pub struct Engine {
     /// construction it carries no deny-level findings — those fail
     /// `build()` — only warnings and the unreachable-location map.
     analysis: Option<ProgramAnalysis>,
-    /// The distributed-cache-tier client, when the builder joined one
-    /// via [`EngineBuilder::remote_cache`]. Dropping the engine joins
-    /// its flusher and anti-entropy threads.
-    remote: Option<RemoteCacheClient>,
 }
 
 impl Engine {
@@ -720,20 +662,7 @@ impl Engine {
             config: config.check,
             cache: Some(&self.cache),
             env_tag: self.profile.env_tag(),
-            remote: self
-                .remote
-                .as_ref()
-                .map(|client| client as &dyn sling_checker::RemoteCache),
         }
-    }
-
-    /// The distributed-cache-tier client, when this engine was built
-    /// with [`EngineBuilder::remote_cache`]. Tests and services use it
-    /// to force an anti-entropy round ([`RemoteCacheClient::sync_now`]),
-    /// drain the write-behind queue ([`RemoteCacheClient::flush`]), or
-    /// inspect degradation ([`RemoteCacheClient::degraded`]).
-    pub fn remote_cache(&self) -> Option<&RemoteCacheClient> {
-        self.remote.as_ref()
     }
 
     /// Runs one (pre-validated) request with `workers` threads available
@@ -786,7 +715,6 @@ impl Engine {
         let before = self.cache.stats();
         let mut report = self.run_request(request, self.parallelism);
         report.cache = self.cache.stats().since(&before);
-        stamp_remote_metrics(&mut report);
         Ok(report)
     }
 
@@ -851,7 +779,6 @@ impl Engine {
                 let at_start = self.cache.stats();
                 let mut report = self.run_request(request, inner(index));
                 report.cache = self.cache.stats().since(&at_start);
-                stamp_remote_metrics(&mut report);
                 sink.report(index, &report);
                 reports.push(report);
             }

@@ -111,14 +111,12 @@
 
 #![warn(missing_docs)]
 
-pub mod backoff;
 mod collect;
 pub mod engine;
 mod fanout;
 mod infer;
 mod pipeline;
 mod pure;
-pub mod remote;
 pub mod report;
 pub mod request;
 pub mod spec;
@@ -149,9 +147,7 @@ pub use wire::WireError;
 
 // Re-exported so spec construction, cache persistence, and verification
 // need no direct `sling_lang` / `sling_checker` import.
-pub use remote::{CacheRequest, CacheResponse, RemoteCacheClient, RemoteClientStats};
 pub use sling_checker::{persist, CacheStats, CheckCache, EnvProfile, MergeStats, PersistError};
 pub use sling_checker::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};
-pub use sling_checker::{RemoteCache, RemoteEntry, RemoteHit, RemoteLookup, RemoteQuery};
 pub use sling_lang::{DataOrder, ListLayout, TreeKind, TreeLayout};
 pub use sling_vm::{BytecodeVm, CompiledProgram, Compiler};

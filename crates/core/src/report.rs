@@ -141,20 +141,6 @@ pub struct RunMetrics {
     /// (the count of [`Report::static_warnings`]). Zero unless the engine
     /// was built with [`crate::EngineBuilder::static_analysis`].
     pub static_warnings: usize,
-    /// Entailment queries answered by the remote cache tier during this
-    /// run (mirrors [`CacheStats::remote_hits`]; zero unless the engine
-    /// was built with [`crate::EngineBuilder::remote_cache`]). Like the
-    /// per-report cache delta, zeroed under parallel batches — the
-    /// batch-level [`BatchReport::cache`] is authoritative there.
-    pub remote_hits: u64,
-    /// Remote lookups the cache server answered with a miss.
-    pub remote_misses: u64,
-    /// Remote lookups skipped or abandoned because the tier was
-    /// degraded (server dead, slow, or in reconnect backoff).
-    pub remote_degraded: u64,
-    /// Wall-clock seconds spent on remote cache round trips (included
-    /// in `seconds`).
-    pub remote_seconds: f64,
 }
 
 /// The full analysis result for one target function.

@@ -7,10 +7,10 @@
 //! space-separated tokens, opened by the protocol tag [`WIRE_VERSION`]
 //! and a frame kind, followed by the typed payload.
 //!
-//! # Grammar (version `sling7`)
+//! # Grammar (version `sling8`)
 //!
 //! ```text
-//! frame      := "sling7" SP kind SP payload          ; one line, LF-terminated on the wire
+//! frame      := "sling8" SP kind SP payload          ; one line, LF-terminated on the wire
 //! token      := atom | string | integer
 //! atom       := [^ "\n]+                             ; bare word (tags, numbers)
 //! string     := '"' escaped* '"'                     ; \\ \" \n \r \t escapes
@@ -51,9 +51,7 @@
 //!               verified:u64 refuted:u64 confirmed:u64 unknown:u64
 //!               refuted0:u64 cegir:u64 vseconds:f64bits cseconds:f64bits
 //!               bseconds:f64bits executor:("bytecode"|"treewalk") swarnings:u64
-//!               rhits:u64 rmisses:u64 rdegraded:u64 rseconds:f64bits
 //! cache      := hits:u64 warm:u64 misses:u64 entries:u64 evictions:u64 resident:u64
-//!               rhits:u64 rmisses:u64 rdegraded:u64 rnanos:u64
 //! severity   := "warn" | "deny"
 //! diagnostic := code:string severity ("-" | "f" fn:string) lo:u64 hi:u64
 //!               message:string nnotes:u64 note:string*
@@ -101,10 +99,10 @@ use crate::spec::{ExactCell, ExactVal, InputSpec, ValueSpec};
 use crate::CacheStats;
 
 /// Protocol tag opening every frame; bump on any grammar change.
-/// (`sling7` grew `cache` and `metrics` with the remote-tier counters
-/// (hits, misses, degraded, round-trip time) — and, in the remote-cache
-/// layer, the `get`/`put`/`sync` productions of the distributed
-/// entailment-cache tier (see [`crate::remote`]);
+/// (`sling8` dropped the four remote-tier counters from `cache` and
+/// `metrics` again, with the distributed entailment-cache tier that
+/// filled them; `sling7` had added those counters — and the tier's own
+/// `get`/`put`/`sync` productions;
 /// `sling6` added the static-diagnostics payloads: the `diagnostic`
 /// production, the warning count in `metrics`, the warning and
 /// unreachable-location lists in `report` — and, in the serve layer,
@@ -118,7 +116,7 @@ use crate::CacheStats;
 /// `sling2` extended `cachestats` with eviction and residency
 /// counters. Older peers are rejected with [`WireError::Version`]
 /// rather than misparsed.)
-pub const WIRE_VERSION: &str = "sling7";
+pub const WIRE_VERSION: &str = "sling8";
 
 /// Why a wire frame could not be encoded or decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -988,10 +986,6 @@ pub fn write_metrics(w: &mut WireWriter, m: &RunMetrics) {
     w.f64(m.compile_seconds);
     w.atom(&m.executor.to_string());
     w.u64(m.static_warnings as u64);
-    w.u64(m.remote_hits);
-    w.u64(m.remote_misses);
-    w.u64(m.remote_degraded);
-    w.f64(m.remote_seconds);
 }
 
 /// Reads [`RunMetrics`] from an open frame.
@@ -1017,10 +1011,6 @@ pub fn read_metrics(r: &mut WireReader<'_>) -> Result<RunMetrics, WireError> {
                 .ok_or_else(|| WireError::Syntax(format!("unknown executor {name:?}")))?
         },
         static_warnings: r.usize()?,
-        remote_hits: r.u64()?,
-        remote_misses: r.u64()?,
-        remote_degraded: r.u64()?,
-        remote_seconds: r.f64()?,
     })
 }
 
@@ -1032,10 +1022,6 @@ pub fn write_cache_stats(w: &mut WireWriter, s: &CacheStats) {
     w.u64(s.entries);
     w.u64(s.evictions);
     w.u64(s.resident_bytes);
-    w.u64(s.remote_hits);
-    w.u64(s.remote_misses);
-    w.u64(s.remote_degraded);
-    w.u64(s.remote_nanos);
 }
 
 /// Reads [`CacheStats`] from an open frame.
@@ -1047,10 +1033,6 @@ pub fn read_cache_stats(r: &mut WireReader<'_>) -> Result<CacheStats, WireError>
         entries: r.u64()?,
         evictions: r.u64()?,
         resident_bytes: r.u64()?,
-        remote_hits: r.u64()?,
-        remote_misses: r.u64()?,
-        remote_degraded: r.u64()?,
-        remote_nanos: r.u64()?,
     })
 }
 
@@ -1377,10 +1359,6 @@ mod tests {
             compile_seconds: 1e-7 + 3e-8,
             executor: Executor::Treewalk,
             static_warnings: 6,
-            remote_hits: 7,
-            remote_misses: 8,
-            remote_degraded: 9,
-            remote_seconds: 0.2 + 0.4,
         };
         let mut w = WireWriter::new();
         write_metrics(&mut w, &metrics);

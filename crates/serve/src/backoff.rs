@@ -1,19 +1,15 @@
-//! Jittered exponential backoff, shared by every reconnecting client.
-//!
-//! One schedule serves two callers today: the serve-protocol client's
-//! `connect_retry` (racing a just-booted daemon) and the remote
-//! entailment-cache client's reconnect loop (riding out a dead or
-//! restarting cache server). Both grow `attempt` without bound — a long
-//! deadline, or a cache server that stays down for hours, pushes the
-//! counter to `u32::MAX` and parks it there — so the math here must be
-//! total over the whole `u32` range.
+//! Jittered exponential backoff for [`crate::Client::connect_retry`],
+//! which races a just-booted daemon. The retry loop grows `attempt`
+//! without bound — a long deadline pushes the counter to `u32::MAX`
+//! and parks it there — so the math here must be total over the whole
+//! `u32` range.
 
 use std::time::Duration;
 
 /// First retry delay of the backoff schedule.
-pub const RETRY_BASE: Duration = Duration::from_millis(10);
+pub(crate) const RETRY_BASE: Duration = Duration::from_millis(10);
 /// Ceiling on any single retry delay.
-pub const RETRY_CAP: Duration = Duration::from_secs(1);
+pub(crate) const RETRY_CAP: Duration = Duration::from_secs(1);
 
 /// The backoff schedule: attempt `k` (0-based) sleeps a jittered delay
 /// in `[cap/2, cap]`, where `cap = min(RETRY_BASE << k, RETRY_CAP)` —
@@ -27,7 +23,7 @@ pub const RETRY_CAP: Duration = Duration::from_secs(1);
 /// `u32::MAX`, and the delay must stay a plain capped draw rather than
 /// overflow. The shift is capped at the `u32` width and the jitter
 /// mixing uses wrapping arithmetic throughout.
-pub fn retry_delay(attempt: u32, seed: u64) -> Duration {
+pub(crate) fn retry_delay(attempt: u32, seed: u64) -> Duration {
     // `1 << attempt` saturates once the shift leaves u32 range; capping
     // the shift keeps `checked_shl` meaningful and the cap at RETRY_CAP
     // for every attempt past the crossover.
@@ -50,7 +46,7 @@ pub fn retry_delay(attempt: u32, seed: u64) -> Duration {
 /// A per-call jitter seed. `RandomState` is the standard library's
 /// per-process randomly seeded hasher — no extra dependency, and two
 /// clients (or two calls) get different schedules.
-pub fn jitter_seed() -> u64 {
+pub(crate) fn jitter_seed() -> u64 {
     use std::hash::{BuildHasher, Hasher};
     std::collections::hash_map::RandomState::new()
         .build_hasher()

@@ -5,10 +5,10 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use sling::backoff::{jitter_seed, retry_delay};
 use sling::wire::WireError;
 use sling::{AnalysisRequest, BatchReport, Diagnostics, Report};
 
+use crate::backoff::{jitter_seed, retry_delay};
 use crate::proto::{ClientFrame, FrameBuffer, PoolStats, ProgramUpload, ServerFrame, VerifyTotals};
 
 /// Why a served analysis failed on the client side.
@@ -363,17 +363,17 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sling::backoff::{RETRY_BASE, RETRY_CAP};
+    use crate::backoff::{RETRY_BASE, RETRY_CAP};
 
     #[test]
     fn connect_retry_backoff_is_total_at_the_saturated_attempt_counter() {
         // connect_retry grows `attempt` with saturating_add, so a long
         // deadline pins it at u32::MAX; the schedule used to compute
         // `attempt + 1` in u32 there and panic in debug builds. The
-        // shared schedule must stay a plain capped draw.
+        // schedule must stay a plain capped draw.
         let delay = retry_delay(u32::MAX, jitter_seed());
         assert!(delay >= RETRY_CAP / 2 && delay <= RETRY_CAP);
-        // And the prompt first retry still holds after the extraction.
+        // And the prompt first retry still holds.
         assert!(retry_delay(0, 1) <= RETRY_BASE);
     }
 }

@@ -33,15 +33,6 @@
 //!   [`Client::analyze_all_uploaded`] as the wire mirrors of the
 //!   in-process batch API.
 //!
-//! A fifth, orthogonal piece is the distributed entailment-cache tier:
-//! [`CacheServer`] (`sling-serve --cache-server`) holds a fleet-shared
-//! memo table that engines join as write-through clients via
-//! [`EngineBuilder::remote_cache`](sling::EngineBuilder::remote_cache)
-//! (`--remote-cache ADDR` on an analysis daemon), speaking the
-//! `get`/`put`/`sync` productions of [`sling::remote`] over the same
-//! versioned codec. Losing the tier degrades engines to local-only
-//! analysis — never fails or stalls them.
-//!
 //! The `sling-serve` binary wraps [`Service`] for standalone use; the
 //! `serve_corpus` example in `examples/` replays the list-corpus
 //! fixture through a live socket and diffs the result against the
@@ -90,13 +81,12 @@
 
 #![warn(missing_docs)]
 
-mod cache_server;
+mod backoff;
 mod client;
 mod pool;
 pub mod proto;
 mod service;
 
-pub use cache_server::{CacheServer, CacheServerStats, NAMESPACE_CAP};
 pub use client::{Client, ServeError};
 pub use pool::{fingerprint, EnginePool, PoolError, PoolSettings};
 pub use proto::{PoolStats, ProgramUpload, VerifyTotals};

@@ -14,10 +14,6 @@
 //! sling-serve --corpus DemoNode --addr 127.0.0.1:7341
 //! # or fully multi-tenant, nothing baked in — clients upload programs:
 //! sling-serve --addr 127.0.0.1:7341 --pool-cap 4
-//! # or a fleet sharing one entailment-cache tier:
-//! sling-serve --cache-server --addr 127.0.0.1:7350
-//! sling-serve --corpus DemoNode --addr 127.0.0.1:7341 --remote-cache 127.0.0.1:7350
-//! sling-serve --corpus DemoNode --addr 127.0.0.1:7342 --remote-cache 127.0.0.1:7350
 //! ```
 
 use std::process::ExitCode;
@@ -32,8 +28,6 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                    [--addr HOST:PORT] [--cache FILE|DIR] [--snapshot-secs N]
                    [--cache-cap N] [--max-conns N] [--parallelism N]
                    [--pool-cap N] [--executor bytecode|treewalk] [--verify]
-                   [--remote-cache HOST:PORT]
-       sling-serve --cache-server [--addr HOST:PORT]
 
   --program FILE      MiniC source of the default program to serve; with
                       neither --program nor --corpus the daemon boots
@@ -69,18 +63,7 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                       verification post-pass (counterexample-guided
                       refinement on refutation); the summed grade totals
                       ride each batch's `done` epilogue. `SLING_VERIFY=off`
-                      in the daemon's environment overrides this flag
-  --remote-cache ADDR join the distributed entailment-cache tier at ADDR
-                      (a `sling-serve --cache-server` process): every
-                      engine this daemon builds becomes a write-through
-                      client — local shard first, remote lookup on miss,
-                      fresh verdicts uploaded write-behind, periodic
-                      anti-entropy sync. A dead or slow tier degrades
-                      engines to local-only analysis, never fails them
-  --cache-server      run as the cache tier itself: no engines, no
-                      analysis — just the fleet-shared entailment memo
-                      table speaking get/put/sync on --addr. Only --addr
-                      combines with this mode";
+                      in the daemon's environment overrides this flag";
 
 struct Args {
     program: Option<String>,
@@ -95,8 +78,6 @@ struct Args {
     pool_cap: Option<usize>,
     executor: Option<sling::Executor>,
     verify: bool,
-    remote_cache: Option<String>,
-    cache_server: bool,
 }
 
 impl Args {
@@ -120,8 +101,6 @@ fn parse_args() -> Result<Args, String> {
         pool_cap: None,
         executor: None,
         verify: false,
-        remote_cache: None,
-        cache_server: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -175,8 +154,6 @@ fn parse_args() -> Result<Args, String> {
                 })?);
             }
             "--verify" => args.verify = true,
-            "--remote-cache" => args.remote_cache = Some(value("--remote-cache")?),
-            "--cache-server" => args.cache_server = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -195,24 +172,6 @@ fn parse_args() -> Result<Args, String> {
             "--cache needs a default tenant (--program/--corpus): uploaded \
              tenants are ephemeral and never snapshotted\n\n{USAGE}"
         ));
-    }
-    if args.cache_server {
-        let incompatible = args.has_default_tenant()
-            || args.predicates.is_some()
-            || args.cache.is_some()
-            || args.cache_cap.is_some()
-            || args.max_conns.is_some()
-            || args.parallelism.is_some()
-            || args.pool_cap.is_some()
-            || args.executor.is_some()
-            || args.verify
-            || args.remote_cache.is_some();
-        if incompatible {
-            return Err(format!(
-                "--cache-server runs the bare cache tier: only --addr \
-                 combines with it\n\n{USAGE}"
-            ));
-        }
     }
     Ok(args)
 }
@@ -284,9 +243,6 @@ fn build_engine(
     if args.verify {
         builder = builder.verification(VerifySettings::default());
     }
-    if let Some(addr) = &args.remote_cache {
-        builder = builder.remote_cache(addr.clone());
-    }
     Ok(builder.build()?)
 }
 
@@ -341,32 +297,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Cache-server mode: no engines, no pool — just the fleet-shared
-    // entailment memo table.
-    if args.cache_server {
-        let server = match sling_serve::CacheServer::bind(&args.addr) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!(
-                    "sling-serve: failed to bind cache server on {}: {e}",
-                    args.addr
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        // The boot line is the readiness signal scripts wait for.
-        println!(
-            "sling-serve: cache server listening on {}",
-            server.local_addr()
-        );
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
-        // Serve until killed, like the analysis daemon: no in-band
-        // shutdown (a client must not be able to stop a shared tier).
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
     let (cache_path, cache_dir) = cache_layout(&args.cache);
     let engine = if args.has_default_tenant() {
         match build_engine(&args, &cache_path) {
@@ -424,7 +354,6 @@ fn main() -> ExitCode {
         parallelism: args.parallelism,
         cache_capacity: args.cache_cap,
         analysis: Some(sling::AnalysisSettings::default()),
-        remote_cache: args.remote_cache.clone(),
     };
     let pool_cap = args.pool_cap.unwrap_or(DEFAULT_POOL_CAPACITY);
     let pool = EnginePool::new(engine, pool_cap, settings);
@@ -449,12 +378,8 @@ fn main() -> ExitCode {
         Some(engine) => format!("{} executor", engine.config().executor),
         None => "no default tenant — uploads only".to_string(),
     };
-    let tier = match &args.remote_cache {
-        Some(addr) => format!(", cache tier {addr}"),
-        None => String::new(),
-    };
     println!(
-        "sling-serve: listening on {} ({} warm cache entries, {} workers, {tenant}, pool cap {pool_cap}{}{tier})",
+        "sling-serve: listening on {} ({} warm cache entries, {} workers, {tenant}, pool cap {pool_cap}{})",
         service.local_addr(),
         warm,
         service.pool().parallelism(),

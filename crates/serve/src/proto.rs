@@ -5,15 +5,15 @@
 //! client frames stream results:
 //!
 //! ```text
-//! client → server   sling7 analyze <id:u64> tenant <n:u64> request*
-//! client → server   sling7 ping
-//! server → client   sling7 hello <warm_entries:u64> <parallelism:u64> poolstats ; on connect
-//! server → client   sling7 busy <active:u64> <max:u64>                  ; on connect, saturated
-//! server → client   sling7 pong
-//! server → client   sling7 report <id:u64> <index:u64> report           ; completion order
-//! server → client   sling7 done <id:u64> <nreports:u64> cachestats verifytotals poolstats
-//! server → client   sling7 rejected <id:u64> <n:u64> diagnostic*        ; upload failed the gate
-//! server → client   sling7 error <id:u64> <message:string>              ; id 0 = unattributable
+//! client → server   sling8 analyze <id:u64> tenant <n:u64> request*
+//! client → server   sling8 ping
+//! server → client   sling8 hello <warm_entries:u64> <parallelism:u64> poolstats ; on connect
+//! server → client   sling8 busy <active:u64> <max:u64>                  ; on connect, saturated
+//! server → client   sling8 pong
+//! server → client   sling8 report <id:u64> <index:u64> report           ; completion order
+//! server → client   sling8 done <id:u64> <nreports:u64> cachestats verifytotals poolstats
+//! server → client   sling8 rejected <id:u64> <n:u64> diagnostic*        ; upload failed the gate
+//! server → client   sling8 error <id:u64> <message:string>              ; id 0 = unattributable
 //!
 //! tenant       := "-"                                  ; the daemon's default engine
 //!               | "upload" program:string predicates:string
@@ -24,13 +24,6 @@
 //!
 //! (`diagnostic` is the [`sling::wire`] production carrying one static
 //! finding: code, severity, function, span, message, notes.)
-//!
-//! The distributed entailment-cache tier speaks its own productions —
-//! `get`/`put`/`sync` requests, `cachehello`/`hit`/`miss`/`entries`
-//! replies — under the same `sling7` version tag; those frames live in
-//! [`sling::remote`] (client) and [`crate::CacheServer`] (server), on
-//! separate connections from the analysis protocol, so a mis-aimed
-//! client fails typed either way.
 //!
 //! `id` is a client-chosen correlation number echoed on every frame of
 //! the batch's response, so one connection can distinguish interleaved

@@ -138,7 +138,6 @@ impl Service {
             parallelism: Some(engine.parallelism()),
             cache_capacity: None,
             analysis: Some(sling::AnalysisSettings::default()),
-            remote_cache: None,
         };
         let capacity = options.pool_capacity.unwrap_or(DEFAULT_POOL_CAPACITY);
         Service::bind_pool(

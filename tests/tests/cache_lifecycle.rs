@@ -1,7 +1,8 @@
 //! Engine-level cache-lifecycle tests: a capacity-bounded engine never
 //! exceeds its entry cap over a corpus run (evictions are observable
 //! and answers stay correct), and sibling snapshots fold into a live
-//! engine with `Engine::absorb_snapshot`.
+//! engine with `Engine::absorb_snapshot`, which then answers the
+//! siblings' requests without a search and with identical formulas.
 
 use std::path::PathBuf;
 
@@ -99,14 +100,16 @@ fn absorb_snapshot_folds_sibling_snapshots_into_a_live_engine() {
     let batch = corpus.batch(1);
     let (half_a, half_b) = batch.split_at(2); // reverse+traverse / append+last
     let sibling_a = engine_for(&corpus).build().expect("engine builds");
-    sibling_a.analyze_all(half_a).expect("half A runs");
+    let cold_a = sibling_a.analyze_all(half_a).expect("half A runs");
     let a_written = sibling_a.save_cache_to(&a_path).expect("snapshot A saves");
     let sibling_b = engine_for(&corpus).build().expect("engine builds");
-    sibling_b.analyze_all(half_b).expect("half B runs");
+    let cold_b = sibling_b.analyze_all(half_b).expect("half B runs");
     let b_written = sibling_b.save_cache_to(&b_path).expect("snapshot B saves");
     assert!(a_written > 0 && b_written > 0);
 
-    // A fresh engine absorbs both and is warm for *both* halves.
+    // A fresh engine absorbs both and is warm for *both* halves: it
+    // reuses the siblings' verdicts without a single search and without
+    // changing a formula.
     let engine = engine_for(&corpus).build().expect("engine builds");
     assert_eq!(engine.warm_entries(), 0);
     let a_stats = engine.absorb_snapshot(&a_path).expect("A merges");
@@ -119,20 +122,27 @@ fn absorb_snapshot_folds_sibling_snapshots_into_a_live_engine() {
         "warm_entries must track absorbed snapshots"
     );
 
-    let before = engine.cache_stats();
-    engine.analyze_all(half_a).expect("half A runs warm");
-    let after_a = engine.cache_stats().since(&before);
-    assert!(
-        after_a.warm_hits > 0,
-        "snapshot A must answer half A: {after_a:?}"
-    );
-    let before = engine.cache_stats();
-    engine.analyze_all(half_b).expect("half B runs warm");
-    let after_b = engine.cache_stats().since(&before);
-    assert!(
-        after_b.warm_hits > 0,
-        "snapshot B must answer half B: {after_b:?}"
-    );
+    for (half, cold, name) in [(half_a, &cold_a, "A"), (half_b, &cold_b, "B")] {
+        let before = engine.cache_stats();
+        let warm = engine.analyze_all(half).expect("half runs warm");
+        let after = engine.cache_stats().since(&before);
+        assert!(
+            after.warm_hits > 0,
+            "snapshot {name} must answer half {name}: {after:?}"
+        );
+        assert_eq!(
+            after.misses, 0,
+            "half {name} must run without a search: {after:?}"
+        );
+        assert_eq!(warm.reports.len(), cold.reports.len());
+        for (warm_report, cold_report) in warm.reports.iter().zip(&cold.reports) {
+            assert_eq!(
+                fingerprint(warm_report),
+                fingerprint(cold_report),
+                "absorbed verdicts must not change what half {name} infers"
+            );
+        }
+    }
 
     // Absorbing a corrupt snapshot is a typed error, not a panic, and
     // leaves the engine serving.

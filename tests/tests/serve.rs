@@ -185,7 +185,7 @@ fn malformed_frames_get_typed_errors_not_dropped_connections() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello banner");
-    assert!(line.starts_with("sling7 hello "), "{line:?}");
+    assert!(line.starts_with("sling8 hello "), "{line:?}");
 
     let bad_frames = [
         "complete nonsense\n",
@@ -194,35 +194,36 @@ fn malformed_frames_get_typed_errors_not_dropped_connections() {
         "sling4 analyze 1 1 \"reverse\" 0\n",     // pre-upload protocol version
         "sling5 analyze 5 - 1 \"reverse\" - 0\n", // pre-diagnostics protocol version
         "sling6 ping\n",                          // pre-cache-tier protocol version
-        "sling7 frobnicate 1\n",                  // unknown frame kind
-        "sling7 analyze 6 steal 0\n",             // unknown tenant tag
-        "sling7 analyze 7 - 1 \"no_such_fn\" - 0\n", // decodes, but unknown target
-        "sling7 analyze 8 - 2 \"reverse\" - 0\n", // truncated batch
-        "sling7 analyze 9 - 1 \"reverse\" - 1 zz 0\n", // bad integer token
+        "sling7 ping\n",                          // cache-tier protocol version
+        "sling8 frobnicate 1\n",                  // unknown frame kind
+        "sling8 analyze 6 steal 0\n",             // unknown tenant tag
+        "sling8 analyze 7 - 1 \"no_such_fn\" - 0\n", // decodes, but unknown target
+        "sling8 analyze 8 - 2 \"reverse\" - 0\n", // truncated batch
+        "sling8 analyze 9 - 1 \"reverse\" - 1 zz 0\n", // bad integer token
     ];
     for frame in bad_frames {
         writer.write_all(frame.as_bytes()).expect("write");
         line.clear();
         reader.read_line(&mut line).expect("error response");
         assert!(
-            line.starts_with("sling7 error "),
+            line.starts_with("sling8 error "),
             "bad frame {frame:?} must be answered with an error frame, \
              got {line:?}"
         );
     }
     // Correlation ids are salvaged when readable.
     writer
-        .write_all(b"sling7 analyze 42 - 1 \"reverse\" oops\n")
+        .write_all(b"sling8 analyze 42 - 1 \"reverse\" oops\n")
         .expect("write");
     line.clear();
     reader.read_line(&mut line).expect("error response");
-    assert!(line.starts_with("sling7 error 42 "), "{line:?}");
+    assert!(line.starts_with("sling8 error 42 "), "{line:?}");
 
     // The connection still serves real work.
-    writer.write_all(b"sling7 ping\n").expect("write");
+    writer.write_all(b"sling8 ping\n").expect("write");
     line.clear();
     reader.read_line(&mut line).expect("pong");
-    assert_eq!(line.trim_end(), "sling7 pong");
+    assert_eq!(line.trim_end(), "sling8 pong");
     drop(writer);
     drop(reader);
 
@@ -269,7 +270,7 @@ fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello banner");
-    assert!(line.starts_with("sling7 hello "), "{line:?}");
+    assert!(line.starts_with("sling8 hello "), "{line:?}");
 
     // Far past the cap, never a newline. The server may close mid-write
     // once the cap trips, so write errors are expected, not failures.
@@ -283,7 +284,7 @@ fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     reader
         .read_line(&mut line)
         .expect("typed error before close");
-    assert!(line.starts_with("sling7 error 0 "), "{line:?}");
+    assert!(line.starts_with("sling8 error 0 "), "{line:?}");
     assert!(line.contains("frame too large"), "{line:?}");
     // Then EOF: the connection is gone, not wedged.
     line.clear();

@@ -1,9 +1,9 @@
-//! Property tests for the `sling::wire` codec and the `sling7` frame
+//! Property tests for the `sling::wire` codec and the `sling8` frame
 //! layer on top of it: arbitrary `InputSpec`/`Report`/`CacheStats`
 //! values round-trip bit-identically, requests round-trip with and
 //! without per-request [`SlingConfig`] overrides, `analyze` frames
 //! round-trip with and without a [`ProgramUpload`], frames tagged with
-//! previous protocols (`sling6` and older) are rejected as
+//! previous protocols (`sling7` and older) are rejected as
 //! [`WireError::Version`], and arbitrary byte mutations of a valid
 //! frame never panic — every malformed input is rejected with a typed
 //! error.
@@ -213,10 +213,6 @@ fn arb_cache_stats(rng: &mut TestRng) -> CacheStats {
         entries: pick_u64(rng),
         evictions: pick_u64(rng),
         resident_bytes: pick_u64(rng),
-        remote_hits: pick_u64(rng),
-        remote_misses: pick_u64(rng),
-        remote_degraded: pick_u64(rng),
-        remote_nanos: pick_u64(rng),
     }
 }
 
@@ -244,10 +240,6 @@ fn arb_metrics(rng: &mut TestRng) -> RunMetrics {
             sling::Executor::Treewalk
         },
         static_warnings: (rng.next_u64() % (1 << 20)) as usize,
-        remote_hits: pick_u64(rng),
-        remote_misses: pick_u64(rng),
-        remote_degraded: pick_u64(rng),
-        remote_seconds: f64::from_bits(pick_u64(rng)),
     }
 }
 
@@ -477,7 +469,9 @@ proptest! {
         let upload = arb_upload(&mut rng);
         let analyze_line = encode_analyze_frame(pick_u64(&mut rng), Some(&upload), &[])
             .expect("upload-only frames encode");
-        for old in ["sling6", "sling5", "sling4", "sling3", "sling2", "sling1"] {
+        for old in [
+            "sling7", "sling6", "sling5", "sling4", "sling3", "sling2", "sling1",
+        ] {
             let downlevel = |line: &str| line.replacen(wire::WIRE_VERSION, old, 1);
             prop_assert!(matches!(
                 wire::decode_request(&downlevel(&request_line)),
