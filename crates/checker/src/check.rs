@@ -372,8 +372,10 @@ impl<'a> Search<'a> {
                 }
             }
             Expr::Neg(inner) => match self.eval(env, inner) {
-                Evaled::Known(Val::Int(k)) => Evaled::Known(Val::Int(-k)),
-                Evaled::Known(_) => Evaled::Stuck,
+                Evaled::Known(Val::Int(k)) => match k.checked_neg() {
+                    Some(r) => Evaled::Known(Val::Int(r)),
+                    None => Evaled::Stuck,
+                },
                 _ => Evaled::Stuck,
             },
             Expr::Add(a, b) => self.eval_arith(env, a, b, |x, y| x.checked_add(y)),
@@ -698,8 +700,9 @@ impl<'a> Search<'a> {
                     PureAtom::Neq(..) => {
                         exclude.entry(v).or_default().insert(k);
                     }
+                    // `v < i64::MIN` has no integer solution.
                     PureAtom::Lt(..) => match k {
-                        Val::Int(y) => tighten(&mut bounds, v, None, Some(y - 1)),
+                        Val::Int(y) => tighten(&mut bounds, v, None, Some(y.checked_sub(1)?)),
                         _ => return None,
                     },
                     PureAtom::Le(..) => match k {
@@ -712,8 +715,9 @@ impl<'a> Search<'a> {
                     PureAtom::Neq(..) => {
                         exclude.entry(v).or_default().insert(k);
                     }
+                    // `i64::MAX < v` has no integer solution.
                     PureAtom::Lt(..) => match k {
-                        Val::Int(x) => tighten(&mut bounds, v, Some(x + 1), None),
+                        Val::Int(x) => tighten(&mut bounds, v, Some(x.checked_add(1)?), None),
                         _ => return None,
                     },
                     PureAtom::Le(..) => match k {
@@ -821,4 +825,41 @@ fn has_strict_cycle(env: &Env, edges: &[(Symbol, Symbol, bool)]) -> bool {
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sling_logic::parse_formula;
+    use sling_models::Stack;
+
+    /// Checks the pure formula `f` on an empty heap whose stack binds
+    /// `k` to the integer `k`.
+    fn check_with_k(k: i64, f: &str) -> Option<Reduction> {
+        let (types, preds) = (TypeEnv::new(), PredEnv::new());
+        let mut stack = Stack::new();
+        stack.bind(Symbol::intern("k"), Val::Int(k));
+        let model = StackHeapModel::new(stack, Heap::new());
+        CheckCtx::new(&types, &preds).check(&model, &parse_formula(f).expect("formula parses"))
+    }
+
+    #[test]
+    fn negating_i64_min_has_no_solution() {
+        assert!(check_with_k(i64::MIN, "exists u. emp & u == -k").is_none());
+        // Negation in range still binds the existential.
+        let red = check_with_k(i64::MAX, "exists u. emp & u == -k").expect("-k fits");
+        assert_eq!(red.inst.get(Symbol::intern("u")), Some(Val::Int(-i64::MAX)));
+    }
+
+    #[test]
+    fn nothing_is_below_i64_min() {
+        assert!(check_with_k(i64::MIN, "exists u. emp & u < k").is_none());
+        assert!(check_with_k(i64::MIN, "exists u. emp & u <= k").is_some());
+    }
+
+    #[test]
+    fn nothing_is_above_i64_max() {
+        assert!(check_with_k(i64::MAX, "exists u. emp & k < u").is_none());
+        assert!(check_with_k(i64::MAX, "exists u. emp & k <= u").is_some());
+    }
 }

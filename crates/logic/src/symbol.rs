@@ -2,9 +2,20 @@
 //!
 //! Every variable, predicate name, structure name, and field name in the
 //! workspace is a [`Symbol`]: a small copyable index into a global string
-//! interner. Interning makes identifier comparison and hashing O(1), which
-//! matters because the SLING search (Algorithm 2 of the paper) compares
-//! candidate argument tuples millions of times on larger benchmarks.
+//! interner. Equality and hashing use the index, so they are O(1).
+//! Ordering is textual, so that maps keyed by `Symbol` iterate in the same
+//! order whatever order the names were interned in; the SLING search
+//! (Algorithm 2 of the paper) walks such maps millions of times on the
+//! larger benchmarks, so a comparison must not take a lock.
+//!
+//! The interner's table of strings is append-only: an id, once handed
+//! out, names the same `&'static str` forever. Each thread therefore keeps
+//! a mirror of the table's prefix it has seen, and text reads
+//! ([`Symbol::as_str`], and with it `Ord`, `Display` and `Debug`) index
+//! that mirror. Only a read of an id past the mirror's end takes the
+//! global read lock, once, to copy the table's new tail. The mirror costs
+//! one `&'static str` (two words) per interned symbol for each thread
+//! that reads symbol text.
 //!
 //! # Examples
 //!
@@ -17,15 +28,17 @@
 //! assert_eq!(x.as_str(), "x");
 //! ```
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
 /// An interned string.
 ///
-/// `Symbol` is `Copy` and cheap to compare; the underlying text is obtained
-/// with [`Symbol::as_str`]. Symbols are ordered by their text (not creation
-/// order) so that data structures keyed by `Symbol` iterate
-/// deterministically and independently of interning history.
+/// `Symbol` is a `Copy` 4-byte id. `Eq` and `Hash` use the id; `Ord`
+/// compares the text (not creation order), so data structures keyed by
+/// `Symbol` iterate deterministically and independently of interning
+/// history. The text is obtained with [`Symbol::as_str`], which reads this
+/// thread's mirror of the interner table without locking.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
@@ -62,6 +75,13 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| RwLock::new(Interner::new()))
 }
 
+thread_local! {
+    /// This thread's copy of a prefix of the interner's `strings`. The
+    /// table only grows and never changes an entry, so a copied prefix
+    /// stays valid for the life of the process.
+    static MIRROR: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Symbol {
     /// Interns `text` and returns its symbol.
     ///
@@ -78,8 +98,25 @@ impl Symbol {
     }
 
     /// Returns the interned text.
+    ///
+    /// Reads this thread's mirror of the interner table. The global lock
+    /// is taken only when the symbol was interned after the mirror was
+    /// last extended; the mirror then copies every entry it lacks.
     pub fn as_str(self) -> &'static str {
-        interner().read().expect("interner lock").strings[self.0 as usize]
+        let id = self.0 as usize;
+        MIRROR
+            .try_with(|mirror| {
+                let mut mirror = mirror.borrow_mut();
+                if id >= mirror.len() {
+                    let table = interner().read().expect("interner lock");
+                    let seen = mirror.len();
+                    mirror.extend_from_slice(&table.strings[seen..]);
+                }
+                mirror[id]
+            })
+            // The mirror is gone only while this thread's thread-locals
+            // are being destroyed; read the table itself then.
+            .unwrap_or_else(|_| interner().read().expect("interner lock").strings[id])
     }
 }
 
@@ -182,6 +219,8 @@ impl FreshVars {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Barrier, Mutex};
+    use std::thread;
 
     #[test]
     fn intern_is_idempotent() {
@@ -230,5 +269,95 @@ mod tests {
     #[test]
     fn display_matches_text() {
         assert_eq!(Symbol::intern("hd").to_string(), "hd");
+    }
+
+    #[test]
+    fn text_reads_work_in_thread_local_destructors() {
+        struct ReadsOnDrop(Symbol);
+        impl Drop for ReadsOnDrop {
+            fn drop(&mut self) {
+                assert_eq!(self.0.as_str(), "mirror_teardown");
+            }
+        }
+        thread_local! {
+            static GUARD: RefCell<Option<ReadsOnDrop>> = const { RefCell::new(None) };
+        }
+        thread::spawn(|| {
+            // On Linux, thread-local destructors run in reverse order of
+            // first use, so the mirror is gone by the time `GUARD` drops.
+            GUARD.with(|g| *g.borrow_mut() = Some(ReadsOnDrop(Symbol::intern("mirror_teardown"))));
+            assert_eq!(Symbol::intern("hd").as_str(), "hd");
+        })
+        .join()
+        .expect("a thread-local destructor read symbol text");
+    }
+
+    fn mirror_len() -> usize {
+        MIRROR.with(|mirror| mirror.borrow().len())
+    }
+
+    #[test]
+    fn filled_mirror_reads_symbols_interned_later_elsewhere() {
+        let mid = Symbol::intern("m_mirror_late");
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (late_tx, late_rx) = mpsc::channel::<[Symbol; 2]>();
+        let reader = thread::spawn(move || {
+            // Fill this thread's mirror up to the table's current end.
+            assert_eq!(mid.as_str(), "m_mirror_late");
+            let filled = mirror_len();
+            ready_tx.send(()).expect("main thread waits");
+            let [z, a] = late_rx.recv().expect("main thread sends");
+            // Both were interned after the mirror was filled, so these
+            // reads must copy the table's new tail.
+            assert!(z.0 as usize >= filled && a.0 as usize >= filled);
+            assert_eq!(z.as_str(), "z_mirror_late");
+            assert_eq!(a.as_str(), "a_mirror_late");
+            assert!(a < mid && mid < z);
+        });
+        ready_rx.recv().expect("reader filled its mirror");
+        // Interned in reverse textual order, after the reader's fill.
+        let late = [
+            Symbol::intern("z_mirror_late"),
+            Symbol::intern("a_mirror_late"),
+        ];
+        late_tx.send(late).expect("reader waits");
+        reader.join().expect("reader thread");
+    }
+
+    #[test]
+    fn threads_read_each_others_symbols() {
+        const THREADS: usize = 4;
+        let barrier = Barrier::new(THREADS);
+        let interned: Mutex<Vec<(Symbol, String)>> = Mutex::new(Vec::new());
+        thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (barrier, interned) = (&barrier, &interned);
+                scope.spawn(move || {
+                    // Fill the mirror before anyone interns, so the
+                    // other threads' symbols all lie past its end.
+                    assert_eq!(Symbol::intern("hd").as_str(), "hd");
+                    barrier.wait();
+                    let mine: Vec<(Symbol, String)> = (0..50)
+                        .rev()
+                        .map(|i| format!("mirror_t{t}_{i:02}"))
+                        .map(|text| (Symbol::intern(&text), text))
+                        .collect();
+                    interned
+                        .lock()
+                        .expect("no test thread panicked")
+                        .extend(mine);
+                    barrier.wait();
+                    let mut all = interned.lock().expect("no test thread panicked").clone();
+                    assert_eq!(all.len(), THREADS * 50);
+                    for (sym, text) in &all {
+                        assert_eq!(sym.as_str(), text);
+                    }
+                    let mut by_text = all.clone();
+                    by_text.sort_by(|x, y| x.1.cmp(&y.1));
+                    all.sort_by_key(|x| x.0);
+                    assert_eq!(all, by_text);
+                });
+            }
+        });
     }
 }
