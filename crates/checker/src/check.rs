@@ -23,11 +23,36 @@
 //!
 //! Among accepted carvings the search keeps the one with the smallest
 //! residue (maximal coverage) and stops early when the residue is empty.
+//!
+//! # Search state
+//!
+//! A search mutates one state in place and rewinds it when it backtracks,
+//! so a branch costs what it changes, not a copy of the state:
+//!
+//! * variables are dense search-local ids whose bindings sit in a vector.
+//!   The formula's variables get theirs when the search starts (the stack
+//!   value, or unbound and reported in ι); each unfolding gives its case's
+//!   binders fresh ids, so binders are never named or interned;
+//! * the available cells are a bitmap over the heap in address order;
+//! * the pending spatial goals, and the terms they mention, live in arenas
+//!   truncated on backtrack; taking a goal out of the list (`swap_remove`)
+//!   is undone with a push and a swap;
+//! * pure atoms live in an append-only arena with discharge flags;
+//! * bindings and discharges go to undo logs that each node rewinds before
+//!   it returns.
+//!
+//! Each predicate definition is compiled once per search, on its first
+//! unfolding, into case templates whose expressions refer to parameter and
+//! binder slots, so an unfolding fills in a template instead of
+//! substituting into a formula.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
-use sling_logic::{Expr, PredEnv, PureAtom, SpatialAtom, Subst, SymHeap, Symbol, TypeEnv};
-use sling_models::{Heap, Loc, StackHeapModel, Val};
+use sling_logic::{
+    Expr, PredDef, PredEnv, PredParam, PureAtom, SpatialAtom, SymHeap, Symbol, TypeEnv,
+};
+use sling_models::{Heap, HeapCell, Loc, StackHeapModel, Val};
 
 use crate::cache::{CanonicalQuery, CheckCache, QueryScope};
 use crate::inst::Instantiation;
@@ -163,7 +188,7 @@ impl<'a> CheckCtx<'a> {
     /// ```
     pub fn check(&self, model: &StackHeapModel, f: &SymHeap) -> Option<Reduction> {
         let Some(cache) = self.cache else {
-            return Search::new(*self, model, f).run(f);
+            return Search::run(*self, model, f);
         };
         // The key must cover everything the verdict depends on: the
         // environments (tag) and the search limits (a budget-truncated
@@ -177,7 +202,7 @@ impl<'a> CheckCtx<'a> {
         if let Some(entry) = cache.lookup(&query.key) {
             return entry.map(|cached| query.decode(model, &cached));
         }
-        let result = Search::new(*self, model, f).run(f);
+        let result = Search::run(*self, model, f);
         match &result {
             Some(r) => {
                 // `encode` only declines when a value escapes the
@@ -212,197 +237,255 @@ impl<'a> CheckCtx<'a> {
     }
 }
 
-/// Partial valuation during search: existential bindings layered over the
-/// (immutable) stack, plus a union structure for variables equated while
-/// both are unbound.
-#[derive(Debug, Clone, Default)]
-struct Env {
-    bound: BTreeMap<Symbol, Val>,
-    classes: Vec<BTreeSet<Symbol>>,
+/// A search-local variable: an index into [`Search::vals`].
+type Var = u32;
+
+/// The relation of a pure atom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rel {
+    Eq,
+    Neq,
+    Lt,
+    Le,
 }
 
-impl Env {
-    fn union_unbound(&mut self, a: Symbol, b: Symbol) {
-        if a == b {
-            return;
-        }
-        let ia = self.classes.iter().position(|c| c.contains(&a));
-        let ib = self.classes.iter().position(|c| c.contains(&b));
-        match (ia, ib) {
-            (None, None) => self.classes.push([a, b].into_iter().collect()),
-            (Some(i), None) => {
-                self.classes[i].insert(b);
-            }
-            (None, Some(j)) => {
-                self.classes[j].insert(a);
-            }
-            (Some(i), Some(j)) if i != j => {
-                let hi = i.max(j);
-                let lo = i.min(j);
-                let moved = self.classes.swap_remove(hi);
-                self.classes[lo].extend(moved);
-            }
-            _ => {}
+impl Rel {
+    fn of(atom: &PureAtom) -> Rel {
+        match atom {
+            PureAtom::Eq(..) => Rel::Eq,
+            PureAtom::Neq(..) => Rel::Neq,
+            PureAtom::Lt(..) => Rel::Lt,
+            PureAtom::Le(..) => Rel::Le,
         }
     }
 
-    fn same_class(&self, a: Symbol, b: Symbol) -> bool {
-        a == b
-            || self
-                .classes
-                .iter()
-                .any(|c| c.contains(&a) && c.contains(&b))
-    }
-
-    /// Binding a variable also binds its whole unbound-equality class.
-    fn bind(&mut self, v: Symbol, val: Val) {
-        if let Some(i) = self.classes.iter().position(|c| c.contains(&v)) {
-            let class = self.classes.swap_remove(i);
-            for member in class {
-                self.bound.insert(member, val);
-            }
-        } else {
-            self.bound.insert(v, val);
+    fn holds(self, a: Val, b: Val) -> bool {
+        match self {
+            Rel::Eq => a == b,
+            Rel::Neq => a != b,
+            Rel::Lt => matches!((a, b), (Val::Int(x), Val::Int(y)) if x < y),
+            Rel::Le => matches!((a, b), (Val::Int(x), Val::Int(y)) if x <= y),
         }
     }
 }
 
-/// Result of evaluating an expression under stack + env.
+/// An expression over search variables.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    Nil,
+    Int(i64),
+    Var(Var),
+    /// Arithmetic: an index into [`Search::ops`].
+    Op(u32),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Neg(Term),
+    Add(Term, Term),
+    Sub(Term, Term),
+    Mul(i64, Term),
+}
+
+/// An expression of a compiled case, filled in at every unfolding.
+#[derive(Debug)]
+enum Tmpl {
+    Nil,
+    Int(i64),
+    /// The unfolded atom's `i`-th argument.
+    Param(u32),
+    /// The case's `k`-th binder: a fresh variable per unfolding.
+    Binder(u32),
+    /// A variable of the formula, or another free name of the case.
+    Var(Var),
+    Neg(Box<Tmpl>),
+    Add(Box<Tmpl>, Box<Tmpl>),
+    Sub(Box<Tmpl>, Box<Tmpl>),
+    Mul(i64, Box<Tmpl>),
+}
+
+#[derive(Debug)]
+enum AtomTmpl {
+    PointsTo {
+        shape: u32,
+        root: Tmpl,
+        values: Vec<Tmpl>,
+    },
+    Pred {
+        pred: u32,
+        args: Vec<Tmpl>,
+    },
+}
+
+/// A predicate case (or the checked formula itself) compiled once per
+/// search.
+#[derive(Debug)]
+struct Case {
+    binders: u32,
+    spatial: Vec<AtomTmpl>,
+    pure: Vec<(Rel, Tmpl, Tmpl)>,
+}
+
+/// The type of a points-to atom and the cell position of each of its
+/// fields, in atom order. `fields` is `None` when the type or a field is
+/// undefined: the atom then matches no cell.
+#[derive(Debug)]
+struct Shape {
+    ty: Symbol,
+    fields: Option<Box<[usize]>>,
+}
+
+#[derive(Debug)]
+struct PredSlot<'a> {
+    name: Symbol,
+    def: Option<&'a PredDef>,
+    /// Compiled on the first unfolding, stable-sorted by descending
+    /// spatial size: cases with more spatial atoms are tried first, so the
+    /// first solutions found have large coverage.
+    cases: Option<Rc<[Case]>>,
+}
+
+/// A pending spatial goal; its expressions are in [`Search::terms`].
+#[derive(Debug, Clone, Copy)]
+enum Goal {
+    /// `terms[at]` is the root, `terms[at + 1..]` the values of the
+    /// shape's fields.
+    PointsTo { shape: u32, at: u32 },
+    /// `terms[at..at + arity]` are the arguments.
+    Pred { pred: u32, at: u32, arity: u32 },
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Pure {
+    rel: Rel,
+    a: Term,
+    b: Term,
+    discharged: bool,
+}
+
+/// Result of evaluating a term under the current bindings.
 enum Evaled {
     Known(Val),
-    /// The expression is a single variable that is currently unbound (and
+    /// The term is a single variable that is currently unbound (and
     /// therefore bindable).
-    FreeVar(Symbol),
+    Free(Var),
     /// Contains unbound variables under arithmetic — not bindable.
     Stuck,
 }
 
-#[derive(Debug, Clone)]
-struct State {
-    env: Env,
-    avail: BTreeSet<Loc>,
-    /// Spatial atoms left to match.
-    goals: Vec<SpatialAtom>,
-    /// Deferred pure atoms.
-    pure: Vec<PureAtom>,
-    fuel: u32,
+/// The best carving so far: the cells it leaves uncovered and the
+/// bindings of the formula's variables.
+struct Best {
+    avail: Vec<u64>,
+    remaining: usize,
+    vals: Vec<Option<Val>>,
 }
 
+/// One depth-first search over one model, mutated in place: every step
+/// down records what it changes and every step back rewinds it.
 struct Search<'a> {
     ctx: CheckCtx<'a>,
     model: &'a StackHeapModel,
-    formula_exists: BTreeSet<Symbol>,
+    /// The heap in address order; bit `i` of `avail` stands for `cells[i]`.
+    cells: Vec<(Loc, &'a HeapCell)>,
+    avail: Vec<u64>,
+    avail_count: usize,
+    /// The variables that have a name: the formula's, whose ids are
+    /// `0..reported.len()`, then free names met in predicate cases.
+    names: Vec<(Symbol, Var)>,
+    /// Per formula variable: whether ι reports it (an existential, or a
+    /// free variable the stack does not bind).
+    reported: Vec<bool>,
+    preds: Vec<PredSlot<'a>>,
+    shapes: Vec<Shape>,
+    vals: Vec<Option<Val>>,
+    /// `vals` never shrinks below this: the slots of named variables.
+    /// Binder slots above it are truncated on backtrack.
+    pinned: usize,
+    /// Undo log of bindings.
+    bound: Vec<Var>,
+    /// The goal list, in the order goal selection scans it.
+    pending: Vec<Goal>,
+    terms: Vec<Term>,
+    ops: Vec<Op>,
+    pure: Vec<Pure>,
+    /// Undo log of pure atoms discharged.
+    discharged: Vec<u32>,
+    fuel: u32,
     nodes: u64,
-    fresh_counter: u32,
-    /// Best solution so far: remaining (uncovered) locations + env.
-    best: Option<(BTreeSet<Loc>, Env)>,
+    best: Option<Best>,
     done: bool,
 }
 
 impl<'a> Search<'a> {
-    fn new(ctx: CheckCtx<'a>, model: &'a StackHeapModel, f: &SymHeap) -> Search<'a> {
-        let mut formula_exists: BTreeSet<Symbol> = f.exists.iter().copied().collect();
-        // Free variables of the formula that are not on the stack behave
-        // like existentials: they can be bound by matching. This lets
-        // callers check open formulae.
-        for v in f.free_vars() {
-            if model.stack.get(v).is_none() {
-                formula_exists.insert(v);
-            }
+    fn run(ctx: CheckCtx<'a>, model: &'a StackHeapModel, f: &SymHeap) -> Option<Reduction> {
+        let cells: Vec<(Loc, &HeapCell)> = model.heap.iter().collect();
+        let mut avail = vec![0u64; cells.len().div_ceil(64)];
+        for i in 0..cells.len() {
+            avail[i / 64] |= 1 << (i % 64);
         }
-        Search {
+        let mut search = Search {
             ctx,
             model,
-            formula_exists,
+            avail,
+            avail_count: cells.len(),
+            cells,
+            names: Vec::new(),
+            reported: Vec::new(),
+            preds: Vec::new(),
+            shapes: Vec::new(),
+            vals: Vec::new(),
+            pinned: 0,
+            bound: Vec::new(),
+            pending: Vec::new(),
+            terms: Vec::new(),
+            ops: Vec::new(),
+            pure: Vec::new(),
+            discharged: Vec::new(),
+            fuel: 2 * model.heap.len() as u32 + ctx.config.fuel_slack,
             nodes: 0,
-            fresh_counter: 0,
             best: None,
             done: false,
-        }
-    }
-
-    fn run(mut self, f: &SymHeap) -> Option<Reduction> {
-        let state = State {
-            env: Env::default(),
-            avail: self.model.heap.domain(),
-            goals: f.spatial.clone(),
-            pure: f.pure.clone(),
-            fuel: 2 * self.model.heap.len() as u32 + self.ctx.config.fuel_slack,
         };
-        self.explore(state);
-        let (remaining, env) = self.best?;
-        let residual = self.model.heap.restrict(&remaining);
-        let covered = self.model.heap.len() - residual.len();
-        let inst = Instantiation::from_bindings(
-            env.bound
-                .iter()
-                .filter(|(v, _)| self.formula_exists.contains(*v))
-                .map(|(v, val)| (*v, *val)),
-        );
+        // Free variables of the formula that are not on the stack behave
+        // like existentials: they can be bound by matching. This lets
+        // callers check open formulae. An existential shadows a stack
+        // variable of the same name.
+        for v in f.all_vars() {
+            let reported = f.exists.contains(&v) || model.stack.get(v).is_none();
+            search.names.push((v, search.vals.len() as Var));
+            search.reported.push(reported);
+            search
+                .vals
+                .push(if reported { None } else { model.stack.get(v) });
+        }
+        search.pinned = search.vals.len();
+        let root = search.compile(f, &[], &[]);
+        search.push_case(&root, 0);
+
+        search.explore();
+        let best = search.best.take()?;
+        let residual: Heap = search
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| bit(&best.avail, i))
+            .map(|(_, &(loc, cell))| (loc, cell.clone()))
+            .collect();
+        let inst = (0..search.reported.len())
+            .filter(|&i| search.reported[i])
+            .filter_map(|i| Some((search.names[i].0, best.vals[i]?)))
+            .collect();
         Some(Reduction {
+            covered: search.cells.len() - residual.len(),
             residual,
             inst,
-            covered,
         })
-    }
-
-    fn fresh(&mut self) -> Symbol {
-        self.fresh_counter += 1;
-        Symbol::intern(&format!("$u{}", self.fresh_counter))
-    }
-
-    fn eval(&self, env: &Env, e: &Expr) -> Evaled {
-        match e {
-            Expr::Nil => Evaled::Known(Val::Nil),
-            Expr::Int(k) => Evaled::Known(Val::Int(*k)),
-            Expr::Var(v) => {
-                if let Some(val) = env.bound.get(v) {
-                    Evaled::Known(*val)
-                } else if let Some(val) = self.model.stack.get(*v) {
-                    // Stack bindings win only for non-existential names;
-                    // an existential shadowing a stack name is freshened
-                    // during unfolding, so plain lookup is safe.
-                    if self.formula_exists.contains(v) {
-                        Evaled::FreeVar(*v)
-                    } else {
-                        Evaled::Known(val)
-                    }
-                } else {
-                    Evaled::FreeVar(*v)
-                }
-            }
-            Expr::Neg(inner) => match self.eval(env, inner) {
-                Evaled::Known(Val::Int(k)) => match k.checked_neg() {
-                    Some(r) => Evaled::Known(Val::Int(r)),
-                    None => Evaled::Stuck,
-                },
-                _ => Evaled::Stuck,
-            },
-            Expr::Add(a, b) => self.eval_arith(env, a, b, |x, y| x.checked_add(y)),
-            Expr::Sub(a, b) => self.eval_arith(env, a, b, |x, y| x.checked_sub(y)),
-            Expr::Mul(k, inner) => match self.eval(env, inner) {
-                Evaled::Known(Val::Int(v)) => match k.checked_mul(v) {
-                    Some(r) => Evaled::Known(Val::Int(r)),
-                    None => Evaled::Stuck,
-                },
-                _ => Evaled::Stuck,
-            },
-        }
-    }
-
-    fn eval_arith(&self, env: &Env, a: &Expr, b: &Expr, op: fn(i64, i64) -> Option<i64>) -> Evaled {
-        match (self.eval(env, a), self.eval(env, b)) {
-            (Evaled::Known(Val::Int(x)), Evaled::Known(Val::Int(y))) => match op(x, y) {
-                Some(r) => Evaled::Known(Val::Int(r)),
-                None => Evaled::Stuck,
-            },
-            _ => Evaled::Stuck,
-        }
     }
 
     /// Depth-first exploration. Updates `self.best`; sets `self.done` when
     /// a full-coverage solution has been found (no better exists).
-    fn explore(&mut self, mut state: State) {
+    fn explore(&mut self) {
         if self.done {
             return;
         }
@@ -411,407 +494,604 @@ impl<'a> Search<'a> {
             self.done = true; // out of budget: keep whatever we have
             return;
         }
-
+        let mark = (self.bound.len(), self.discharged.len());
         // Eagerly discharge pure atoms that are already decidable; this
         // prunes doomed branches (e.g. a base case chosen mid-chain) long
         // before the leaf.
-        if !self.propagate(&mut state) {
+        if self.propagate() {
+            if self.pending.is_empty() {
+                self.leaf();
+            } else {
+                let idx = self.pick_goal();
+                let goal = self.pending.swap_remove(idx);
+                match goal {
+                    Goal::PointsTo { shape, at } => self.expand_points_to(shape, at),
+                    Goal::Pred { pred, at, arity } => self.unfold(pred, at, arity),
+                }
+                self.pending.push(goal);
+                let last = self.pending.len() - 1;
+                self.pending.swap(idx, last);
+            }
+        }
+        self.unbind(mark.0);
+        for i in self.discharged.drain(mark.1..) {
+            self.pure[i as usize].discharged = false;
+        }
+    }
+
+    /// All spatial goals matched: keeps the carving if it beats the best
+    /// one and its pure part is satisfiable.
+    fn leaf(&mut self) {
+        let remaining = self.avail_count;
+        if self.best.as_ref().is_some_and(|b| remaining >= b.remaining) || !self.solve_pure() {
             return;
         }
+        self.best = Some(Best {
+            avail: self.avail.clone(),
+            remaining,
+            vals: self.vals[..self.reported.len()].to_vec(),
+        });
+        if remaining == 0 {
+            self.done = true;
+        }
+    }
 
-        // Pick the next goal: prefer a points-to with a known root, then a
-        // predicate with any known argument, then anything.
-        let next = self.pick_goal(&state);
-        let Some(idx) = next else {
-            // All spatial goals matched; discharge the pure part.
-            if let Some(env) = self.solve_pure(state.env.clone(), &state.pure) {
-                let better = match &self.best {
-                    None => true,
-                    Some((best_remaining, _)) => state.avail.len() < best_remaining.len(),
-                };
-                if better {
-                    let full = state.avail.is_empty();
-                    self.best = Some((state.avail, env));
-                    if full {
-                        self.done = true;
-                    }
-                }
-            }
+    fn expand_points_to(&mut self, shape: u32, at: u32) {
+        let Shape {
+            ty,
+            fields: Some(_),
+        } = self.shapes[shape as usize]
+        else {
             return;
         };
-
-        let goal = state.goals.swap_remove(idx);
-        match goal {
-            SpatialAtom::PointsTo { root, ty, fields } => {
-                match self.eval(&state.env, &root) {
-                    Evaled::Known(Val::Addr(loc)) => {
-                        self.match_cell(state, loc, ty, &fields);
-                    }
-                    Evaled::Known(_) => {} // nil or int root: unsatisfiable
-                    Evaled::FreeVar(v) => {
-                        // Enumerate candidate cells of the right type.
-                        let candidates: Vec<Loc> = state
-                            .avail
-                            .iter()
-                            .copied()
-                            .filter(|l| {
-                                self.model.heap.get(*l).map(|c| c.ty == ty).unwrap_or(false)
-                            })
-                            .collect();
-                        for loc in candidates {
-                            let mut st = state.clone();
-                            st.env.bind(v, Val::Addr(loc));
-                            self.match_cell(st, loc, ty, &fields);
-                            if self.done {
-                                return;
-                            }
-                        }
-                    }
-                    Evaled::Stuck => {}
+        match self.eval(self.terms[at as usize]) {
+            Evaled::Known(Val::Addr(loc)) => {
+                if let Ok(i) = self.cells.binary_search_by_key(&loc, |&(l, _)| l) {
+                    self.match_cell(i, shape, at);
                 }
             }
-            SpatialAtom::Pred { name, args } => {
-                let Some(def) = self.ctx.preds.get(name) else {
-                    return;
-                };
-                if def.arity() != args.len() || state.fuel == 0 {
-                    return;
-                }
-                let mut cases = def.unfold(&args);
-                // Greedy: try cases with more spatial atoms first so the
-                // first solutions found have large coverage.
-                cases.sort_by_key(|c| std::cmp::Reverse(c.spatial.len()));
-                for case in cases {
-                    // Freshen the case's own binders so repeated unfoldings
-                    // of the same definition do not collide.
-                    let case = self.freshen_case(case);
-                    let mut st = state.clone();
-                    st.fuel -= 1;
-                    st.goals.extend(case.spatial);
-                    st.pure.extend(case.pure);
-                    self.explore(st);
+            Evaled::Known(_) => {} // nil or int root: unsatisfiable
+            Evaled::Free(v) => {
+                // Enumerate candidate cells of the right type.
+                for i in 0..self.cells.len() {
+                    if !bit(&self.avail, i) || self.cells[i].1.ty != ty {
+                        continue;
+                    }
+                    let mark = self.bound.len();
+                    self.bind(v, Val::Addr(self.cells[i].0));
+                    self.match_cell(i, shape, at);
+                    self.unbind(mark);
                     if self.done {
                         return;
                     }
                 }
             }
+            Evaled::Stuck => {}
         }
     }
 
-    /// Matches one points-to goal against the concrete cell at `loc`.
-    fn match_cell(
-        &mut self,
-        mut state: State,
-        loc: Loc,
-        ty: Symbol,
-        fields: &[sling_logic::FieldAssign],
-    ) {
-        if !state.avail.contains(&loc) {
-            return;
+    /// Matches one points-to goal against the cell `cells[i]`.
+    fn match_cell(&mut self, i: usize, shape: u32, at: u32) {
+        let mark = self.bound.len();
+        if self.bind_fields(i, shape, at) {
+            self.avail[i / 64] ^= 1 << (i % 64);
+            self.avail_count -= 1;
+            self.explore();
+            self.avail[i / 64] ^= 1 << (i % 64);
+            self.avail_count += 1;
         }
-        let Some(cell) = self.model.heap.get(loc) else {
-            return;
-        };
-        if cell.ty != ty {
-            return;
-        }
-        let Some(def) = self.ctx.types.get(ty) else {
-            return;
-        };
-        for fa in fields {
-            let Some(i) = def.field_index(fa.name) else {
-                return;
-            };
-            let Some(actual) = cell.fields.get(i).copied() else {
-                return;
-            };
-            match self.eval(&state.env, &fa.value) {
-                Evaled::Known(v) => {
-                    if v != actual {
-                        return;
-                    }
-                }
-                Evaled::FreeVar(v) => state.env.bind(v, actual),
-                Evaled::Stuck => return,
-            }
-        }
-        state.avail.remove(&loc);
-        self.explore(state);
+        self.unbind(mark);
     }
 
-    /// Chooses the index of the next goal to attack, or `None` if no goals
-    /// remain.
-    fn pick_goal(&self, state: &State) -> Option<usize> {
-        if state.goals.is_empty() {
-            return None;
+    /// True if `cells[i]` is available, of the goal's type, and holds the
+    /// goal's field values, binding the unbound ones on the way.
+    fn bind_fields(&mut self, i: usize, shape: u32, at: u32) -> bool {
+        let cell = self.cells[i].1;
+        let Shape {
+            ty,
+            fields: Some(ref fields),
+        } = self.shapes[shape as usize]
+        else {
+            return false;
+        };
+        if !bit(&self.avail, i) || cell.ty != ty {
+            return false;
         }
-        // 1. points-to with known root
-        for (i, g) in state.goals.iter().enumerate() {
-            if let SpatialAtom::PointsTo { root, .. } = g {
-                if matches!(self.eval(&state.env, root), Evaled::Known(_)) {
-                    return Some(i);
+        for (k, &pos) in fields.iter().enumerate() {
+            let Some(&actual) = cell.fields.get(pos) else {
+                return false;
+            };
+            match self.eval(self.terms[at as usize + 1 + k]) {
+                Evaled::Known(v) if v == actual => {}
+                Evaled::Free(v) => {
+                    self.vals[v as usize] = Some(actual);
+                    self.bound.push(v);
                 }
+                _ => return false,
             }
         }
-        // 2. predicate with a known first pointer argument
-        for (i, g) in state.goals.iter().enumerate() {
-            if let SpatialAtom::Pred { args, .. } = g {
-                if args
+        true
+    }
+
+    fn unfold(&mut self, pred: u32, at: u32, arity: u32) {
+        if self.fuel == 0 {
+            return;
+        }
+        let Some(cases) = self.cases(pred, arity) else {
+            return;
+        };
+        let marks = (
+            self.pending.len(),
+            self.terms.len(),
+            self.ops.len(),
+            self.pure.len(),
+            self.vals.len(),
+        );
+        for case in cases.iter() {
+            self.fuel -= 1;
+            self.push_case(case, at);
+            self.explore();
+            self.fuel += 1;
+            self.pending.truncate(marks.0);
+            self.terms.truncate(marks.1);
+            self.ops.truncate(marks.2);
+            self.pure.truncate(marks.3);
+            self.vals.truncate(marks.4.max(self.pinned));
+            if self.done {
+                return;
+            }
+        }
+    }
+
+    /// Chooses the index of the next goal to attack: a points-to with a
+    /// known root, then a predicate with any known argument, then the
+    /// first goal.
+    fn pick_goal(&self) -> usize {
+        let known = |t: &Term| matches!(self.eval(*t), Evaled::Known(_));
+        let points_to = self.pending.iter().position(|g| match *g {
+            Goal::PointsTo { at, .. } => known(&self.terms[at as usize]),
+            Goal::Pred { .. } => false,
+        });
+        let pred = || {
+            self.pending.iter().position(|g| match *g {
+                Goal::Pred { at, arity, .. } => self.terms[at as usize..(at + arity) as usize]
                     .iter()
-                    .any(|a| matches!(self.eval(&state.env, a), Evaled::Known(_)))
-                {
-                    return Some(i);
-                }
-            }
-        }
-        // 3. anything
-        Some(0)
+                    .any(known),
+                Goal::PointsTo { .. } => false,
+            })
+        };
+        points_to.or_else(pred).unwrap_or(0)
     }
 
     /// Eager propagation used mid-search: binds variables via decidable
-    /// equalities, discards satisfied atoms, and reports contradictions.
+    /// equalities, discharges satisfied atoms, and reports contradictions.
     /// Atoms that are not yet decidable are kept for the leaf check.
-    fn propagate(&self, state: &mut State) -> bool {
+    fn propagate(&mut self) -> bool {
         loop {
             let mut progress = false;
-            let mut keep: Vec<PureAtom> = Vec::with_capacity(state.pure.len());
-            for atom in std::mem::take(&mut state.pure) {
-                let (a, b) = atom.operands();
-                match (self.eval(&state.env, a), self.eval(&state.env, b)) {
+            for i in 0..self.pure.len() {
+                let Pure {
+                    rel,
+                    a,
+                    b,
+                    discharged,
+                } = self.pure[i];
+                if discharged {
+                    continue;
+                }
+                match (self.eval(a), self.eval(b)) {
                     (Evaled::Known(va), Evaled::Known(vb)) => {
-                        let ok = match &atom {
-                            PureAtom::Eq(..) => va == vb,
-                            PureAtom::Neq(..) => va != vb,
-                            PureAtom::Lt(..) => {
-                                matches!((va, vb), (Val::Int(x), Val::Int(y)) if x < y)
-                            }
-                            PureAtom::Le(..) => {
-                                matches!((va, vb), (Val::Int(x), Val::Int(y)) if x <= y)
-                            }
-                        };
-                        if !ok {
+                        if !rel.holds(va, vb) {
                             return false;
                         }
-                        progress = true; // atom discharged
                     }
-                    (Evaled::Known(va), Evaled::FreeVar(vb))
-                        if matches!(atom, PureAtom::Eq(..)) =>
-                    {
-                        state.env.bind(vb, va);
-                        progress = true;
-                    }
-                    (Evaled::FreeVar(va), Evaled::Known(vb))
-                        if matches!(atom, PureAtom::Eq(..)) =>
-                    {
-                        state.env.bind(va, vb);
-                        progress = true;
-                    }
-                    _ => keep.push(atom),
+                    (Evaled::Known(va), Evaled::Free(vb)) if rel == Rel::Eq => self.bind(vb, va),
+                    (Evaled::Free(va), Evaled::Known(vb)) if rel == Rel::Eq => self.bind(va, vb),
+                    _ => continue,
                 }
+                self.pure[i].discharged = true;
+                self.discharged.push(i as u32);
+                progress = true;
             }
-            state.pure = keep;
             if !progress {
                 return true;
             }
         }
     }
 
-    /// Fixpoint propagation and final evaluation of the pure part.
-    /// Returns the extended environment on success.
-    fn solve_pure(&self, mut env: Env, pure: &[PureAtom]) -> Option<Env> {
-        let mut atoms: Vec<PureAtom> = pure.to_vec();
-        // Propagate equalities that bind unbound variables.
-        loop {
-            let mut progress = false;
-            let mut still: Vec<PureAtom> = Vec::with_capacity(atoms.len());
-            for atom in &atoms {
-                if let PureAtom::Eq(a, b) = atom {
-                    match (self.eval(&env, a), self.eval(&env, b)) {
-                        (Evaled::Known(va), Evaled::FreeVar(vb)) => {
-                            env.bind(vb, va);
-                            progress = true;
-                            continue;
-                        }
-                        (Evaled::FreeVar(va), Evaled::Known(vb)) => {
-                            env.bind(va, vb);
-                            progress = true;
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-                still.push(atom.clone());
-            }
-            atoms = still;
-            if !progress {
-                break;
-            }
-        }
-        // Evaluate what remains. Constraints over still-unbound variables
-        // are checked for satisfiability: interval feasibility for
-        // variable-vs-constant bounds, plus strict-cycle detection for
-        // variable-vs-variable order constraints. (Mixed chains such as
-        // `a <= b & b <= 3 & 5 <= a` are accepted optimistically — full
-        // difference-constraint solving is not needed by any predicate in
-        // the benchmark suite.)
-        let mut bounds: BTreeMap<Symbol, (Option<i64>, Option<i64>)> = BTreeMap::new();
-        let mut exclude: BTreeMap<Symbol, BTreeSet<Val>> = BTreeMap::new();
+    /// Final evaluation of the pure atoms left at a leaf. Propagation has
+    /// reached its fixpoint there, so no atom is decidable or an equality
+    /// with one known side. Constraints over still-unbound variables are
+    /// checked for satisfiability: interval feasibility for
+    /// variable-vs-constant bounds, plus strict-cycle detection for
+    /// variable-vs-variable order constraints. (Mixed chains such as
+    /// `a <= b & b <= 3 & 5 <= a` are accepted optimistically — full
+    /// difference-constraint solving is not needed by any predicate in
+    /// the benchmark suite.)
+    fn solve_pure(&self) -> bool {
+        let mut classes = Classes::default();
+        let mut bounds: Vec<(Var, Option<i64>, Option<i64>)> = Vec::new();
+        let mut excluded: Vec<(Var, Val)> = Vec::new();
+        let mut distinct: Vec<(Var, Var)> = Vec::new();
         // (from, to, strict): `from < to` or `from <= to`.
-        let mut order_edges: Vec<(Symbol, Symbol, bool)> = Vec::new();
-        for atom in &atoms {
-            let (a, b) = atom.operands();
-            match (self.eval(&env, a), self.eval(&env, b)) {
+        let mut order_edges: Vec<(Var, Var, bool)> = Vec::new();
+        for p in self.pure.iter().filter(|p| !p.discharged) {
+            match (self.eval(p.a), self.eval(p.b)) {
                 (Evaled::Known(va), Evaled::Known(vb)) => {
-                    let ok = match atom {
-                        PureAtom::Eq(..) => va == vb,
-                        PureAtom::Neq(..) => va != vb,
-                        PureAtom::Lt(..) => match (va, vb) {
-                            (Val::Int(x), Val::Int(y)) => x < y,
-                            _ => false,
-                        },
-                        PureAtom::Le(..) => match (va, vb) {
-                            (Val::Int(x), Val::Int(y)) => x <= y,
-                            _ => false,
-                        },
-                    };
-                    if !ok {
-                        return None;
+                    if !p.rel.holds(va, vb) {
+                        return false;
                     }
                 }
-                (Evaled::FreeVar(va), Evaled::FreeVar(vb)) => match atom {
+                (Evaled::Free(va), Evaled::Free(vb)) => match p.rel {
                     // Vacuous equality between two unconstrained
                     // existentials: record the class and accept.
-                    PureAtom::Eq(..) => env.union_unbound(va, vb),
-                    PureAtom::Neq(..) => {
-                        if env.same_class(va, vb) {
-                            return None;
-                        }
-                    }
-                    PureAtom::Lt(..) => {
-                        if env.same_class(va, vb) {
-                            return None;
-                        }
-                        order_edges.push((va, vb, true));
-                    }
-                    PureAtom::Le(..) => order_edges.push((va, vb, false)),
+                    Rel::Eq => classes.union(va, vb),
+                    Rel::Neq => distinct.push((va, vb)),
+                    Rel::Lt => order_edges.push((va, vb, true)),
+                    Rel::Le => order_edges.push((va, vb, false)),
                 },
-                (Evaled::FreeVar(v), Evaled::Known(k)) => match atom {
-                    PureAtom::Eq(..) => unreachable!("handled by propagation"),
-                    PureAtom::Neq(..) => {
-                        exclude.entry(v).or_default().insert(k);
-                    }
+                (Evaled::Free(v), Evaled::Known(k)) => match (p.rel, k) {
+                    (Rel::Eq, _) => unreachable!("handled by propagation"),
+                    (Rel::Neq, _) => excluded.push((v, k)),
                     // `v < i64::MIN` has no integer solution.
-                    PureAtom::Lt(..) => match k {
-                        Val::Int(y) => tighten(&mut bounds, v, None, Some(y.checked_sub(1)?)),
-                        _ => return None,
+                    (Rel::Lt, Val::Int(y)) => match y.checked_sub(1) {
+                        Some(hi) => tighten(&mut bounds, v, None, Some(hi)),
+                        None => return false,
                     },
-                    PureAtom::Le(..) => match k {
-                        Val::Int(y) => tighten(&mut bounds, v, None, Some(y)),
-                        _ => return None,
-                    },
+                    (Rel::Le, Val::Int(y)) => tighten(&mut bounds, v, None, Some(y)),
+                    _ => return false,
                 },
-                (Evaled::Known(k), Evaled::FreeVar(v)) => match atom {
-                    PureAtom::Eq(..) => unreachable!("handled by propagation"),
-                    PureAtom::Neq(..) => {
-                        exclude.entry(v).or_default().insert(k);
-                    }
+                (Evaled::Known(k), Evaled::Free(v)) => match (p.rel, k) {
+                    (Rel::Eq, _) => unreachable!("handled by propagation"),
+                    (Rel::Neq, _) => excluded.push((v, k)),
                     // `i64::MAX < v` has no integer solution.
-                    PureAtom::Lt(..) => match k {
-                        Val::Int(x) => tighten(&mut bounds, v, Some(x.checked_add(1)?), None),
-                        _ => return None,
+                    (Rel::Lt, Val::Int(x)) => match x.checked_add(1) {
+                        Some(lo) => tighten(&mut bounds, v, Some(lo), None),
+                        None => return false,
                     },
-                    PureAtom::Le(..) => match k {
-                        Val::Int(x) => tighten(&mut bounds, v, Some(x), None),
-                        _ => return None,
-                    },
+                    (Rel::Le, Val::Int(x)) => tighten(&mut bounds, v, Some(x), None),
+                    _ => return false,
                 },
                 // One side stuck (unbound variables under arithmetic):
                 // conservatively reject this carving.
-                _ => return None,
+                _ => return false,
             }
         }
         // Interval feasibility.
-        for (v, (lo, hi)) in &bounds {
+        for &(v, lo, hi) in &bounds {
             if let (Some(lo), Some(hi)) = (lo, hi) {
-                if lo > hi {
-                    return None;
-                }
-                if lo == hi && exclude.get(v).is_some_and(|ex| ex.contains(&Val::Int(*lo))) {
-                    return None;
+                if lo > hi || (lo == hi && excluded.contains(&(v, Val::Int(lo)))) {
+                    return false;
                 }
             }
         }
-        // Strict cycles among unbound variables (e.g. a < b & b < a).
-        if has_strict_cycle(&env, &order_edges) {
-            return None;
+        // Disequalities are tested against the final classes: an equality
+        // later in the list may still merge their sides.
+        if distinct
+            .iter()
+            .any(|&(a, b)| classes.find(a) == classes.find(b))
+        {
+            return false;
         }
-        Some(env)
+        // Strict cycles among unbound variables (e.g. a < b & b < a).
+        !has_strict_cycle(&classes, &order_edges)
     }
 
-    /// Alpha-renames the bound variables of an unfolded case to fresh
-    /// search-internal names.
-    #[allow(clippy::wrong_self_convention)]
-    fn freshen_case(&mut self, case: SymHeap) -> SymHeap {
-        if case.exists.is_empty() {
-            return case;
+    fn eval(&self, t: Term) -> Evaled {
+        match t {
+            Term::Nil => Evaled::Known(Val::Nil),
+            Term::Int(k) => Evaled::Known(Val::Int(k)),
+            Term::Var(v) => match self.vals[v as usize] {
+                Some(val) => Evaled::Known(val),
+                None => Evaled::Free(v),
+            },
+            Term::Op(i) => match self.ops[i as usize] {
+                Op::Neg(a) => match self.eval(a) {
+                    Evaled::Known(Val::Int(k)) => int(k.checked_neg()),
+                    _ => Evaled::Stuck,
+                },
+                Op::Add(a, b) => self.eval_arith(a, b, i64::checked_add),
+                Op::Sub(a, b) => self.eval_arith(a, b, i64::checked_sub),
+                Op::Mul(k, a) => match self.eval(a) {
+                    Evaled::Known(Val::Int(v)) => int(k.checked_mul(v)),
+                    _ => Evaled::Stuck,
+                },
+            },
         }
-        let map: Subst = case
-            .exists
+    }
+
+    fn eval_arith(&self, a: Term, b: Term, op: fn(i64, i64) -> Option<i64>) -> Evaled {
+        match (self.eval(a), self.eval(b)) {
+            (Evaled::Known(Val::Int(x)), Evaled::Known(Val::Int(y))) => int(op(x, y)),
+            _ => Evaled::Stuck,
+        }
+    }
+
+    fn bind(&mut self, v: Var, val: Val) {
+        self.vals[v as usize] = Some(val);
+        self.bound.push(v);
+    }
+
+    /// Rewinds the bindings made since the undo log had length `mark`.
+    fn unbind(&mut self, mark: usize) {
+        for v in self.bound.drain(mark..) {
+            self.vals[v as usize] = None;
+        }
+    }
+
+    /// The compiled cases of `preds[pred]`, or `None` if it is undefined
+    /// or applied at the wrong arity.
+    fn cases(&mut self, pred: u32, arity: u32) -> Option<Rc<[Case]>> {
+        let slot = &self.preds[pred as usize];
+        let def = slot.def.filter(|d| d.arity() == arity as usize)?;
+        if let Some(cases) = &slot.cases {
+            return Some(Rc::clone(cases));
+        }
+        let mut cases: Vec<Case> = def
+            .cases
             .iter()
-            .map(|v| (*v, Expr::Var(self.fresh())))
+            .map(|c| {
+                let mut binders: Vec<Symbol> = Vec::with_capacity(c.exists.len());
+                for &b in &c.exists {
+                    if !binders.contains(&b) {
+                        binders.push(b);
+                    }
+                }
+                self.compile(c, &def.params, &binders)
+            })
             .collect();
-        sling_logic::subst_symheap_bound(&case, &map)
+        cases.sort_by_key(|c| std::cmp::Reverse(c.spatial.len()));
+        let cases: Rc<[Case]> = cases.into();
+        self.preds[pred as usize].cases = Some(Rc::clone(&cases));
+        Some(cases)
+    }
+
+    /// Compiles a symbolic heap whose names resolve to `binders` first,
+    /// then to `params` (the last of equal names), then to the named
+    /// variables of the search.
+    fn compile(&mut self, h: &SymHeap, params: &[PredParam], binders: &[Symbol]) -> Case {
+        let scope = Scope { params, binders };
+        let spatial =
+            h.spatial
+                .iter()
+                .map(|atom| match atom {
+                    SpatialAtom::PointsTo { root, ty, fields } => {
+                        let positions = self.ctx.types.get(*ty).and_then(|def| {
+                            fields.iter().map(|fa| def.field_index(fa.name)).collect()
+                        });
+                        self.shapes.push(Shape {
+                            ty: *ty,
+                            fields: positions,
+                        });
+                        AtomTmpl::PointsTo {
+                            shape: (self.shapes.len() - 1) as u32,
+                            root: self.template(root, &scope),
+                            values: fields
+                                .iter()
+                                .map(|fa| self.template(&fa.value, &scope))
+                                .collect(),
+                        }
+                    }
+                    SpatialAtom::Pred { name, args } => AtomTmpl::Pred {
+                        pred: self.pred_id(*name),
+                        args: args.iter().map(|a| self.template(a, &scope)).collect(),
+                    },
+                })
+                .collect();
+        let pure = h
+            .pure
+            .iter()
+            .map(|atom| {
+                let (a, b) = atom.operands();
+                (
+                    Rel::of(atom),
+                    self.template(a, &scope),
+                    self.template(b, &scope),
+                )
+            })
+            .collect();
+        Case {
+            binders: binders.len() as u32,
+            spatial,
+            pure,
+        }
+    }
+
+    fn template(&mut self, e: &Expr, scope: &Scope) -> Tmpl {
+        let mut sub = |e: &Expr| Box::new(self.template(e, scope));
+        match e {
+            Expr::Nil => Tmpl::Nil,
+            Expr::Int(k) => Tmpl::Int(*k),
+            Expr::Var(v) => {
+                if let Some(k) = scope.binders.iter().position(|b| b == v) {
+                    Tmpl::Binder(k as u32)
+                } else if let Some(i) = scope.params.iter().rposition(|p| p.name == *v) {
+                    Tmpl::Param(i as u32)
+                } else {
+                    Tmpl::Var(self.named(*v))
+                }
+            }
+            Expr::Neg(a) => Tmpl::Neg(sub(a)),
+            Expr::Add(a, b) => Tmpl::Add(sub(a), sub(b)),
+            Expr::Sub(a, b) => Tmpl::Sub(sub(a), sub(b)),
+            Expr::Mul(k, a) => Tmpl::Mul(*k, sub(a)),
+        }
+    }
+
+    /// The variable named `v`. A free name of a predicate case that the
+    /// formula does not mention is never reported, and the stack binds it
+    /// if it can; its slot is pinned so that backtracking keeps it.
+    fn named(&mut self, v: Symbol) -> Var {
+        if let Some(&(_, var)) = self.names.iter().find(|(name, _)| *name == v) {
+            return var;
+        }
+        let var = self.vals.len() as Var;
+        self.vals.push(self.model.stack.get(v));
+        self.pinned = self.vals.len();
+        self.names.push((v, var));
+        var
+    }
+
+    fn pred_id(&mut self, name: Symbol) -> u32 {
+        if let Some(i) = self.preds.iter().position(|p| p.name == name) {
+            return i as u32;
+        }
+        self.preds.push(PredSlot {
+            name,
+            def: self.ctx.preds.get(name),
+            cases: None,
+        });
+        (self.preds.len() - 1) as u32
+    }
+
+    /// Adds a case's goals and pure atoms, with its parameters filled in
+    /// from `terms[args..]` and its binders given fresh variables.
+    fn push_case(&mut self, case: &Case, args: u32) {
+        let base = self.vals.len() as Var;
+        self.vals
+            .resize(self.vals.len() + case.binders as usize, None);
+        for atom in &case.spatial {
+            let at = self.terms.len() as u32;
+            let (goal, exprs) = match atom {
+                AtomTmpl::PointsTo {
+                    shape,
+                    root,
+                    values,
+                } => {
+                    let root = self.instantiate(root, args, base);
+                    self.terms.push(root);
+                    (Goal::PointsTo { shape: *shape, at }, values)
+                }
+                AtomTmpl::Pred { pred, args: exprs } => (
+                    Goal::Pred {
+                        pred: *pred,
+                        at,
+                        arity: exprs.len() as u32,
+                    },
+                    exprs,
+                ),
+            };
+            for e in exprs {
+                let t = self.instantiate(e, args, base);
+                self.terms.push(t);
+            }
+            self.pending.push(goal);
+        }
+        for (rel, a, b) in &case.pure {
+            let (a, b) = (
+                self.instantiate(a, args, base),
+                self.instantiate(b, args, base),
+            );
+            self.pure.push(Pure {
+                rel: *rel,
+                a,
+                b,
+                discharged: false,
+            });
+        }
+    }
+
+    fn instantiate(&mut self, e: &Tmpl, args: u32, base: Var) -> Term {
+        let op = match e {
+            Tmpl::Nil => return Term::Nil,
+            Tmpl::Int(k) => return Term::Int(*k),
+            Tmpl::Param(i) => return self.terms[(args + i) as usize],
+            Tmpl::Binder(k) => return Term::Var(base + k),
+            Tmpl::Var(v) => return Term::Var(*v),
+            Tmpl::Neg(a) => Op::Neg(self.instantiate(a, args, base)),
+            Tmpl::Add(a, b) => Op::Add(
+                self.instantiate(a, args, base),
+                self.instantiate(b, args, base),
+            ),
+            Tmpl::Sub(a, b) => Op::Sub(
+                self.instantiate(a, args, base),
+                self.instantiate(b, args, base),
+            ),
+            Tmpl::Mul(k, a) => Op::Mul(*k, self.instantiate(a, args, base)),
+        };
+        self.ops.push(op);
+        Term::Op((self.ops.len() - 1) as u32)
+    }
+}
+
+/// Name resolution while compiling a case.
+struct Scope<'s> {
+    params: &'s [PredParam],
+    binders: &'s [Symbol],
+}
+
+/// An integer result; an overflow leaves the expression stuck.
+fn int(r: Option<i64>) -> Evaled {
+    r.map_or(Evaled::Stuck, |r| Evaled::Known(Val::Int(r)))
+}
+
+fn bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Union-find over the unbound variables that a leaf's equalities relate.
+#[derive(Default)]
+struct Classes {
+    parent: Vec<(Var, Var)>,
+}
+
+impl Classes {
+    fn find(&self, mut v: Var) -> Var {
+        while let Some(&(_, p)) = self.parent.iter().find(|&&(c, _)| c == v) {
+            v = p;
+        }
+        v
+    }
+
+    fn union(&mut self, a: Var, b: Var) {
+        let (a, b) = (self.find(a), self.find(b));
+        if a != b {
+            self.parent.push((a, b));
+        }
     }
 }
 
 /// Narrows the `[lo, hi]` interval recorded for `v`.
 fn tighten(
-    bounds: &mut BTreeMap<Symbol, (Option<i64>, Option<i64>)>,
-    v: Symbol,
+    bounds: &mut Vec<(Var, Option<i64>, Option<i64>)>,
+    v: Var,
     lo: Option<i64>,
     hi: Option<i64>,
 ) {
-    let entry = bounds.entry(v).or_insert((None, None));
+    let i = match bounds.iter().position(|b| b.0 == v) {
+        Some(i) => i,
+        None => {
+            bounds.push((v, None, None));
+            bounds.len() - 1
+        }
+    };
+    let entry = &mut bounds[i];
     if let Some(lo) = lo {
-        entry.0 = Some(entry.0.map_or(lo, |old| old.max(lo)));
+        entry.1 = Some(entry.1.map_or(lo, |old| old.max(lo)));
     }
     if let Some(hi) = hi {
-        entry.1 = Some(entry.1.map_or(hi, |old| old.min(hi)));
+        entry.2 = Some(entry.2.map_or(hi, |old| old.min(hi)));
     }
 }
 
 /// Detects a cycle containing at least one strict edge in the order graph
 /// over unbound-variable classes.
-fn has_strict_cycle(env: &Env, edges: &[(Symbol, Symbol, bool)]) -> bool {
-    if edges.is_empty() {
-        return false;
-    }
-    // Collapse symbols to class representatives.
-    let rep = |s: Symbol| -> Symbol {
-        env.classes
-            .iter()
-            .find(|c| c.contains(&s))
-            .and_then(|c| c.iter().next().copied())
-            .unwrap_or(s)
-    };
-    let mut nodes: BTreeSet<Symbol> = BTreeSet::new();
-    let mut adj: BTreeMap<Symbol, Vec<(Symbol, bool)>> = BTreeMap::new();
+fn has_strict_cycle(classes: &Classes, edges: &[(Var, Var, bool)]) -> bool {
+    let mut adj: BTreeMap<Var, Vec<(Var, bool)>> = BTreeMap::new();
     for &(a, b, strict) in edges {
-        let (a, b) = (rep(a), rep(b));
+        let (a, b) = (classes.find(a), classes.find(b));
         if a == b {
             if strict {
                 return true;
             }
             continue;
         }
-        nodes.insert(a);
-        nodes.insert(b);
         adj.entry(a).or_default().push((b, strict));
     }
     // DFS from each node tracking whether the path used a strict edge.
-    for &start in &nodes {
+    for &start in adj.keys() {
         let mut stack = vec![(start, false)];
-        let mut seen: BTreeSet<(Symbol, bool)> = BTreeSet::new();
+        let mut seen: BTreeSet<(Var, bool)> = BTreeSet::new();
         while let Some((n, strict_so_far)) = stack.pop() {
             for &(m, strict) in adj.get(&n).into_iter().flatten() {
                 let s = strict_so_far || strict;
@@ -855,6 +1135,18 @@ mod tests {
     fn nothing_is_below_i64_min() {
         assert!(check_with_k(i64::MIN, "exists u. emp & u < k").is_none());
         assert!(check_with_k(i64::MIN, "exists u. emp & u <= k").is_some());
+    }
+
+    #[test]
+    fn disequality_sees_later_equalities() {
+        for f in [
+            "exists a, b. emp & a != b & a == b",
+            "exists a, b, c. emp & a != c & a == b & b == c",
+            "exists a, b. emp & a == b & a != b",
+        ] {
+            assert!(check_with_k(0, f).is_none(), "{f}");
+        }
+        assert!(check_with_k(0, "exists a, b. emp & a != b").is_some());
     }
 
     #[test]

@@ -429,18 +429,41 @@ fn circular_list_terminates() {
     assert_eq!(red.covered, 2, "maximal match should go all the way around");
 }
 
+/// Sweeps the node budget over checks whose searches run out of it at
+/// every depth. A truncated search returns the best carving found so far,
+/// so the digest of every result pins the exploration order: which goal
+/// is attacked first, which candidate cells are tried in which order,
+/// which case of a predicate is unfolded first.
 #[test]
 fn budget_truncation_is_graceful() {
     let types = node_types();
     let preds = preds();
-    let mut ctx = CheckCtx::new(&types, &preds);
-    ctx.config = CheckConfig {
-        node_budget: 1,
-        fuel_slack: 4,
-    };
-    let m = fig2a();
-    // With a 1-node budget the search gives up; must not panic.
-    let _ = ctx.check(&m, &parse_formula("dll(x, nil, u, nil)").unwrap());
+    let checks = [
+        (fig2a(), "dll(x, nil, u, nil)"),
+        (fig2a(), "exists a, b. dll(a, nil, b, nil)"),
+        (
+            fig2a(),
+            "exists a, b, c, d. dll(a, nil, b, nil) * dll(c, nil, d, nil)",
+        ),
+        (fig2b(3), "exists u1, u2. dll(u1, nil, u2, nil)"),
+    ];
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for (model, formula) in &checks {
+        for node_budget in 1..=120 {
+            let ctx = CheckCtx::new(&types, &preds).with_config(CheckConfig {
+                node_budget,
+                fuel_slack: 4,
+            });
+            let line = match ctx.check(model, &parse_formula(formula).unwrap()) {
+                None => format!("{node_budget} none\n"),
+                Some(r) => format!("{node_budget} {} {} {}\n", r.covered, r.residual, r.inst),
+            };
+            for byte in line.bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(digest, 0xb203_22bb_adf5_6145, "digest {digest:016x}");
 }
 
 #[test]

@@ -34,10 +34,18 @@ where
         *slots[index].lock().expect("result slot") = Some(result);
     };
     std::thread::scope(|scope| {
-        for _ in 1..workers.min(count) {
-            scope.spawn(work);
-        }
+        let handles: Vec<_> = (1..workers.min(count)).map(|_| scope.spawn(work)).collect();
         work();
+        // The scope alone returns once the workers' closures finish, which
+        // can be before their threads exit. glibc returns a thread's malloc
+        // arena to its free list only at exit, so a later fan-out could
+        // spawn into a fresh arena and keep another pass's freed memory
+        // resident. Joining waits for the exit.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     slots
         .into_iter()
@@ -64,5 +72,38 @@ mod tests {
     #[test]
     fn zero_jobs_is_fine() {
         assert!(fan_out::<usize, _>(4, 0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn workers_have_exited_when_fan_out_returns() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        static EXITED: AtomicBool = AtomicBool::new(false);
+        /// Marks its thread's exit, late: its destructor runs among the
+        /// thread's last acts.
+        struct SlowExit;
+        impl Drop for SlowExit {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(50));
+                EXITED.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static GUARD: SlowExit = const { SlowExit };
+        }
+
+        let caller = std::thread::current().id();
+        // Neither thread can finish a job before the other has started
+        // one, so the spawned worker runs exactly one.
+        let barrier = Barrier::new(2);
+        fan_out(2, 2, |_| {
+            barrier.wait();
+            if std::thread::current().id() != caller {
+                GUARD.with(|_| {});
+            }
+        });
+        assert!(EXITED.load(Ordering::SeqCst));
     }
 }

@@ -4,9 +4,13 @@
 //! workspace is a [`Symbol`]: a small copyable index into a global string
 //! interner. Equality and hashing use the index, so they are O(1).
 //! Ordering is textual, so that maps keyed by `Symbol` iterate in the same
-//! order whatever order the names were interned in; the SLING search
-//! (Algorithm 2 of the paper) walks such maps millions of times on the
-//! larger benchmarks, so a comparison must not take a lock.
+//! order whatever order the names were interned in. The model checker's
+//! search reads symbol text only while it sets up (its variables are
+//! search-local ids), but canonical cache keys, formula `Display`, and
+//! inference's symbol-keyed maps still read it on every check, so a read
+//! must not take a lock: with the locked read in place of the mirror below,
+//! the `corpus_cold` benchmark's `wall_s` rose 21% (0.97 → 1.17 s, median
+//! of 6 runs each on 2 cores, slower in 6 of 6 pairs).
 //!
 //! The interner's table of strings is append-only: an id, once handed
 //! out, names the same `&'static str` forever. Each thread therefore keeps

@@ -27,8 +27,8 @@ use sling_suite::program::Category;
 /// for a debug build, and its invariants carry existentials.
 const CATEGORY: Category = Category::TreeTraversal;
 
-/// Fresh names `u<n>`, `$u<n>` and `$c<n>` (pipeline, checker search,
-/// and cache canonicalization) are pre-interned for `n` up to this.
+/// Fresh names `u<n>` and `$c<n>` (pipeline and cache canonicalization)
+/// are pre-interned for `n` up to this.
 const FRESH_NAMES: usize = 600;
 
 /// Marks the report lines in a child's stdout.
@@ -65,7 +65,7 @@ fn names() -> BTreeSet<String> {
         );
     }
     for n in 0..=FRESH_NAMES {
-        for prefix in ["u", "$u", "$c"] {
+        for prefix in ["u", "$c"] {
             names.insert(format!("{prefix}{n}"));
         }
     }
