@@ -30,14 +30,32 @@
 //! instantiation in canonical space; a hit rehydrates them through the
 //! querying model's own renaming.
 //!
+//! Every query pays for its key before it can hit, so the key is written
+//! in one pass into one `String`: the formula through
+//! [`sling_logic::write_symheap`] (the printer behind `Display`) with
+//! binders spelled `$c<i>`, then the free variables' values, then the
+//! cells in canonical order. Writing a cell assigns ids to the cells it
+//! points to, so the list of assigned cells is also the breadth-first
+//! queue. The text is what snapshot files store; the unit test
+//! `canonical_key_text_is_pinned` holds it byte for byte.
+//!
 //! # Concurrency
 //!
 //! The cache is sharded: entries are distributed over [`SHARD_COUNT`]
 //! independent `Mutex<HashMap>` shards selected by the key's precomputed
 //! fingerprint, so concurrent checker threads (a parallel engine batch)
-//! contend only when they touch the same shard. Hit/miss counters are
+//! contend only when they touch the same shard. The fingerprint mixes the
+//! key a word at a time and ends in an avalanche step; it never leaves
+//! the process (snapshot loads recompute it). Hit/miss counters are
 //! per-shard atomics; [`CheckCache::stats`] sums them, so totals stay
 //! exact under any interleaving.
+//!
+//! # Eviction
+//!
+//! Each shard evicts its least-recently-used entry, exactly. A hit only
+//! re-stamps its entry; the stamp-ordered index is brought up to date
+//! lazily, when eviction finds that its oldest record belongs to an entry
+//! touched since (see `ShardMap::evict_lru`).
 //!
 //! # Persistence
 //!
@@ -88,13 +106,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sling_logic::{Expr, Subst, SymHeap, Symbol};
-use sling_models::{Loc, StackHeapModel, Val};
+use sling_logic::{SymHeap, Symbol};
+use sling_models::{Heap, HeapCell, Loc, StackHeapModel, Val};
 
 use crate::check::Reduction;
 use crate::inst::Instantiation;
@@ -173,9 +191,9 @@ impl std::fmt::Display for CacheStats {
 /// the same shard.
 pub const SHARD_COUNT: usize = 16;
 
-/// FNV-1a over a byte slice — the one hash used for every fingerprint
-/// in this crate (cache keys, environment fingerprints, snapshot
-/// checksums), so the constants live in exactly one place.
+/// FNV-1a over a byte slice — the hash of every fingerprint this crate
+/// persists (environment fingerprints, snapshot checksums), so the
+/// constants live in exactly one place.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -203,13 +221,13 @@ pub(crate) struct QueryScope {
 }
 
 /// The cache key: the query scope plus the canonical form of the
-/// `(model, formula)` pair, with a FNV-1a fingerprint over both
-/// precomputed once at canonicalization. The fingerprint picks the shard
-/// and feeds the hash table directly (via a pass-through hasher), so the
-/// canonical text is never re-hashed on probes; equality still compares
-/// the full text, so fingerprint collisions cannot alias entries. The
-/// text is refcounted (`Arc<str>`), so cloning a key — the LRU stamp
-/// index holds one clone per entry — costs a pointer bump, not a copy.
+/// `(model, formula)` pair, with a fingerprint over both precomputed
+/// once at canonicalization. The fingerprint picks the shard and feeds
+/// the hash table directly (via a pass-through hasher), so the canonical
+/// text is never re-hashed on probes; equality still compares the full
+/// text, so fingerprint collisions cannot alias entries. The text is
+/// refcounted (`Arc<str>`), so cloning a key — the LRU stamp index holds
+/// one clone per entry — costs a pointer bump, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CacheKey {
     pub(crate) scope: QueryScope,
@@ -219,13 +237,9 @@ pub(crate) struct CacheKey {
 
 impl CacheKey {
     pub(crate) fn new(scope: QueryScope, text: String) -> CacheKey {
-        let mut h = fnv1a(&scope.env_tag.to_le_bytes());
-        h = fnv1a_extend(h, &scope.node_budget.to_le_bytes());
-        h = fnv1a_extend(h, &scope.fuel_slack.to_le_bytes());
-        h = fnv1a_extend(h, text.as_bytes());
         CacheKey {
+            fingerprint: key_fingerprint(&scope, &text),
             scope,
-            fingerprint: h,
             text: text.into(),
         }
     }
@@ -235,6 +249,35 @@ impl CacheKey {
     fn shard(&self) -> usize {
         (self.fingerprint >> 48) as usize % SHARD_COUNT
     }
+}
+
+/// Mixes the scope and the key text a 64-bit word at a time, then
+/// avalanches (the MurmurHash3 finalizer), so the high bits that pick the
+/// shard and the low bits that pick the bucket both depend on every input
+/// byte. The value lives only in memory: snapshots store the text and
+/// loads recompute it, so the function may change freely.
+fn key_fingerprint(scope: &QueryScope, text: &str) -> u64 {
+    let mix = |h: u64, word: u64| (h.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut h = mix(scope.env_tag, scope.node_budget);
+    h = mix(h, (u64::from(scope.fuel_slack) << 32) | text.len() as u64);
+    let mut words = text.as_bytes().chunks_exact(8);
+    for word in &mut words {
+        h = mix(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut word = [0; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        h = mix(h, u64::from_le_bytes(word));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 impl Hash for CacheKey {
@@ -278,20 +321,38 @@ struct Entry {
     /// Last-access stamp from the shard clock; the LRU victim is the
     /// entry with the smallest stamp.
     stamp: u64,
+    /// The stamp the entry's one `by_stamp` record is filed under: its
+    /// `stamp` as of its insert or its last re-filing, so at most
+    /// `stamp`.
+    filed: u64,
     /// Snapshot generation this entry was restored from ([`GEN_LIVE`]
     /// for entries computed in this process), for newest-wins merging.
     gen: u64,
     /// Predicates the entry's formula mentions directly — persistence
     /// metadata, so a snapshot can invalidate per predicate.
     preds: Box<[Symbol]>,
-    /// Approximate resident size, so removal accounting is exact.
-    bytes: u64,
+}
+
+impl Entry {
+    fn new(value: Option<CachedReduction>, warm: bool, gen: u64, preds: &[Symbol]) -> Entry {
+        Entry {
+            value,
+            warm,
+            stamp: 0,
+            filed: 0,
+            gen,
+            preds: preds.into(),
+        }
+    }
 }
 
 /// Fixed per-entry bookkeeping cost added to the measured payload when
 /// accounting [`CacheStats::resident_bytes`].
 const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<CacheKey>() + std::mem::size_of::<Entry>()) as u64;
 
+/// The approximate resident size of one entry: a function of parts that
+/// never change while the entry is stored, so insert and removal account
+/// it identically.
 fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>, preds: &[Symbol]) -> u64 {
     let payload = match value {
         None => 0,
@@ -309,10 +370,11 @@ fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>, preds: &[Symbol]
 #[derive(Debug, Default)]
 struct ShardMap {
     entries: HashMap<CacheKey, Entry, FingerprintBuild>,
-    /// Access order: stamp → key. Stamps are unique (the clock only
-    /// goes up), so the first entry is exactly the least recently used
-    /// — eviction is O(log n) and unbiased at every shard size. Key
-    /// clones here are pointer bumps (`CacheKey.text` is `Arc<str>`).
+    /// One record per entry, filed under the entry's `filed` stamp.
+    /// Stamps are unique (the clock only goes up), and an entry's stamp
+    /// only grows, so the first record whose entry is untouched since
+    /// filing names exactly the least recently used entry. Key clones
+    /// here are pointer bumps (`CacheKey.text` is `Arc<str>`).
     by_stamp: BTreeMap<u64, CacheKey>,
     /// Monotonic per-shard access clock; every hit and insert stamps
     /// the touched entry, so LRU selection needs no global ordering.
@@ -328,43 +390,50 @@ impl ShardMap {
 
     fn remove(&mut self, key: &CacheKey) -> Option<Entry> {
         let entry = self.entries.remove(key)?;
-        self.by_stamp.remove(&entry.stamp);
-        self.resident_bytes -= entry.bytes;
+        self.by_stamp.remove(&entry.filed);
+        self.resident_bytes -= entry_bytes(key, &entry.value, &entry.preds);
         Some(entry)
     }
 
     fn insert(&mut self, key: CacheKey, mut entry: Entry) {
+        self.remove(&key);
         let stamp = self.tick();
         entry.stamp = stamp;
-        entry.bytes = entry_bytes(&key, &entry.value, &entry.preds);
-        self.resident_bytes += entry.bytes;
+        entry.filed = stamp;
+        self.resident_bytes += entry_bytes(&key, &entry.value, &entry.preds);
         self.by_stamp.insert(stamp, key.clone());
-        if let Some(old) = self.entries.insert(key, entry) {
-            self.by_stamp.remove(&old.stamp);
-            self.resident_bytes -= old.bytes;
-        }
+        self.entries.insert(key, entry);
     }
 
     /// Refreshes an entry's access stamp and returns its verdict and
-    /// warmth, if present.
+    /// warmth, if present. The entry's `by_stamp` record stays where it
+    /// is; eviction re-files it if it comes up.
     fn touch(&mut self, key: &CacheKey) -> Option<(Option<CachedReduction>, bool)> {
         let stamp = self.tick();
         let entry = self.entries.get_mut(key)?;
-        let old = std::mem::replace(&mut entry.stamp, stamp);
-        let result = (entry.value.clone(), entry.warm);
-        self.by_stamp.remove(&old);
-        self.by_stamp.insert(stamp, key.clone());
-        Some(result)
+        entry.stamp = stamp;
+        Some((entry.value.clone(), entry.warm))
     }
 
-    /// Evicts the least-recently-used entry — the stamp index makes the
-    /// choice exact at any shard size, not a sampled approximation.
+    /// Evicts the least-recently-used entry. The oldest record's entry
+    /// is the victim if it has not been touched since filing; otherwise
+    /// the record is filed again under the entry's current stamp and the
+    /// next oldest is tried. Every other entry's stamp is at least its
+    /// record's, which is above the oldest record's, so the victim is
+    /// exactly the entry with the smallest stamp. Re-filing costs at most
+    /// one B-tree insert per hit, paid here instead of on the hit.
     fn evict_lru(&mut self) -> bool {
-        let victim = self.by_stamp.first_key_value().map(|(_, key)| key.clone());
-        match victim {
-            Some(key) => self.remove(&key).is_some(),
-            None => false,
+        while let Some((filed, key)) = self.by_stamp.pop_first() {
+            let Some(entry) = self.entries.get_mut(&key) else {
+                continue;
+            };
+            if entry.stamp == filed {
+                return self.remove(&key).is_some();
+            }
+            entry.filed = entry.stamp;
+            self.by_stamp.insert(entry.filed, key);
         }
+        false
     }
 
     fn clear(&mut self) {
@@ -503,17 +572,7 @@ impl CheckCache {
             }
             shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        map.insert(
-            key,
-            Entry {
-                value,
-                warm: false,
-                stamp: 0,
-                gen: GEN_LIVE,
-                preds: preds.into(),
-                bytes: 0,
-            },
-        );
+        map.insert(key, Entry::new(value, false, GEN_LIVE, preds));
     }
 
     /// Inserts an entry loaded from a persisted snapshot; hits on it
@@ -534,17 +593,7 @@ impl CheckCache {
         if map.entries.len() >= self.shard_capacity && !map.entries.contains_key(&key) {
             return false;
         }
-        map.insert(
-            key,
-            Entry {
-                value,
-                warm: true,
-                stamp: 0,
-                gen,
-                preds: preds.into(),
-                bytes: 0,
-            },
-        );
+        map.insert(key, Entry::new(value, true, gen, preds));
         true
     }
 
@@ -569,17 +618,7 @@ impl CheckCache {
             None if map.entries.len() >= self.shard_capacity => return false,
             None => {}
         }
-        map.insert(
-            key,
-            Entry {
-                value,
-                warm: true,
-                stamp: 0,
-                gen,
-                preds: preds.into(),
-                bytes: 0,
-            },
-        );
+        map.insert(key, Entry::new(value, true, gen, preds));
         true
     }
 
@@ -645,17 +684,13 @@ pub(crate) struct CachedReduction {
 /// The canonical form of one `(model, formula)` query: the cache key
 /// plus the renamings needed to translate a stored verdict back into
 /// the model's concrete address space.
-pub(crate) struct CanonicalQuery {
+pub(crate) struct CanonicalQuery<'f> {
     /// The cache key.
     pub(crate) key: CacheKey,
-    /// Predicates the formula mentions directly (sorted, unique) —
-    /// stored with the entry so persistence can invalidate per
-    /// predicate.
-    pub(crate) preds: Vec<Symbol>,
-    binders: Vec<Symbol>,
-    loc_ids: BTreeMap<Loc, u32>,
+    binders: &'f [Symbol],
+    /// Canonical id → heap address.
     id_locs: Vec<Loc>,
-    dangling_ids: BTreeMap<Loc, u32>,
+    /// Dangling id → the address outside the heap.
     id_dangling: Vec<Loc>,
 }
 
@@ -787,124 +822,175 @@ impl EnvProfile {
     }
 }
 
-impl CanonicalQuery {
+/// Marks a heap cell that has no canonical id yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The state of one canonicalization pass: the key text written so far
+/// and the renamings it has fixed.
+struct KeyWriter<'m> {
+    text: String,
+    /// The heap's cells in address order, each with its canonical id
+    /// ([`UNSEEN`] until assigned).
+    cells: Vec<(Loc, &'m HeapCell, u32)>,
+    /// Canonical id → address; also the breadth-first queue of cells.
+    id_locs: Vec<Loc>,
+    id_dangling: Vec<Loc>,
+}
+
+impl KeyWriter<'_> {
+    /// Writes `val` in canonical form. An in-heap address without an id
+    /// gets the next one (and joins the queue); an address outside the
+    /// heap gets a dangling id on first sight.
+    fn value(&mut self, val: Val) {
+        let canon = match val {
+            Val::Nil => CanonVal::Nil,
+            Val::Int(k) => CanonVal::Int(k),
+            Val::Addr(loc) => match self.cells.binary_search_by_key(&loc, |c| c.0) {
+                Ok(slot) => CanonVal::InHeap(self.id_of(slot)),
+                Err(_) => match self.id_dangling.iter().position(|d| *d == loc) {
+                    Some(id) => CanonVal::Dangling(id as u32),
+                    None => {
+                        self.id_dangling.push(loc);
+                        CanonVal::Dangling(self.id_dangling.len() as u32 - 1)
+                    }
+                },
+            },
+        };
+        // `CanonVal`'s `Debug` spelling, which keys have always used.
+        let (tag, n) = match canon {
+            CanonVal::Nil => return self.text.push_str("Nil"),
+            CanonVal::Int(k) => ("Int(", k),
+            CanonVal::InHeap(id) => ("InHeap(", id.into()),
+            CanonVal::Dangling(id) => ("Dangling(", id.into()),
+        };
+        self.text.push_str(tag);
+        push_decimal(&mut self.text, n);
+        self.text.push(')');
+    }
+
+    /// The canonical id of the cell in `slot`, assigning the next one if
+    /// it has none.
+    fn id_of(&mut self, slot: usize) -> u32 {
+        let cell = &mut self.cells[slot];
+        if cell.2 == UNSEEN {
+            cell.2 = self.id_locs.len() as u32;
+            self.id_locs.push(cell.0);
+        }
+        cell.2
+    }
+
+    /// Writes the cell with canonical id `id`.
+    fn cell(&mut self, id: usize) {
+        let loc = self.id_locs[id];
+        let slot = self
+            .cells
+            .binary_search_by_key(&loc, |c| c.0)
+            .expect("ids name heap cells");
+        let cell = self.cells[slot].1;
+        self.text.push_str(cell.ty.as_str());
+        self.text.push('{');
+        for val in &cell.fields {
+            self.value(*val);
+            self.text.push(',');
+        }
+        self.text.push_str("};");
+    }
+}
+
+/// Appends `n` in decimal, as `{n}` formats it.
+fn push_decimal(text: &mut String, n: i64) {
+    if n < 0 {
+        text.push('-');
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    text.extend(digits[start..].iter().map(|d| char::from(*d)));
+}
+
+/// The free variables of `f`, sorted (by name) and deduplicated.
+fn free_vars(f: &SymHeap) -> Vec<Symbol> {
+    let mut out = Vec::new();
+    for atom in &f.spatial {
+        atom.free_vars_into(&mut out);
+    }
+    for atom in &f.pure {
+        atom.free_vars_into(&mut out);
+    }
+    out.retain(|v| !f.exists.contains(v));
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+impl<'f> CanonicalQuery<'f> {
     /// Canonicalizes a query. `scope` carries everything outside the
     /// `(model, formula)` pair that the verdict depends on (environment
     /// tag, search limits) and becomes part of the key.
-    pub(crate) fn new(model: &StackHeapModel, f: &SymHeap, scope: QueryScope) -> CanonicalQuery {
-        let binders: Vec<Symbol> = f.exists.clone();
-
-        // Canonical formula text: binders renamed positionally. `$`
-        // cannot occur in source identifiers, so the names are safe.
-        let canon_formula = if binders.is_empty() {
-            f.clone()
-        } else {
-            let map: Subst = binders
+    ///
+    /// The key is the formula with binders renamed positionally, the
+    /// free variables' values in name order, and the heap's cells in id
+    /// order: breadth-first from the free variables, then unreached cells
+    /// in address order. Ids are assigned as values are written, so
+    /// dangling ids follow first-write order too.
+    pub(crate) fn new(
+        model: &StackHeapModel,
+        f: &'f SymHeap,
+        scope: QueryScope,
+    ) -> CanonicalQuery<'f> {
+        let mut w = KeyWriter {
+            text: String::with_capacity(128 + 32 * model.heap.len()),
+            cells: model
+                .heap
                 .iter()
-                .enumerate()
-                .map(|(i, v)| (*v, Expr::Var(Symbol::intern(&format!("$c{i}")))))
-                .collect();
-            sling_logic::subst_symheap_bound(f, &map)
-        };
-
-        let mut q = CanonicalQuery {
-            key: CacheKey::new(scope, String::new()),
-            preds: formula_pred_mentions(f),
-            binders,
-            loc_ids: BTreeMap::new(),
-            id_locs: Vec::new(),
-            dangling_ids: BTreeMap::new(),
+                .map(|(loc, cell)| (loc, cell, UNSEEN))
+                .collect(),
+            id_locs: Vec::with_capacity(model.heap.len()),
             id_dangling: Vec::new(),
         };
-
-        // Enumerate in-heap addresses: BFS from the formula's free
-        // variables in name order, then unreached cells in address
-        // order. This fixes the cell order the key lists below.
-        let free: Vec<Symbol> = f.free_vars().into_iter().collect(); // sorted
-        let mut queue: VecDeque<Loc> = VecDeque::new();
-        for v in &free {
-            if let Some(Val::Addr(loc)) = model.stack.get(*v) {
-                if model.heap.contains(loc) && q.assign_in_heap(loc) {
-                    queue.push_back(loc);
-                }
-            }
-        }
-        while let Some(loc) = queue.pop_front() {
-            let Some(cell) = model.heap.get(loc) else {
-                continue;
-            };
-            for val in &cell.fields {
-                if let Val::Addr(next) = val {
-                    if model.heap.contains(*next) && q.assign_in_heap(*next) {
-                        queue.push_back(*next);
-                    }
-                }
-            }
-        }
-        for loc in model.heap.domain() {
-            q.assign_in_heap(loc);
-        }
-
-        // Write the canonical text: formula, free-variable values, heap
-        // cells. The write order is exactly the canonical order, so
-        // dangling ids are assigned deterministically as they are first
-        // printed.
-        use std::fmt::Write as _;
-        let mut key = String::with_capacity(64 + 16 * q.id_locs.len());
-        let _ = write!(key, "{canon_formula}\n;");
-        for v in &free {
-            match model.stack.get(*v) {
+        // `$` cannot occur in source identifiers, so binder names cannot
+        // clash with free ones.
+        let _ = sling_logic::write_symheap(&mut w.text, f, Some("$c"));
+        w.text.push_str("\n;");
+        for v in free_vars(f) {
+            w.text.push_str(v.as_str());
+            match model.stack.get(v) {
                 Some(val) => {
-                    let c = q.canon_val(val, model);
-                    let _ = write!(key, "{v}={c:?},");
+                    w.text.push('=');
+                    w.value(val);
                 }
-                None => {
-                    let _ = write!(key, "{v}=?,");
-                }
+                None => w.text.push_str("=?"),
             }
+            w.text.push(',');
         }
-        key.push_str("\n;");
-        for i in 0..q.id_locs.len() {
-            let loc = q.id_locs[i];
-            let cell = model.heap.get(loc).expect("enumerated from the domain");
-            let _ = write!(key, "{}{{", cell.ty);
-            for val in &cell.fields {
-                let c = q.canon_val(*val, model);
-                let _ = write!(key, "{c:?},");
-            }
-            key.push_str("};");
+        w.text.push_str("\n;");
+        // Writing a cell assigns ids to the cells it points to, so
+        // `id_locs` is the breadth-first queue; once it runs dry, the
+        // unreached cells join it in address order.
+        let mut next = 0;
+        while next < w.id_locs.len() {
+            w.cell(next);
+            next += 1;
         }
-        q.key = CacheKey::new(scope, key);
-        q
-    }
-
-    fn assign_in_heap(&mut self, loc: Loc) -> bool {
-        if self.loc_ids.contains_key(&loc) {
-            return false;
+        for slot in 0..w.cells.len() {
+            w.id_of(slot);
         }
-        self.loc_ids.insert(loc, self.id_locs.len() as u32);
-        self.id_locs.push(loc);
-        true
-    }
-
-    /// Canonicalizes a value, assigning a dangling id on first sight of
-    /// an address outside the heap.
-    fn canon_val(&mut self, val: Val, model: &StackHeapModel) -> CanonVal {
-        match val {
-            Val::Nil => CanonVal::Nil,
-            Val::Int(k) => CanonVal::Int(k),
-            Val::Addr(loc) => {
-                if model.heap.contains(loc) {
-                    CanonVal::InHeap(self.loc_ids[&loc])
-                } else if let Some(&id) = self.dangling_ids.get(&loc) {
-                    CanonVal::Dangling(id)
-                } else {
-                    let id = self.id_dangling.len() as u32;
-                    self.dangling_ids.insert(loc, id);
-                    self.id_dangling.push(loc);
-                    CanonVal::Dangling(id)
-                }
-            }
+        for id in next..w.id_locs.len() {
+            w.cell(id);
+        }
+        CanonicalQuery {
+            key: CacheKey::new(scope, w.text),
+            binders: &f.exists,
+            id_locs: w.id_locs,
+            id_dangling: w.id_dangling,
         }
     }
 
@@ -914,9 +1000,15 @@ impl CanonicalQuery {
     /// anyway so a surprise degrades to "don't cache" instead of a wrong
     /// entry).
     pub(crate) fn encode(&self, r: &Reduction) -> Option<CachedReduction> {
+        let mut by_loc: Vec<(Loc, u32)> = self.id_locs.iter().copied().zip(0..).collect();
+        by_loc.sort_unstable();
+        let in_heap = |loc: Loc| {
+            let at = by_loc.binary_search_by_key(&loc, |e| e.0).ok()?;
+            Some(by_loc[at].1)
+        };
         let mut residual = Vec::with_capacity(r.residual.len());
-        for loc in r.residual.domain() {
-            residual.push(*self.loc_ids.get(&loc)?);
+        for (loc, _) in r.residual.iter() {
+            residual.push(in_heap(loc)?);
         }
         let mut inst = Vec::with_capacity(r.inst.len());
         for (sym, val) in r.inst.iter() {
@@ -927,9 +1019,11 @@ impl CanonicalQuery {
             let cval = match val {
                 Val::Nil => CanonVal::Nil,
                 Val::Int(k) => CanonVal::Int(k),
-                Val::Addr(loc) => match self.loc_ids.get(&loc) {
-                    Some(id) => CanonVal::InHeap(*id),
-                    None => CanonVal::Dangling(*self.dangling_ids.get(&loc)?),
+                Val::Addr(loc) => match in_heap(loc) {
+                    Some(id) => CanonVal::InHeap(id),
+                    None => {
+                        CanonVal::Dangling(self.id_dangling.iter().position(|d| *d == loc)? as u32)
+                    }
                 },
             };
             inst.push((name, cval));
@@ -939,12 +1033,14 @@ impl CanonicalQuery {
 
     /// Rehydrates a stored verdict against this query's model.
     pub(crate) fn decode(&self, model: &StackHeapModel, c: &CachedReduction) -> Reduction {
-        let locs: std::collections::BTreeSet<Loc> = c
+        let residual: Heap = c
             .residual
             .iter()
-            .map(|id| self.id_locs[*id as usize])
+            .filter_map(|id| {
+                let loc = self.id_locs[*id as usize];
+                Some((loc, model.heap.get(loc)?.clone()))
+            })
             .collect();
-        let residual = model.heap.restrict(&locs);
         let covered = model.heap.len() - residual.len();
         let inst = Instantiation::from_bindings(c.inst.iter().filter_map(|(name, cval)| {
             let sym = match name {
@@ -970,10 +1066,12 @@ impl CanonicalQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
     use sling_logic::{
-        parse_formula, parse_predicates, FieldDef, FieldTy, PredEnv, StructDef, TypeEnv,
+        parse_formula, parse_predicates, Expr, FieldDef, FieldTy, PredEnv, StructDef, TypeEnv,
     };
-    use sling_models::{Heap, HeapCell, Stack};
+    use sling_models::Stack;
 
     use crate::CheckCtx;
 
@@ -1046,6 +1144,67 @@ mod tests {
         assert_eq!(
             CanonicalQuery::new(&m, &f1, scope).key,
             CanonicalQuery::new(&m, &f2, scope).key
+        );
+    }
+
+    /// Pins the literal key text of queries that between them reach
+    /// every branch of the key writer and the formula printer. Snapshot
+    /// files store this text, so changing an expected string here changes
+    /// the snapshot format and needs a `FORMAT_VERSION` bump in
+    /// `persist.rs`.
+    #[test]
+    fn canonical_key_text_is_pinned() {
+        use sling_logic::{PureAtom, SpatialAtom};
+        let key = |m: &StackHeapModel, f: &SymHeap| {
+            CanonicalQuery::new(m, f, QueryScope::default())
+                .key
+                .text
+                .to_string()
+        };
+
+        // Binders, one listed twice (each copy prints at its last
+        // position), a points-to atom with fields, every `Expr` form and
+        // every pure relation.
+        let mut f = parse_formula(
+            "exists u, w. x -> CNode{next: u, val: nil} * clist(w, z) \
+             & y == -(z + 1) & y != (2 * z) - w & u < k & z <= w",
+        )
+        .unwrap();
+        f.exists = vec![sym("u"), sym("u"), sym("w")];
+        f.pure.push(PureAtom::Eq(Expr::var("k"), Expr::Int(-3)));
+        assert!(matches!(f.spatial[0], SpatialAtom::PointsTo { .. }));
+        // `y` is free but unbound; 0x14 holds one dangling address in
+        // two fields; 0x05 and 0x1e are unreached from the free
+        // variables, so they follow the BFS cells in address order.
+        let cell = |fields: Vec<Val>| HeapCell::new(sym("CNode"), fields);
+        let addr = |raw: u64| Val::Addr(Loc::new(raw));
+        let mut heap = Heap::new();
+        heap.insert(Loc::new(0x05), cell(vec![addr(0x4d), Val::Int(-8)]));
+        heap.insert(Loc::new(0x0a), cell(vec![addr(0x14), Val::Int(7)]));
+        heap.insert(Loc::new(0x14), cell(vec![addr(0x63), addr(0x63)]));
+        heap.insert(Loc::new(0x1e), cell(vec![addr(0x0a), Val::Nil]));
+        let mut stack = Stack::new();
+        stack.bind(sym("k"), Val::Int(-4));
+        stack.bind(sym("x"), addr(0x0a));
+        stack.bind(sym("z"), Val::Int(5));
+        assert_eq!(
+            key(&StackHeapModel::new(stack, heap), &f),
+            "exists $c1, $c1, $c2. x -> CNode{next: $c1, val: nil} * clist($c2, z) \
+             & y == -(z + 1) & y != (2 * z) - $c2 & $c1 < k & z <= $c2 & k == -3\n\
+             ;k=Int(-4),x=InHeap(0),y=?,z=Int(5),\n\
+             ;CNode{InHeap(1),Int(7),};CNode{Dangling(0),Dangling(0),};\
+             CNode{Dangling(1),Int(-8),};CNode{InHeap(0),Nil,};"
+        );
+
+        // No binders, no spatial atoms, stack values that leave the
+        // (empty) heap.
+        let mut stack = Stack::new();
+        stack.bind(sym("x"), addr(0x32));
+        stack.bind(sym("y"), addr(0x32));
+        let f = parse_formula("emp & x != y & x == nil").unwrap();
+        assert_eq!(
+            key(&StackHeapModel::new(stack, Heap::new()), &f),
+            "emp & x != y & x == nil\n;x=Dangling(0),y=Dangling(0),\n;"
         );
     }
 
@@ -1331,6 +1490,87 @@ mod tests {
         assert!(red.residual.is_empty());
         let after = cache.stats();
         assert_eq!(after.misses, before.misses + 1, "evicted key must miss");
+    }
+
+    #[test]
+    fn lru_matches_a_reference_model() {
+        // Seeded random stores and lookups over more keys than the cache
+        // holds, checked call by call against a per-shard `VecDeque` LRU
+        // (front = coldest).
+        const PER_SHARD: usize = 4;
+        const KEYS: usize = 200;
+        const CALLS: usize = 10_000;
+        let cache = CheckCache::with_capacity(PER_SHARD * SHARD_COUNT);
+        let keys: Vec<CacheKey> = (0..KEYS)
+            .map(|i| CacheKey::new(QueryScope::default(), format!("key {i}")))
+            .collect();
+        let value = |i: usize| {
+            (!i.is_multiple_of(3)).then(|| CachedReduction {
+                residual: (0..(i % 5) as u32).collect(),
+                inst: vec![(CanonName::Binder(0), CanonVal::Nil); i % 2],
+            })
+        };
+        let preds = [sym("clist")];
+        let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); SHARD_COUNT];
+        let mut evictions = 0u64;
+        let mut rng = 0x5eed_u64;
+        for call in 0..CALLS {
+            // splitmix64
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let i = (z >> 8) as usize % KEYS;
+            let lru = &mut model[keys[i].shard()];
+            let pos = lru.iter().position(|k| *k == i);
+            if z.is_multiple_of(2) {
+                cache.store(keys[i].clone(), value(i), &preds[..i % 2]);
+                match pos {
+                    Some(p) => {
+                        lru.remove(p);
+                    }
+                    None if lru.len() == PER_SHARD => {
+                        lru.pop_front();
+                        evictions += 1;
+                    }
+                    None => {}
+                }
+                lru.push_back(i);
+            } else {
+                let hit = cache.lookup(&keys[i]);
+                assert_eq!(hit.is_some(), pos.is_some(), "call {call}: key {i}");
+                if let Some(p) = pos {
+                    lru.remove(p);
+                    lru.push_back(i);
+                }
+            }
+
+            assert_eq!(cache.stats().evictions, evictions, "call {call}");
+            for (s, shard) in cache.shards.iter().enumerate() {
+                let map = shard.map.lock().unwrap();
+                let mut resident: Vec<&str> = map.entries.keys().map(|k| &*k.text).collect();
+                let mut expected: Vec<&str> = model[s].iter().map(|i| &*keys[*i].text).collect();
+                resident.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(resident, expected, "call {call}: shard {s}");
+                let bytes: u64 = map
+                    .entries
+                    .iter()
+                    .map(|(k, e)| entry_bytes(k, &e.value, &e.preds))
+                    .sum();
+                assert_eq!(map.resident_bytes, bytes, "call {call}: shard {s}");
+                assert_eq!(map.by_stamp.len(), map.entries.len(), "call {call}");
+                for key in map.entries.keys() {
+                    let records = map.by_stamp.values().filter(|k| *k == key).count();
+                    assert_eq!(records, 1, "call {call}: {}", key.text);
+                }
+            }
+        }
+        assert!(
+            evictions > 1000,
+            "the model must exercise eviction: {evictions}"
+        );
     }
 
     #[test]

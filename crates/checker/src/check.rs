@@ -54,7 +54,7 @@ use sling_logic::{
 };
 use sling_models::{Heap, HeapCell, Loc, StackHeapModel, Val};
 
-use crate::cache::{CanonicalQuery, CheckCache, QueryScope};
+use crate::cache::{formula_pred_mentions, CanonicalQuery, CheckCache, QueryScope};
 use crate::inst::Instantiation;
 
 /// Tuning knobs for the search.
@@ -203,16 +203,17 @@ impl<'a> CheckCtx<'a> {
             return entry.map(|cached| query.decode(model, &cached));
         }
         let result = Search::run(*self, model, f);
+        let preds = formula_pred_mentions(f);
         match &result {
             Some(r) => {
                 // `encode` only declines when a value escapes the
                 // canonical frame; in that case skip storing rather than
                 // memoize something untranslatable.
                 if let Some(encoded) = query.encode(r) {
-                    cache.store(query.key, Some(encoded), &query.preds);
+                    cache.store(query.key, Some(encoded), &preds);
                 }
             }
-            None => cache.store(query.key, None, &query.preds),
+            None => cache.store(query.key, None, &preds),
         }
         result
     }

@@ -116,7 +116,9 @@ use crate::cache::{
 /// Leading bytes of every snapshot file.
 const MAGIC: &[u8; 8] = b"SLNGCACH";
 
-/// Current format version; bump on any layout change.
+/// Current format version; bump on any layout change, including a
+/// change to the canonical key text that `canonical_key_text_is_pinned`
+/// in the cache's tests holds.
 const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot file could not be loaded (or was loaded only

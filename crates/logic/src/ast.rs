@@ -51,13 +51,12 @@ impl Expr {
         }
     }
 
-    /// Collects the free variables of the expression into `out`.
-    pub fn free_vars_into(&self, out: &mut BTreeSet<Symbol>) {
+    /// Collects the free variables of the expression into `out`, one
+    /// element per occurrence (a set collapses repeats).
+    pub fn free_vars_into(&self, out: &mut impl Extend<Symbol>) {
         match self {
             Expr::Nil | Expr::Int(_) => {}
-            Expr::Var(v) => {
-                out.insert(*v);
-            }
+            Expr::Var(v) => out.extend([*v]),
             Expr::Neg(e) | Expr::Mul(_, e) => e.free_vars_into(out),
             Expr::Add(a, b) | Expr::Sub(a, b) => {
                 a.free_vars_into(out);
@@ -89,7 +88,7 @@ pub enum PureAtom {
 
 impl PureAtom {
     /// Collects free variables into `out`.
-    pub fn free_vars_into(&self, out: &mut BTreeSet<Symbol>) {
+    pub fn free_vars_into(&self, out: &mut impl Extend<Symbol>) {
         let (a, b) = self.operands();
         a.free_vars_into(out);
         b.free_vars_into(out);
@@ -142,7 +141,7 @@ pub enum SpatialAtom {
 
 impl SpatialAtom {
     /// Collects free variables into `out`.
-    pub fn free_vars_into(&self, out: &mut BTreeSet<Symbol>) {
+    pub fn free_vars_into(&self, out: &mut impl Extend<Symbol>) {
         match self {
             SpatialAtom::PointsTo { root, fields, .. } => {
                 root.free_vars_into(out);

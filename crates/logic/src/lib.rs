@@ -50,6 +50,7 @@ pub use ast::{Expr, FieldAssign, Formula, PureAtom, SpatialAtom, SymHeap};
 pub use lexer::{lex, LexError, Token};
 pub use parser::{parse_formula, parse_predicates, ParseError};
 pub use pred::{PredDef, PredEnv, PredEnvError, PredParam};
+pub use print::write_symheap;
 pub use span::{Span, Spanned};
 pub use subst::{subst_expr, subst_pure, subst_spatial, subst_symheap, subst_symheap_bound, Subst};
 pub use symbol::{FreshVars, Symbol};

@@ -27,8 +27,8 @@ use sling_suite::program::Category;
 /// for a debug build, and its invariants carry existentials.
 const CATEGORY: Category = Category::TreeTraversal;
 
-/// Fresh names `u<n>` and `$c<n>` (pipeline and cache canonicalization)
-/// are pre-interned for `n` up to this.
+/// Fresh names `u<n>` (the pipeline's binders) are pre-interned for `n`
+/// up to this.
 const FRESH_NAMES: usize = 600;
 
 /// Marks the report lines in a child's stdout.
@@ -42,7 +42,7 @@ fn list_corpus() -> ListCorpus {
 }
 
 /// Every identifier in the analyzed sources and predicate libraries,
-/// plus the fresh-name families.
+/// plus the fresh names.
 fn names() -> BTreeSet<String> {
     let corpus = list_corpus();
     let mut texts = vec![
@@ -65,9 +65,7 @@ fn names() -> BTreeSet<String> {
         );
     }
     for n in 0..=FRESH_NAMES {
-        for prefix in ["u", "$c"] {
-            names.insert(format!("{prefix}{n}"));
-        }
+        names.insert(format!("u{n}"));
     }
     names
 }
