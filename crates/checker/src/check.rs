@@ -645,8 +645,14 @@ impl<'a> Search<'a> {
     }
 
     /// Chooses the index of the next goal to attack: a points-to with a
-    /// known root, then a predicate with any known argument, then the
-    /// first goal.
+    /// known root, then a predicate with any known argument, then any
+    /// points-to, then the first goal.
+    ///
+    /// A points-to with an unbound root goes before a predicate whose
+    /// arguments are all unbound: trying it costs at most one branch per
+    /// cell and binds its root and fields, while unfolding the predicate
+    /// pushes more unbound goals and recurses until fuel runs out, so
+    /// the verdict would otherwise depend on the order of the atoms.
     fn pick_goal(&self) -> usize {
         let known = |t: &Term| matches!(self.eval(*t), Evaled::Known(_));
         let points_to = self.pending.iter().position(|g| match *g {
@@ -661,7 +667,12 @@ impl<'a> Search<'a> {
                 Goal::PointsTo { .. } => false,
             })
         };
-        points_to.or_else(pred).unwrap_or(0)
+        let any_points_to = || {
+            self.pending
+                .iter()
+                .position(|g| matches!(g, Goal::PointsTo { .. }))
+        };
+        points_to.or_else(pred).or_else(any_points_to).unwrap_or(0)
     }
 
     /// Eager propagation used mid-search: binds variables via decidable

@@ -9,7 +9,7 @@
 //! process over the same predicate library starts with every previously
 //! established entailment already answered.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! A fixed header — magic `SLNGCACH`, format version, FNV-1a checksum of
 //! the body — followed by the body:
@@ -118,8 +118,11 @@ const MAGIC: &[u8; 8] = b"SLNGCACH";
 
 /// Current format version; bump on any layout change, including a
 /// change to the canonical key text that `canonical_key_text_is_pinned`
-/// in the cache's tests holds.
-const FORMAT_VERSION: u32 = 2;
+/// in the cache's tests holds, and on any search change that turns a
+/// stored "no" verdict into a "yes". Version 3: the search tries an
+/// unbound points-to before an all-unbound predicate, so version 2
+/// snapshots can hold "no" verdicts it now answers "yes".
+const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot file could not be loaded (or was loaded only
 /// partially).
@@ -1298,7 +1301,7 @@ mod tests {
         ));
 
         // A past or future format version is refused, not misparsed.
-        for v in [1u32, 99] {
+        for v in [1u32, 2, 99] {
             let mut versioned = good.clone();
             versioned[8..12].copy_from_slice(&v.to_le_bytes());
             std::fs::write(&path, &versioned).unwrap();

@@ -520,3 +520,119 @@ fn disjunction_exact() {
     assert!(ctx.holds_exact_disj(&m, &[f1.clone(), f2.clone()]));
     assert!(!ctx.holds_exact_disj(&m, &[f1]));
 }
+
+/// The Cyclist `CompNode` and glib `GsNode` types with the `comp` and
+/// `gslseg` predicates of the evaluation corpus.
+fn corpus_types_and_preds() -> (TypeEnv, PredEnv) {
+    let mut types = TypeEnv::new();
+    let comp = sym("CompNode");
+    let ptr = |name: &str| FieldDef {
+        name: sym(name),
+        ty: FieldTy::Ptr(comp),
+    };
+    types
+        .define(StructDef {
+            name: comp,
+            fields: vec![
+                ptr("left"),
+                ptr("right"),
+                ptr("parent"),
+                FieldDef {
+                    name: sym("data"),
+                    ty: FieldTy::Int,
+                },
+            ],
+        })
+        .unwrap();
+    let gs = sym("GsNode");
+    types
+        .define(StructDef {
+            name: gs,
+            fields: vec![
+                FieldDef {
+                    name: sym("next"),
+                    ty: FieldTy::Ptr(gs),
+                },
+                FieldDef {
+                    name: sym("data"),
+                    ty: FieldTy::Int,
+                },
+            ],
+        })
+        .unwrap();
+    let mut env = PredEnv::new();
+    for def in parse_predicates(
+        r#"
+        pred comp(t: CompNode*, p: CompNode*) :=
+            emp & t == nil
+          | exists l, r, d. t -> CompNode{left: l, right: r, parent: p, data: d}
+              * comp(l, t) * comp(r, t);
+
+        pred gslseg(x: GsNode*, y: GsNode*) :=
+            emp & x == y
+          | exists u, d. x -> GsNode{next: u, data: d} * gslseg(u, y);
+        "#,
+    )
+    .unwrap()
+    {
+        env.define(def).unwrap();
+    }
+    (types, env)
+}
+
+/// The atom order of a formula must not decide its verdict. Both
+/// orders of this `cyclist/composite4` exit invariant cover the
+/// two-cell tree; the first used to attack the all-unbound
+/// `comp(u1, nil)` by unfolding it, and ran out of fuel in every branch.
+#[test]
+fn unbound_predicate_goal_waits_for_a_points_to() {
+    let (types, preds) = corpus_types_and_preds();
+    let ctx = CheckCtx::new(&types, &preds);
+    let comp =
+        |l: Val, r: Val, p: Val, d: i64| HeapCell::new(sym("CompNode"), vec![l, r, p, Val::Int(d)]);
+    let mut heap = Heap::new();
+    heap.insert(l(1), comp(Val::Addr(l(2)), Val::Nil, Val::Nil, 3));
+    heap.insert(l(2), comp(Val::Nil, Val::Nil, Val::Addr(l(1)), 4));
+    let mut stack = Stack::new();
+    stack.bind(sym("res"), Val::Addr(l(1)));
+    stack.bind(sym("t"), Val::Nil);
+    let m = StackHeapModel::new(stack, heap);
+    for formula in [
+        "exists u1. comp(u1, nil) * comp(nil, nil)",
+        "exists u1. comp(nil, nil) * comp(u1, nil)",
+    ] {
+        let red = ctx
+            .check(&m, &parse_formula(formula).unwrap())
+            .unwrap_or_else(|| panic!("{formula} holds on the tree"));
+        assert_eq!(red.covered, 2, "{formula}");
+        assert_eq!(red.inst.get(sym("u1")), Some(Val::Addr(l(1))), "{formula}");
+    }
+}
+
+/// The `glib_sll/sortMerge` exit shape: two segments with unbound ends
+/// over an 18-cell chain, decided within the default node budget.
+#[test]
+fn unbound_segments_cover_a_long_chain_within_the_default_budget() {
+    let (types, preds) = corpus_types_and_preds();
+    let ctx = CheckCtx::new(&types, &preds);
+    let cells = 18u64;
+    let mut heap = Heap::new();
+    for i in 1..=cells {
+        let next = if i == cells {
+            Val::Nil
+        } else {
+            Val::Addr(l(i + 1))
+        };
+        heap.insert(
+            l(i),
+            HeapCell::new(sym("GsNode"), vec![next, Val::Int(i as i64)]),
+        );
+    }
+    let mut stack = Stack::new();
+    stack.bind(sym("res"), Val::Nil);
+    let m = StackHeapModel::new(stack, heap);
+    let f = parse_formula("exists u1, u2, u3. gslseg(u1, u2) * gslseg(u3, u1)").unwrap();
+    let red = ctx.check(&m, &f).expect("the chain is two segments");
+    assert_eq!(red.covered, cells as usize);
+    assert!(red.residual.is_empty());
+}

@@ -28,7 +28,7 @@ pub enum Executor {
     #[default]
     Bytecode,
     /// The tree-walk interpreter (`sling_lang::Vm`) — the reference
-    /// oracle, selectable via `SLING_EXECUTOR=treewalk` or
+    /// oracle, selectable via [`crate::EngineBuilder::executor`] or
     /// `sling-serve --executor treewalk`.
     Treewalk,
 }

@@ -17,8 +17,7 @@
 //! # Two levels of parallelism
 //!
 //! The worker budget ([`EngineBuilder::parallelism`], defaulting to the
-//! available cores, overridable with the `SLING_PARALLELISM` environment
-//! variable) is spent at whichever level has the work:
+//! available cores) is spent at whichever level has the work:
 //!
 //! * **Across requests** — requests are `Send + Sync` (built from
 //!   declarative [`InputSpec`](crate::InputSpec)s or `Send + Sync`
@@ -198,7 +197,6 @@ pub struct EngineBuilder {
     cache_path: Option<PathBuf>,
     cache_capacity: Option<usize>,
     parallelism: Option<usize>,
-    executor: Option<Executor>,
     analysis: Option<AnalysisSettings>,
 }
 
@@ -243,6 +241,9 @@ impl EngineBuilder {
     }
 
     /// Sets the base configuration (requests may override per call).
+    /// It replaces the whole config, so call it before
+    /// [`EngineBuilder::executor`] and [`EngineBuilder::verification`],
+    /// which write single fields of it.
     pub fn config(mut self, config: SlingConfig) -> EngineBuilder {
         self.config = config;
         self
@@ -252,9 +253,7 @@ impl EngineBuilder {
     /// invariant is graded against its siblings by bounded unfolding
     /// (see [`sling_checker::verify`]), and refutation witnesses drive
     /// up to [`VerifySettings::cegir_rounds`] counterexample-guided
-    /// re-collection rounds. Off by default; setting the `SLING_VERIFY`
-    /// environment variable to `off`/`0`/`false` force-disables the
-    /// pass at run time without rebuilding the engine.
+    /// re-collection rounds. Off by default.
     pub fn verification(mut self, settings: VerifySettings) -> EngineBuilder {
         self.config.verify = Some(settings);
         self
@@ -302,8 +301,7 @@ impl EngineBuilder {
     /// Sets the number of worker threads the engine may use — across
     /// requests in [`Engine::analyze_all`], and across locations inside
     /// a single [`Engine::analyze`] (clamped to at least 1; `1` means
-    /// strictly sequential). Defaults to the `SLING_PARALLELISM`
-    /// environment variable when set, else the available CPU cores.
+    /// strictly sequential). Defaults to the available CPU cores.
     pub fn parallelism(mut self, workers: usize) -> EngineBuilder {
         self.parallelism = Some(workers.max(1));
         self
@@ -312,12 +310,11 @@ impl EngineBuilder {
     /// Selects the execution tier trace collection runs on: the compiled
     /// bytecode VM (default, the hot path) or the tree-walk interpreter
     /// (the differential-testing oracle — both produce identical traces,
-    /// so this is a performance knob, not a semantics one). An explicit
-    /// call wins over the `SLING_EXECUTOR` environment variable, which
-    /// in turn wins over the [`SlingConfig::executor`] field; requests
-    /// may still override per call via their own config.
+    /// so this is a performance knob, not a semantics one). Writes the
+    /// base config's [`SlingConfig::executor`]; requests may still
+    /// override per call via their own config.
     pub fn executor(mut self, executor: Executor) -> EngineBuilder {
-        self.executor = Some(executor);
+        self.config.executor = executor;
         self
     }
 
@@ -367,10 +364,6 @@ impl EngineBuilder {
             }
         }
         let profile = EnvProfile::new(&types, &self.preds);
-        let mut config = self.config;
-        if let Some(executor) = self.executor.or_else(executor_from_env) {
-            config.executor = executor;
-        }
         // Compile to bytecode once per engine, whatever the executor:
         // compilation is a single cheap pass, and pre-compiling keeps
         // per-request `executor` overrides zero-cost either way.
@@ -407,7 +400,7 @@ impl EngineBuilder {
             compile_seconds,
             types,
             preds: self.preds,
-            config,
+            config: self.config,
             cache,
             cache_path: self.cache_path,
             warm_entries: AtomicU64::new(warm_entries),
@@ -418,62 +411,12 @@ impl EngineBuilder {
     }
 }
 
-/// The default worker count: `SLING_PARALLELISM` when set to a positive
-/// integer, else the available CPU cores. An unparsable value falls back
-/// to the core count, but loudly: silently ignoring `SLING_PARALLELISM=abc`
-/// hides misconfiguration, so the first rejection per process warns on
-/// stderr naming the bad value.
+/// The default worker count: the available CPU cores (1 when they
+/// cannot be queried).
 pub fn default_parallelism() -> usize {
-    if let Ok(var) = std::env::var("SLING_PARALLELISM") {
-        match parse_parallelism(&var) {
-            Some(n) => return n,
-            None => {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "sling: ignoring unparsable SLING_PARALLELISM={var:?} \
-                         (want a positive integer); using the available CPU cores"
-                    );
-                });
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Parses a `SLING_PARALLELISM` value: a non-negative integer (with
-/// surrounding whitespace tolerated), clamped to at least 1. `None` for
-/// anything else — negative numbers, non-numeric text, empty strings.
-fn parse_parallelism(var: &str) -> Option<usize> {
-    var.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// The environment override for the execution tier: `SLING_EXECUTOR`
-/// set to `bytecode` or `treewalk` (whitespace tolerated). Unset or
-/// empty means no override. An unrecognized value is ignored, but
-/// loudly — same first-rejection-per-process warning policy as
-/// `SLING_PARALLELISM`.
-fn executor_from_env() -> Option<Executor> {
-    let var = std::env::var("SLING_EXECUTOR").ok()?;
-    let trimmed = var.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match Executor::parse(trimmed) {
-        Some(executor) => Some(executor),
-        None => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "sling: ignoring unparsable SLING_EXECUTOR={var:?} \
-                     (want \"bytecode\" or \"treewalk\"); using the configured executor"
-                );
-            });
-            None
-        }
-    }
 }
 
 /// Observer for streaming batch analysis ([`Engine::analyze_all_with`]):
@@ -1123,21 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_env_parse_paths() {
-        // Valid values: plain, whitespace-padded, clamped zero.
-        assert_eq!(parse_parallelism("8"), Some(8));
-        assert_eq!(parse_parallelism(" 3\t"), Some(3));
-        assert_eq!(parse_parallelism("1"), Some(1));
-        assert_eq!(parse_parallelism("0"), Some(1), "zero clamps to one");
-        // Invalid values fall back (and warn once at the env layer).
-        assert_eq!(parse_parallelism("abc"), None);
-        assert_eq!(parse_parallelism("-2"), None);
-        assert_eq!(parse_parallelism(""), None);
-        assert_eq!(parse_parallelism("3.5"), None);
-        assert_eq!(parse_parallelism("8 cores"), None);
-    }
-
-    #[test]
     fn parallelism_knob_clamps_to_one() {
         let engine = Engine::builder()
             .program_source(SRC)
@@ -1150,22 +1078,18 @@ mod tests {
 
     #[test]
     fn executor_defaults_to_bytecode_and_builder_overrides() {
-        // The suite itself may run under `SLING_EXECUTOR` (CI's
-        // tree-walk oracle pass does exactly that), so the expected
-        // builder-less resolution is env-then-config, not a constant.
-        let expected = executor_from_env().unwrap_or_default();
         assert_eq!(Executor::default(), Executor::Bytecode);
         let engine = Engine::builder()
             .program_source(SRC)
             .unwrap()
             .build()
             .unwrap();
-        assert_eq!(engine.config().executor, expected);
+        assert_eq!(engine.config().executor, Executor::Bytecode);
         // The engine compiles regardless of the executor, so listings
         // are always inspectable.
         assert!(engine.compiled().disassemble().contains("fn id"));
 
-        // An explicit builder call wins over the environment.
+        // The builder call writes the base config.
         for wanted in [Executor::Treewalk, Executor::Bytecode] {
             let engine = Engine::builder()
                 .program_source(SRC)
@@ -1178,10 +1102,8 @@ mod tests {
     }
 
     #[test]
-    fn executor_env_parse_paths() {
-        // `executor_from_env` reads the process environment, which is
-        // unsafe to mutate under the parallel test harness; the parse
-        // layer it defers to is covered directly.
+    fn executor_parse_paths() {
+        // `sling-serve --executor` and the wire decoder parse names here.
         assert_eq!(Executor::parse("bytecode"), Some(Executor::Bytecode));
         assert_eq!(Executor::parse("treewalk"), Some(Executor::Treewalk));
         assert_eq!(Executor::parse("Bytecode"), None, "names are exact");
@@ -1190,14 +1112,11 @@ mod tests {
 
     #[test]
     fn reports_carry_collection_and_compile_timings() {
-        // Pin the executor so the test is deterministic even when the
-        // suite runs under `SLING_EXECUTOR` (CI's tree-walk pass does).
         let engine = Engine::builder()
             .program_source(SRC)
             .unwrap()
             .predicates_source(PREDS)
             .unwrap()
-            .executor(Executor::Bytecode)
             .build()
             .unwrap();
         let request = AnalysisRequest::new("id").input(crate::InputSpec::seeded(1).arg(

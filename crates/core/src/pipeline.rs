@@ -52,12 +52,11 @@ pub struct SlingConfig {
     /// Tracer behaviour (freed-cell visibility).
     pub trace: TraceConfig,
     /// Which execution tier collects traces (bytecode by default; the
-    /// tree-walk oracle via `SLING_EXECUTOR=treewalk` or a per-request
-    /// override).
+    /// tree-walk oracle via [`crate::EngineBuilder::executor`] or a
+    /// per-request override).
     pub executor: Executor,
     /// Static verification + CEGIR refinement; `None` leaves every
-    /// invariant [`InvariantGrade::Ungraded`]. The `SLING_VERIFY=off`
-    /// environment override disables a configured pass at run time.
+    /// invariant [`InvariantGrade::Ungraded`].
     pub verify: Option<VerifySettings>,
 }
 
@@ -98,26 +97,6 @@ impl Default for VerifySettings {
     }
 }
 
-/// True when the `SLING_VERIFY` environment variable turns the configured
-/// verification pass off (`off` / `0` / `false`; unset or `on` leaves it
-/// enabled). Unrecognized values warn once and are ignored.
-pub(crate) fn verify_disabled_by_env() -> bool {
-    match std::env::var("SLING_VERIFY") {
-        Ok(v) if v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false") => {
-            true
-        }
-        Ok(v) if v.is_empty() || v.eq_ignore_ascii_case("on") || v == "1" => false,
-        Ok(v) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("sling: ignoring unrecognized SLING_VERIFY value `{v}` (want on|off)");
-            });
-            false
-        }
-        Err(_) => false,
-    }
-}
-
 /// One in-flight element of the result set `R` (Algorithm 1).
 #[derive(Debug, Clone)]
 struct Partial {
@@ -151,9 +130,8 @@ pub(crate) fn run_target(
     config: &SlingConfig,
     workers: usize,
 ) -> Report {
-    let settings = match config.verify {
-        Some(s) if !verify_disabled_by_env() => s,
-        _ => return run_target_once(ctx, program, compiled, target, inputs, config, workers),
+    let Some(settings) = config.verify else {
+        return run_target_once(ctx, program, compiled, target, inputs, config, workers);
     };
     let start = Instant::now();
     let prover = UnfoldProver::new(settings.prover);

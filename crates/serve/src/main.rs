@@ -51,19 +51,18 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
   --max-conns N       serve at most N concurrent connections; excess
                       connections get a typed `busy` frame and should
                       retry (default: unbounded)
-  --parallelism N     worker budget (default: SLING_PARALLELISM or cores)
+  --parallelism N     worker budget (default: the available cores)
   --pool-cap N        hold at most N uploaded-tenant engines resident,
                       evicting least-recently-used (default 8; the
                       default tenant is pinned and not counted)
   --executor TIER     execution tier for trace collection: `bytecode`
                       (compiled stack VM, the default) or `treewalk`
                       (the reference interpreter — identical traces,
-                      slower). This flag wins over SLING_EXECUTOR
+                      slower)
   --verify            grade every inferred invariant with the static
                       verification post-pass (counterexample-guided
                       refinement on refutation); the summed grade totals
-                      ride each batch's `done` epilogue. `SLING_VERIFY=off`
-                      in the daemon's environment overrides this flag";
+                      ride each batch's `done` epilogue";
 
 struct Args {
     program: Option<String>,
@@ -363,7 +362,6 @@ fn main() -> ExitCode {
             .is_some()
             .then(|| Duration::from_secs(args.snapshot_secs.max(1))),
         max_connections: args.max_conns,
-        pool_capacity: None, // the pool above carries the capacity
         max_frame_bytes: None,
     };
     let service = match Service::bind_pool(pool, &args.addr, options) {

@@ -15,7 +15,8 @@ use crate::proto::{ClientFrame, FrameBuffer, FrameTooLarge, ServerFrame, MAX_FRA
 /// How often blocked reads wake up to notice a drain in progress.
 const DRAIN_POLL: Duration = Duration::from_millis(100);
 
-/// Engine-pool capacity when [`ServeOptions::pool_capacity`] is unset.
+/// Engine-pool capacity of [`Service::bind_with`]: past it the
+/// least-recently-used uploaded-tenant engine is evicted.
 pub const DEFAULT_POOL_CAPACITY: usize = 8;
 
 /// Tuning knobs for [`Service::bind_with`].
@@ -32,10 +33,6 @@ pub struct ServeOptions {
     /// handler thread, so a connection flood cannot exhaust threads or
     /// file descriptors. `None` (the default) accepts without bound.
     pub max_connections: Option<usize>,
-    /// Bound on uploaded-tenant engines held resident at once
-    /// ([`DEFAULT_POOL_CAPACITY`] when `None`); past it the
-    /// least-recently-used engine is evicted.
-    pub pool_capacity: Option<usize>,
     /// Bound on one frame's length on the wire
     /// ([`MAX_FRAME_BYTES`](crate::proto::MAX_FRAME_BYTES) when
     /// `None`); a peer exceeding it gets a typed `error` frame and is
@@ -127,7 +124,7 @@ impl Service {
 
     /// [`Service::bind`] with explicit [`ServeOptions`]. Uploaded
     /// tenants are built with the default-tenant engine's config and
-    /// parallelism.
+    /// parallelism, in a pool of [`DEFAULT_POOL_CAPACITY`] engines.
     pub fn bind_with(
         engine: Engine,
         addr: impl ToSocketAddrs,
@@ -139,9 +136,8 @@ impl Service {
             cache_capacity: None,
             analysis: Some(sling::AnalysisSettings::default()),
         };
-        let capacity = options.pool_capacity.unwrap_or(DEFAULT_POOL_CAPACITY);
         Service::bind_pool(
-            EnginePool::new(Some(engine), capacity, settings),
+            EnginePool::new(Some(engine), DEFAULT_POOL_CAPACITY, settings),
             addr,
             options,
         )
@@ -150,8 +146,7 @@ impl Service {
     /// Binds the service over an explicit [`EnginePool`] — the fully
     /// multi-tenant entry point, which needs no default engine at all
     /// (a batch without an upload is then answered with a typed
-    /// `error`). `options.pool_capacity` is ignored here: the pool was
-    /// built with its own capacity.
+    /// `error`). The pool carries its own capacity.
     pub fn bind_pool(
         pool: EnginePool,
         addr: impl ToSocketAddrs,

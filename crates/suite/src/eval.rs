@@ -238,8 +238,7 @@ pub fn baseline_finds(spec: &sling_biabduce::Spec, prop: &Property) -> bool {
 
 /// Grade histogram across a set of runs — the static-verification
 /// extension of Table 1. `ungraded` counts invariants the post-pass
-/// never touched (verification not configured, or the `SLING_VERIFY`
-/// kill-switch).
+/// never touched (verification not configured).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GradeSummary {
     /// Invariants graded `Verified`.
@@ -538,20 +537,10 @@ mod tests {
             + summary.unknown
             + summary.ungraded;
         assert_eq!(total, runs[0].report.invariant_count());
-        let env_off = matches!(std::env::var("SLING_VERIFY"), Ok(v)
-            if v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"));
-        if env_off {
-            assert_eq!(
-                summary.precision(),
-                None,
-                "nothing graded under the kill-switch"
-            );
-        } else {
-            assert_eq!(summary.ungraded, 0, "every invariant graded: {summary:?}");
-            assert_eq!(summary.refuted, 0, "{summary:?}");
-            let precision = summary.precision().expect("graded invariants exist");
-            assert!(precision > 0.0, "{summary:?}");
-        }
+        assert_eq!(summary.ungraded, 0, "every invariant graded: {summary:?}");
+        assert_eq!(summary.refuted, 0, "{summary:?}");
+        let precision = summary.precision().expect("graded invariants exist");
+        assert!(precision > 0.0, "{summary:?}");
     }
 
     #[test]

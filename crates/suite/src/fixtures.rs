@@ -1,10 +1,9 @@
-//! Shared corpus fixtures for benches, integration tests, and examples.
+//! Shared corpus fixtures for integration tests and examples.
 //!
-//! The "batch benchmark corpus" — four list functions (`reverse`,
-//! `traverse`, `append`, `last`) over one node type, with `sll`/`lseg`
-//! predicates — is used by the batch-throughput and warm-vs-cold
-//! benchmarks, the parallel-batch and cache-persistence integration
-//! tests, and the `warm_cache` example. [`ListCorpus`] is the single
+//! The "list corpus" — four list functions (`reverse`, `traverse`,
+//! `append`, `last`) over one node type, with `sll`/`lseg` predicates
+//! — is used by most integration tests, by `sling-serve --corpus`, and
+//! by the serving and cache examples. [`ListCorpus`] is the single
 //! definition they all build from, parameterized by node-type name so
 //! concurrent consumers define distinct struct types (interned symbols
 //! are global) and entailment caches never alias across fixtures.
@@ -122,9 +121,7 @@ impl ListCorpus {
     }
 
     /// The standard batch: per round, four requests across the four
-    /// targets (ten inputs), with round-distinct seeds. One round is
-    /// the integration-test workload; two rounds is the benchmark
-    /// workload.
+    /// targets (ten inputs), with round-distinct seeds.
     pub fn batch(&self, rounds: u64) -> Vec<AnalysisRequest> {
         let mut out = Vec::new();
         for round in 0..rounds {

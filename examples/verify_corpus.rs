@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Exit status: 0 when no refutation survives (grades printed), 1 when
-//! one does, 2 on misuse. `SLING_VERIFY=off` in the environment makes
-//! the pass inert; the gate reports that and passes vacuously.
+//! one does or when nothing was graded, 2 on misuse.
 
 use sling::{InvariantGrade, VerifySettings};
 use sling_suite::eval::{grade_summary, run_corpus, EvalConfig};
@@ -73,12 +72,8 @@ fn main() {
             precision,
         ),
         None => {
-            // Nothing graded: the pass was disabled from the outside.
-            println!(
-                "corpus: no invariant graded (SLING_VERIFY off?); \
-                 gate passes vacuously"
-            );
-            return;
+            eprintln!("corpus: no invariant graded although the pass is configured");
+            std::process::exit(1);
         }
     }
     if surviving_refutations > 0 {

@@ -6,9 +6,10 @@
 //! partial trace), and therefore formula-identical analysis reports.
 //!
 //! The whole 157-program corpus goes through both tiers here, including
-//! the five seeded-bug `∗` programs whose runs fault mid-trace; a
-//! proptest sweep then drives randomly generated integer programs
-//! (loops, branches, recursion, faulting arithmetic) through both under
+//! the five seeded-bug `∗` programs whose runs fault mid-trace, and so
+//! does the [`ListCorpus`] fixture most other tests analyze; a proptest
+//! sweep then drives randomly generated integer programs (loops,
+//! branches, recursion, faulting arithmetic) through both under
 //! adversarially small step/depth budgets.
 
 use proptest::prelude::*;
@@ -19,6 +20,7 @@ use sling_logic::Symbol;
 use sling_models::Val;
 use sling_suite::corpus::all_benches;
 use sling_suite::eval::EvalConfig;
+use sling_suite::fixtures::ListCorpus;
 
 /// The corpus seed the evaluation harness uses (`EvalConfig::default`).
 const SEED: u64 = 0x51_1e6;
@@ -128,10 +130,36 @@ fn whole_corpus_traces_impl() {
     assert_eq!(starred, 5, "the paper seeds exactly five ∗ programs");
 }
 
+/// The [`ListCorpus`] fixture's four targets, trace-level, on the
+/// inputs of its standard batch.
+#[test]
+fn list_corpus_traces_identical_across_executors() {
+    let corpus = ListCorpus::new("DiffListNode");
+    let source = corpus.program();
+    for request in corpus.batch(1) {
+        let target = request.target.to_string();
+        let run = |executor| {
+            collect_under(
+                &source,
+                &target,
+                request.inputs.clone(),
+                VmConfig::default(),
+                executor,
+            )
+        };
+        let bytecode = run(Executor::Bytecode);
+        assert!(bytecode.runs.iter().all(|r| !r.snapshots.is_empty()));
+        assert_traces_agree(&target, &bytecode, &run(Executor::Treewalk));
+    }
+}
+
 /// Every corpus benchmark, report-level: running the full analysis
 /// pipeline under each executor yields formula-identical reports —
 /// same locations, same invariants in the same order, same grades,
-/// same counters. Only the timing fields and the executor tag differ.
+/// same counters. Only the timing fields, the executor tag and the
+/// worker count differ: the bytecode side fans locations out over four
+/// workers and the tree-walk side runs them on one, so the comparison
+/// also pins reports as independent of the worker count.
 #[test]
 fn whole_corpus_reports_identical_across_executors() {
     with_big_stack(whole_corpus_reports_impl);
@@ -142,18 +170,15 @@ fn whole_corpus_reports_impl() {
     // as the eval harness does — hits return the same reductions a
     // cold search would, so sharing cannot mask a divergence.
     let cache = std::sync::Arc::new(sling::CheckCache::default());
-    let analyze = |bench: &sling_suite::program::Bench, executor| {
+    let analyze = |bench: &sling_suite::program::Bench, executor, workers| {
         let config = EvalConfig::default();
-        // Pin the executor at the builder level — an explicit call
-        // outranks `SLING_EXECUTOR`, so the differential stays a real
-        // bytecode-vs-treewalk comparison even when CI runs the whole
-        // suite under the tree-walk oracle environment.
         let engine = sling::Engine::builder()
             .program(sling_suite::eval::compile(bench))
             .pred_env(sling_suite::predicates::pred_env(bench.category))
             .config(config.sling)
             .shared_cache(cache.clone())
             .executor(executor)
+            .parallelism(workers)
             .build()
             .unwrap_or_else(|e| panic!("{}: engine build error: {e}", bench.name));
         let request = sling::AnalysisRequest::new(Symbol::intern(bench.target))
@@ -163,10 +188,16 @@ fn whole_corpus_reports_impl() {
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
     };
     for bench in all_benches() {
-        let bc = analyze(&bench, Executor::Bytecode);
-        let tw = analyze(&bench, Executor::Treewalk);
+        let bc = analyze(&bench, Executor::Bytecode, 4);
+        let tw = analyze(&bench, Executor::Treewalk, 1);
         assert_eq!(bc.metrics.executor, Executor::Bytecode);
         assert_eq!(tw.metrics.executor, Executor::Treewalk);
+        assert_eq!(tw.metrics.workers, 1);
+        assert!(
+            bc.metrics.workers > 1 || bc.locations.len() < 2,
+            "{}: the bytecode side must fan its locations out",
+            bench.name
+        );
         // The analysis payload must match formula-for-formula; Debug
         // form covers locations, invariants, grades, stats, residues.
         assert_eq!(

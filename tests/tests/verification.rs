@@ -9,21 +9,10 @@
 //! candidate survived a run on the very state the prover proposed); and
 //! when nothing is refuted, the graded formulas are identical to a
 //! dynamic-only run.
-//!
-//! Every grade assertion is guarded on `SLING_VERIFY`: the CI matrix
-//! runs the suite once with `SLING_VERIFY=off`, where a configured pass
-//! must leave every invariant ungraded.
 
 use sling::{AnalysisRequest, Engine, InvariantGrade, Report, VerifySettings};
 use sling_lang::Location;
 use sling_suite::fixtures::ListCorpus;
-
-/// Whether this process's environment forces the verification pass off
-/// (the CI matrix runs the suite once with `SLING_VERIFY=off`).
-fn env_forces_verify_off() -> bool {
-    matches!(std::env::var("SLING_VERIFY"), Ok(v)
-        if v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
-}
 
 fn engine_for(corpus: &ListCorpus, verify: bool) -> Engine {
     let builder = Engine::builder()
@@ -65,17 +54,6 @@ fn thin_inputs_provoke_refutation_and_cegir_resolves_it() {
     let corpus = ListCorpus::new("VfyThinNode");
     let engine = engine_for(&corpus, true);
     let report = thin_last_report(&engine, &corpus);
-
-    if env_forces_verify_off() {
-        assert!(
-            graded_formulas(&report)
-                .iter()
-                .all(|(_, _, g)| *g == InvariantGrade::Ungraded),
-            "SLING_VERIFY=off must leave a configured pass inert"
-        );
-        assert_eq!(report.metrics.refuted_initial, 0);
-        return;
-    }
 
     // Every reported invariant carries a grade.
     assert!(report.invariant_count() > 0);
@@ -178,14 +156,12 @@ fn no_refutation_matches_the_dynamic_only_run() {
                 .all(|(_, _, g)| *g == InvariantGrade::Ungraded),
             "{target}: no verification configured, no grades"
         );
-        if !env_forces_verify_off() {
-            assert!(
-                graded_formulas(&with)
-                    .iter()
-                    .all(|(_, _, g)| *g != InvariantGrade::Ungraded),
-                "{target}: every invariant graded"
-            );
-        }
+        assert!(
+            graded_formulas(&with)
+                .iter()
+                .all(|(_, _, g)| *g != InvariantGrade::Ungraded),
+            "{target}: every invariant graded"
+        );
     }
 }
 
@@ -198,9 +174,6 @@ fn sort_merge_bug_survives_verification_and_sort_real_verifies() {
     use sling_suite::corpus::all_benches;
     use sling_suite::eval::{run_bench, EvalConfig};
 
-    if env_forces_verify_off() {
-        return;
-    }
     let mut config = EvalConfig::default();
     config.sling.verify = Some(VerifySettings::default());
 
