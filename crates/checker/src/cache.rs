@@ -28,7 +28,8 @@
 //!
 //! Cached entries store the residual domain and existential
 //! instantiation in canonical space; a hit rehydrates them through the
-//! querying model's own renaming.
+//! querying model's own renaming, setting the residual's bits over the
+//! queried cells (see [`crate::CheckCtx::check_cells`]).
 //!
 //! Every query pays for its key before it can hit, so the key is written
 //! in one pass into one `String`: the formula through
@@ -112,9 +113,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sling_logic::{SymHeap, Symbol};
-use sling_models::{Heap, HeapCell, Loc, StackHeapModel, Val};
+use sling_models::{HeapCell, Loc, Stack, Val};
 
-use crate::check::Reduction;
+use crate::check::CellReduction;
 use crate::inst::Instantiation;
 
 /// Point-in-time counters of a [`CheckCache`].
@@ -684,12 +685,16 @@ pub(crate) struct CachedReduction {
 /// The canonical form of one `(model, formula)` query: the cache key
 /// plus the renamings needed to translate a stored verdict back into
 /// the model's concrete address space.
-pub(crate) struct CanonicalQuery<'f> {
+pub(crate) struct CanonicalQuery<'q> {
     /// The cache key.
     pub(crate) key: CacheKey,
-    binders: &'f [Symbol],
-    /// Canonical id → heap address.
-    id_locs: Vec<Loc>,
+    binders: &'q [Symbol],
+    /// The queried heap's cells, in address order.
+    cells: &'q [(Loc, &'q HeapCell)],
+    /// Canonical id → position in `cells`.
+    id_slots: Vec<u32>,
+    /// Position in `cells` → canonical id.
+    slot_ids: Vec<u32>,
     /// Dangling id → the address outside the heap.
     id_dangling: Vec<Loc>,
 }
@@ -829,11 +834,13 @@ const UNSEEN: u32 = u32::MAX;
 /// and the renamings it has fixed.
 struct KeyWriter<'m> {
     text: String,
-    /// The heap's cells in address order, each with its canonical id
-    /// ([`UNSEEN`] until assigned).
-    cells: Vec<(Loc, &'m HeapCell, u32)>,
-    /// Canonical id → address; also the breadth-first queue of cells.
-    id_locs: Vec<Loc>,
+    /// The heap's cells in address order.
+    cells: &'m [(Loc, &'m HeapCell)],
+    /// Per cell, its canonical id ([`UNSEEN`] until assigned).
+    slot_ids: Vec<u32>,
+    /// Canonical id → position in `cells`; also the breadth-first queue
+    /// of cells.
+    id_slots: Vec<u32>,
     id_dangling: Vec<Loc>,
 }
 
@@ -871,22 +878,16 @@ impl KeyWriter<'_> {
     /// The canonical id of the cell in `slot`, assigning the next one if
     /// it has none.
     fn id_of(&mut self, slot: usize) -> u32 {
-        let cell = &mut self.cells[slot];
-        if cell.2 == UNSEEN {
-            cell.2 = self.id_locs.len() as u32;
-            self.id_locs.push(cell.0);
+        if self.slot_ids[slot] == UNSEEN {
+            self.slot_ids[slot] = self.id_slots.len() as u32;
+            self.id_slots.push(slot as u32);
         }
-        cell.2
+        self.slot_ids[slot]
     }
 
     /// Writes the cell with canonical id `id`.
     fn cell(&mut self, id: usize) {
-        let loc = self.id_locs[id];
-        let slot = self
-            .cells
-            .binary_search_by_key(&loc, |c| c.0)
-            .expect("ids name heap cells");
-        let cell = self.cells[slot].1;
+        let cell = self.cells[self.id_slots[id] as usize].1;
         self.text.push_str(cell.ty.as_str());
         self.text.push('{');
         for val in &cell.fields {
@@ -931,10 +932,12 @@ fn free_vars(f: &SymHeap) -> Vec<Symbol> {
     out
 }
 
-impl<'f> CanonicalQuery<'f> {
-    /// Canonicalizes a query. `scope` carries everything outside the
-    /// `(model, formula)` pair that the verdict depends on (environment
-    /// tag, search limits) and becomes part of the key.
+impl<'q> CanonicalQuery<'q> {
+    /// Canonicalizes a query against the model whose stack is `stack` and
+    /// whose heap is `cells` (in address order). `scope` carries
+    /// everything outside the `(model, formula)` pair that the verdict
+    /// depends on (environment tag, search limits) and becomes part of
+    /// the key.
     ///
     /// The key is the formula with binders renamed positionally, the
     /// free variables' values in name order, and the heap's cells in id
@@ -942,18 +945,16 @@ impl<'f> CanonicalQuery<'f> {
     /// in address order. Ids are assigned as values are written, so
     /// dangling ids follow first-write order too.
     pub(crate) fn new(
-        model: &StackHeapModel,
-        f: &'f SymHeap,
+        stack: &Stack,
+        cells: &'q [(Loc, &'q HeapCell)],
+        f: &'q SymHeap,
         scope: QueryScope,
-    ) -> CanonicalQuery<'f> {
+    ) -> CanonicalQuery<'q> {
         let mut w = KeyWriter {
-            text: String::with_capacity(128 + 32 * model.heap.len()),
-            cells: model
-                .heap
-                .iter()
-                .map(|(loc, cell)| (loc, cell, UNSEEN))
-                .collect(),
-            id_locs: Vec::with_capacity(model.heap.len()),
+            text: String::with_capacity(128 + 32 * cells.len()),
+            cells,
+            slot_ids: vec![UNSEEN; cells.len()],
+            id_slots: Vec::with_capacity(cells.len()),
             id_dangling: Vec::new(),
         };
         // `$` cannot occur in source identifiers, so binder names cannot
@@ -962,7 +963,7 @@ impl<'f> CanonicalQuery<'f> {
         w.text.push_str("\n;");
         for v in free_vars(f) {
             w.text.push_str(v.as_str());
-            match model.stack.get(v) {
+            match stack.get(v) {
                 Some(val) => {
                     w.text.push('=');
                     w.value(val);
@@ -973,23 +974,25 @@ impl<'f> CanonicalQuery<'f> {
         }
         w.text.push_str("\n;");
         // Writing a cell assigns ids to the cells it points to, so
-        // `id_locs` is the breadth-first queue; once it runs dry, the
+        // `id_slots` is the breadth-first queue; once it runs dry, the
         // unreached cells join it in address order.
         let mut next = 0;
-        while next < w.id_locs.len() {
+        while next < w.id_slots.len() {
             w.cell(next);
             next += 1;
         }
-        for slot in 0..w.cells.len() {
+        for slot in 0..cells.len() {
             w.id_of(slot);
         }
-        for id in next..w.id_locs.len() {
+        for id in next..w.id_slots.len() {
             w.cell(id);
         }
         CanonicalQuery {
             key: CacheKey::new(scope, w.text),
             binders: &f.exists,
-            id_locs: w.id_locs,
+            cells,
+            id_slots: w.id_slots,
+            slot_ids: w.slot_ids,
             id_dangling: w.id_dangling,
         }
     }
@@ -999,17 +1002,12 @@ impl<'f> CanonicalQuery<'f> {
     /// (cannot happen for reductions of the canonicalized query; guarded
     /// anyway so a surprise degrades to "don't cache" instead of a wrong
     /// entry).
-    pub(crate) fn encode(&self, r: &Reduction) -> Option<CachedReduction> {
-        let mut by_loc: Vec<(Loc, u32)> = self.id_locs.iter().copied().zip(0..).collect();
-        by_loc.sort_unstable();
-        let in_heap = |loc: Loc| {
-            let at = by_loc.binary_search_by_key(&loc, |e| e.0).ok()?;
-            Some(by_loc[at].1)
-        };
-        let mut residual = Vec::with_capacity(r.residual.len());
-        for (loc, _) in r.residual.iter() {
-            residual.push(in_heap(loc)?);
-        }
+    pub(crate) fn encode(&self, r: &CellReduction) -> Option<CachedReduction> {
+        // Residual ids in address order of their cells.
+        let residual: Vec<u32> = (0..self.cells.len())
+            .filter(|&slot| r.is_residual(slot))
+            .map(|slot| self.slot_ids[slot])
+            .collect();
         let mut inst = Vec::with_capacity(r.inst.len());
         for (sym, val) in r.inst.iter() {
             let name = match self.binders.iter().position(|b| *b == sym) {
@@ -1019,9 +1017,9 @@ impl<'f> CanonicalQuery<'f> {
             let cval = match val {
                 Val::Nil => CanonVal::Nil,
                 Val::Int(k) => CanonVal::Int(k),
-                Val::Addr(loc) => match in_heap(loc) {
-                    Some(id) => CanonVal::InHeap(id),
-                    None => {
+                Val::Addr(loc) => match self.cells.binary_search_by_key(&loc, |c| c.0) {
+                    Ok(slot) => CanonVal::InHeap(self.slot_ids[slot]),
+                    Err(_) => {
                         CanonVal::Dangling(self.id_dangling.iter().position(|d| *d == loc)? as u32)
                     }
                 },
@@ -1031,17 +1029,13 @@ impl<'f> CanonicalQuery<'f> {
         Some(CachedReduction { residual, inst })
     }
 
-    /// Rehydrates a stored verdict against this query's model.
-    pub(crate) fn decode(&self, model: &StackHeapModel, c: &CachedReduction) -> Reduction {
-        let residual: Heap = c
-            .residual
-            .iter()
-            .filter_map(|id| {
-                let loc = self.id_locs[*id as usize];
-                Some((loc, model.heap.get(loc)?.clone()))
-            })
-            .collect();
-        let covered = model.heap.len() - residual.len();
+    /// Rehydrates a stored verdict against this query's cells.
+    pub(crate) fn decode(&self, c: &CachedReduction) -> CellReduction {
+        let mut residual = vec![0u64; self.cells.len().div_ceil(64)];
+        for id in &c.residual {
+            let slot = self.id_slots[*id as usize] as usize;
+            residual[slot / 64] |= 1 << (slot % 64);
+        }
         let inst = Instantiation::from_bindings(c.inst.iter().filter_map(|(name, cval)| {
             let sym = match name {
                 CanonName::Binder(i) => *self.binders.get(*i as usize)?,
@@ -1050,15 +1044,17 @@ impl<'f> CanonicalQuery<'f> {
             let val = match cval {
                 CanonVal::Nil => Val::Nil,
                 CanonVal::Int(k) => Val::Int(*k),
-                CanonVal::InHeap(id) => Val::Addr(self.id_locs[*id as usize]),
+                CanonVal::InHeap(id) => {
+                    Val::Addr(self.cells[self.id_slots[*id as usize] as usize].0)
+                }
                 CanonVal::Dangling(id) => Val::Addr(self.id_dangling[*id as usize]),
             };
             Some((sym, val))
         }));
-        Reduction {
+        CellReduction {
+            covered: self.cells.len() - c.residual.len(),
             residual,
             inst,
-            covered,
         }
     }
 }
@@ -1068,10 +1064,12 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sling_logic::{
         parse_formula, parse_predicates, Expr, FieldDef, FieldTy, PredEnv, StructDef, TypeEnv,
     };
-    use sling_models::Stack;
+    use sling_models::{Heap, Stack, StackHeapModel};
 
     use crate::CheckCtx;
 
@@ -1103,6 +1101,12 @@ mod tests {
         (types, preds)
     }
 
+    /// The cache key of checking `f` against the whole of `m`.
+    fn key_of(m: &StackHeapModel, f: &SymHeap, scope: QueryScope) -> CacheKey {
+        let cells: Vec<(Loc, &HeapCell)> = m.heap.iter().collect();
+        CanonicalQuery::new(&m.stack, &cells, f, scope).key
+    }
+
     /// `x` heads an `n`-cell list whose addresses start at `base`.
     fn list_model(n: u64, base: u64) -> StackHeapModel {
         let mut heap = Heap::new();
@@ -1128,11 +1132,11 @@ mod tests {
     fn isomorphic_models_share_a_key() {
         let f = parse_formula("clist(x)").unwrap();
         let scope = QueryScope::default();
-        let a = CanonicalQuery::new(&list_model(3, 1), &f, scope);
-        let b = CanonicalQuery::new(&list_model(3, 100), &f, scope);
-        assert_eq!(a.key, b.key);
-        let c = CanonicalQuery::new(&list_model(4, 1), &f, scope);
-        assert_ne!(a.key, c.key, "different shapes must differ");
+        let a = key_of(&list_model(3, 1), &f, scope);
+        let b = key_of(&list_model(3, 100), &f, scope);
+        assert_eq!(a, b);
+        let c = key_of(&list_model(4, 1), &f, scope);
+        assert_ne!(a, c, "different shapes must differ");
     }
 
     #[test]
@@ -1141,10 +1145,7 @@ mod tests {
         let scope = QueryScope::default();
         let f1 = parse_formula("exists u3. x -> CNode{next: u3} * clist(u3)").unwrap();
         let f2 = parse_formula("exists w9. x -> CNode{next: w9} * clist(w9)").unwrap();
-        assert_eq!(
-            CanonicalQuery::new(&m, &f1, scope).key,
-            CanonicalQuery::new(&m, &f2, scope).key
-        );
+        assert_eq!(key_of(&m, &f1, scope), key_of(&m, &f2, scope));
     }
 
     /// Pins the literal key text of queries that between them reach
@@ -1155,12 +1156,8 @@ mod tests {
     #[test]
     fn canonical_key_text_is_pinned() {
         use sling_logic::{PureAtom, SpatialAtom};
-        let key = |m: &StackHeapModel, f: &SymHeap| {
-            CanonicalQuery::new(m, f, QueryScope::default())
-                .key
-                .text
-                .to_string()
-        };
+        let key =
+            |m: &StackHeapModel, f: &SymHeap| key_of(m, f, QueryScope::default()).text.to_string();
 
         // Binders, one listed twice (each copy prints at its last
         // position), a points-to atom with fields, every `Expr` form and
@@ -1208,11 +1205,71 @@ mod tests {
         );
     }
 
+    /// A random model over `CNode` cells at addresses `1..=12`: fields
+    /// point into the heap, past it (dangling) or to nil; `x` and `y`
+    /// hold such pointers and `k` an integer.
+    fn random_model(rng: &mut StdRng) -> StackHeapModel {
+        let val = |rng: &mut StdRng| match rng.gen_range(0..5) {
+            0 => Val::Nil,
+            _ => Val::Addr(Loc::new(rng.gen_range(1..=14u64))),
+        };
+        let mut heap = Heap::new();
+        for raw in 1..=12u64 {
+            if rng.gen_bool(0.6) {
+                let next = val(rng);
+                heap.insert(Loc::new(raw), HeapCell::new(sym("CNode"), vec![next]));
+            }
+        }
+        let mut stack = Stack::new();
+        stack.bind(sym("x"), val(rng));
+        stack.bind(sym("y"), val(rng));
+        stack.bind(sym("k"), Val::Int(rng.gen_range(-2..3i64)));
+        StackHeapModel::new(stack, heap)
+    }
+
+    #[test]
+    fn subset_slice_keys_equal_materialized_heap_keys() {
+        // A query over some cells of a heap, given as a slice, must key
+        // exactly like a model whose heap holds just those cells: the
+        // inference path checks sub-heaps as slices, while snapshot
+        // files and other callers key whole heaps.
+        let formulas: Vec<SymHeap> = [
+            "clist(x)",
+            "exists u. x -> CNode{next: u} * clist(u)",
+            "exists u, w. clist(u) * clist(w) & u == x & k == 1",
+            "emp & x == y",
+        ]
+        .iter()
+        .map(|f| parse_formula(f).unwrap())
+        .collect();
+        let mut rng = StdRng::seed_from_u64(0x5ce7);
+        for round in 0..300 {
+            let model = random_model(&mut rng);
+            let cells: Vec<(Loc, &HeapCell)> = model.heap.iter().collect();
+            let subset: Vec<(Loc, &HeapCell)> = cells
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.5))
+                .collect();
+            let heap: Heap = subset.iter().map(|&(l, c)| (l, c.clone())).collect();
+            let materialized = StackHeapModel::new(model.stack.clone(), heap);
+            for f in &formulas {
+                let scope = QueryScope::default();
+                let sliced = CanonicalQuery::new(&model.stack, &subset, f, scope).key;
+                assert_eq!(
+                    sliced.text,
+                    key_of(&materialized, f, scope).text,
+                    "round {round}: {f}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn scope_is_part_of_the_key() {
         let m = list_model(2, 1);
         let f = parse_formula("clist(x)").unwrap();
-        let a = CanonicalQuery::new(
+        let a = key_of(
             &m,
             &f,
             QueryScope {
@@ -1221,7 +1278,7 @@ mod tests {
                 fuel_slack: 4,
             },
         );
-        let b = CanonicalQuery::new(
+        let b = key_of(
             &m,
             &f,
             QueryScope {
@@ -1230,7 +1287,7 @@ mod tests {
                 fuel_slack: 4,
             },
         );
-        assert_ne!(a.key, b.key, "different env tags must not share entries");
+        assert_ne!(a, b, "different env tags must not share entries");
     }
 
     #[test]
@@ -1468,11 +1525,7 @@ mod tests {
             node_budget: ctx.config.node_budget,
             fuel_slack: ctx.config.fuel_slack,
         };
-        let shard_of = |n: u64| {
-            CanonicalQuery::new(&list_model(n, 1), &f, scope)
-                .key
-                .shard()
-        };
+        let shard_of = |n: u64| key_of(&list_model(n, 1), &f, scope).shard();
         let a = 1u64;
         let b = (2..64)
             .find(|n| shard_of(*n) == shard_of(a))
@@ -1707,11 +1760,7 @@ mod tests {
         let f = parse_formula("clist(x)").unwrap();
         let scope = QueryScope::default();
         let shards: std::collections::BTreeSet<usize> = (0..64)
-            .map(|n| {
-                CanonicalQuery::new(&list_model(n, 1), &f, scope)
-                    .key
-                    .shard()
-            })
+            .map(|n| key_of(&list_model(n, 1), &f, scope).shard())
             .collect();
         assert!(
             shards.len() > SHARD_COUNT / 2,

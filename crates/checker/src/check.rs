@@ -33,7 +33,8 @@
 //!   The formula's variables get theirs when the search starts (the stack
 //!   value, or unbound and reported in ι); each unfolding gives its case's
 //!   binders fresh ids, so binders are never named or interned;
-//! * the available cells are a bitmap over the heap in address order;
+//! * the heap is a borrowed slice of cells in address order, and the
+//!   available cells are a bitmap over it;
 //! * the pending spatial goals, and the terms they mention, live in arenas
 //!   truncated on backtrack; taking a goal out of the list (`swap_remove`)
 //!   is undone with a push and a swap;
@@ -52,7 +53,7 @@ use std::rc::Rc;
 use sling_logic::{
     Expr, PredDef, PredEnv, PredParam, PureAtom, SpatialAtom, SymHeap, Symbol, TypeEnv,
 };
-use sling_models::{Heap, HeapCell, Loc, StackHeapModel, Val};
+use sling_models::{Heap, HeapCell, Loc, Stack, StackHeapModel, Val};
 
 use crate::cache::{formula_pred_mentions, CanonicalQuery, CheckCache, QueryScope};
 use crate::inst::Instantiation;
@@ -90,6 +91,28 @@ pub struct Reduction {
     pub covered: usize,
 }
 
+/// A successful reduction of a heap given as a slice of cells
+/// ([`CheckCtx::check_cells`]): the residual `h'` is a bitset over the
+/// slice instead of a heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellReduction {
+    /// Bit `i % 64` of word `i / 64` is set when the slice's `i`-th cell
+    /// is in the residual heap `h'` (not modeled by `F`).
+    pub residual: Vec<u64>,
+    /// Instantiation of `F`'s existential variables, as in
+    /// [`Reduction::inst`].
+    pub inst: Instantiation,
+    /// Number of cells of the slice covered by `F`.
+    pub covered: usize,
+}
+
+impl CellReduction {
+    /// True if the slice's `i`-th cell is in the residual heap.
+    pub fn is_residual(&self, i: usize) -> bool {
+        bit(&self.residual, i)
+    }
+}
+
 /// Shared context for checking: type and predicate environments plus
 /// configuration, optionally backed by a memoizing [`CheckCache`].
 #[derive(Debug, Clone, Copy)]
@@ -100,8 +123,8 @@ pub struct CheckCtx<'a> {
     pub preds: &'a PredEnv,
     /// Search limits.
     pub config: CheckConfig,
-    /// Entailment cache consulted by [`CheckCtx::check`]; `None` runs
-    /// every query cold.
+    /// Entailment cache consulted by [`CheckCtx::check_cells`]; `None`
+    /// runs every query cold.
     pub cache: Option<&'a CheckCache>,
     /// Fingerprint of `(types, preds)` mixed into every cache key, so a
     /// [`CheckCache`] shared between contexts with *different*
@@ -150,7 +173,8 @@ impl<'a> CheckCtx<'a> {
     }
 
     /// Checks `f` against one model, returning the minimal-residue
-    /// reduction if one exists.
+    /// reduction if one exists: [`CheckCtx::check_cells`] over the
+    /// model's cells, with the residual gathered into a heap.
     ///
     /// # Examples
     ///
@@ -187,8 +211,42 @@ impl<'a> CheckCtx<'a> {
     /// assert!(red.residual.is_empty());
     /// ```
     pub fn check(&self, model: &StackHeapModel, f: &SymHeap) -> Option<Reduction> {
+        let cells: Vec<(Loc, &HeapCell)> = model.heap.iter().collect();
+        let red = self.check_cells(&model.stack, &cells, f)?;
+        let residual: Heap = cells
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| red.is_residual(i))
+            .map(|(_, &(loc, cell))| (loc, cell.clone()))
+            .collect();
+        Some(Reduction {
+            residual,
+            inst: red.inst,
+            covered: red.covered,
+        })
+    }
+
+    /// Checks `f` against the model whose stack is `stack` and whose heap
+    /// is `cells`, which must be in address order (as [`Heap::iter`]
+    /// yields them). The residual comes back as a bitset over `cells`, so
+    /// a caller that carves sub-heaps out of a larger heap never builds
+    /// one.
+    ///
+    /// This is the entry point every check goes through: the search runs
+    /// on the borrowed slice, and the cache keys the query and rehydrates
+    /// a stored verdict from it.
+    pub fn check_cells(
+        &self,
+        stack: &Stack,
+        cells: &[(Loc, &HeapCell)],
+        f: &SymHeap,
+    ) -> Option<CellReduction> {
+        debug_assert!(
+            cells.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "cells must be in address order"
+        );
         let Some(cache) = self.cache else {
-            return Search::run(*self, model, f);
+            return Search::run(*self, stack, cells, f);
         };
         // The key must cover everything the verdict depends on: the
         // environments (tag) and the search limits (a budget-truncated
@@ -198,11 +256,11 @@ impl<'a> CheckCtx<'a> {
             node_budget: self.config.node_budget,
             fuel_slack: self.config.fuel_slack,
         };
-        let query = CanonicalQuery::new(model, f, scope);
+        let query = CanonicalQuery::new(stack, cells, f, scope);
         if let Some(entry) = cache.lookup(&query.key) {
-            return entry.map(|cached| query.decode(model, &cached));
+            return entry.map(|cached| query.decode(&cached));
         }
-        let result = Search::run(*self, model, f);
+        let result = Search::run(*self, stack, cells, f);
         let preds = formula_pred_mentions(f);
         match &result {
             Some(r) => {
@@ -386,9 +444,9 @@ struct Best {
 /// down records what it changes and every step back rewinds it.
 struct Search<'a> {
     ctx: CheckCtx<'a>,
-    model: &'a StackHeapModel,
+    stack: &'a Stack,
     /// The heap in address order; bit `i` of `avail` stands for `cells[i]`.
-    cells: Vec<(Loc, &'a HeapCell)>,
+    cells: &'a [(Loc, &'a HeapCell)],
     avail: Vec<u64>,
     avail_count: usize,
     /// The variables that have a name: the formula's, whose ids are
@@ -419,15 +477,19 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn run(ctx: CheckCtx<'a>, model: &'a StackHeapModel, f: &SymHeap) -> Option<Reduction> {
-        let cells: Vec<(Loc, &HeapCell)> = model.heap.iter().collect();
+    fn run(
+        ctx: CheckCtx<'a>,
+        stack: &'a Stack,
+        cells: &'a [(Loc, &'a HeapCell)],
+        f: &SymHeap,
+    ) -> Option<CellReduction> {
         let mut avail = vec![0u64; cells.len().div_ceil(64)];
         for i in 0..cells.len() {
             avail[i / 64] |= 1 << (i % 64);
         }
         let mut search = Search {
             ctx,
-            model,
+            stack,
             avail,
             avail_count: cells.len(),
             cells,
@@ -443,7 +505,7 @@ impl<'a> Search<'a> {
             ops: Vec::new(),
             pure: Vec::new(),
             discharged: Vec::new(),
-            fuel: 2 * model.heap.len() as u32 + ctx.config.fuel_slack,
+            fuel: 2 * cells.len() as u32 + ctx.config.fuel_slack,
             nodes: 0,
             best: None,
             done: false,
@@ -453,12 +515,10 @@ impl<'a> Search<'a> {
         // callers check open formulae. An existential shadows a stack
         // variable of the same name.
         for v in f.all_vars() {
-            let reported = f.exists.contains(&v) || model.stack.get(v).is_none();
+            let reported = f.exists.contains(&v) || stack.get(v).is_none();
             search.names.push((v, search.vals.len() as Var));
             search.reported.push(reported);
-            search
-                .vals
-                .push(if reported { None } else { model.stack.get(v) });
+            search.vals.push(if reported { None } else { stack.get(v) });
         }
         search.pinned = search.vals.len();
         let root = search.compile(f, &[], &[]);
@@ -466,20 +526,13 @@ impl<'a> Search<'a> {
 
         search.explore();
         let best = search.best.take()?;
-        let residual: Heap = search
-            .cells
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| bit(&best.avail, i))
-            .map(|(_, &(loc, cell))| (loc, cell.clone()))
-            .collect();
         let inst = (0..search.reported.len())
             .filter(|&i| search.reported[i])
             .filter_map(|i| Some((search.names[i].0, best.vals[i]?)))
             .collect();
-        Some(Reduction {
-            covered: search.cells.len() - residual.len(),
-            residual,
+        Some(CellReduction {
+            covered: cells.len() - best.remaining,
+            residual: best.avail,
             inst,
         })
     }
@@ -938,7 +991,7 @@ impl<'a> Search<'a> {
             return var;
         }
         let var = self.vals.len() as Var;
-        self.vals.push(self.model.stack.get(v));
+        self.vals.push(self.stack.get(v));
         self.pinned = self.vals.len();
         self.names.push((v, var));
         var
@@ -1122,8 +1175,141 @@ fn has_strict_cycle(classes: &Classes, edges: &[(Var, Var, bool)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sling_logic::parse_formula;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sling_logic::{parse_formula, parse_predicates, FieldDef, FieldTy, StructDef};
     use sling_models::Stack;
+
+    fn sym(s: &str) -> Symbol {
+        Symbol::intern(s)
+    }
+
+    /// `RNode { next, val }` and the list segment over it.
+    fn list_envs() -> (TypeEnv, PredEnv) {
+        let node = sym("RNode");
+        let mut types = TypeEnv::new();
+        types
+            .define(StructDef {
+                name: node,
+                fields: vec![
+                    FieldDef {
+                        name: sym("next"),
+                        ty: FieldTy::Ptr(node),
+                    },
+                    FieldDef {
+                        name: sym("val"),
+                        ty: FieldTy::Int,
+                    },
+                ],
+            })
+            .unwrap();
+        let mut preds = PredEnv::new();
+        for d in parse_predicates(
+            "pred rseg(x: RNode*, y: RNode*) := emp & x == y
+               | exists u, d. x -> RNode{next: u, val: d} * rseg(u, y);",
+        )
+        .unwrap()
+        {
+            preds.define(d).unwrap();
+        }
+        (types, preds)
+    }
+
+    /// A random model over `RNode` cells at addresses `1..=10`, mostly
+    /// chained to the next address; some pointers dangle past the heap.
+    fn random_list_model(rng: &mut StdRng) -> StackHeapModel {
+        let ptr = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => Val::Nil,
+            _ => Val::Addr(Loc::new(rng.gen_range(1..=12u64))),
+        };
+        let mut heap = Heap::new();
+        for raw in 1..=10u64 {
+            if rng.gen_bool(0.7) {
+                let next = if rng.gen_bool(0.7) {
+                    Val::Addr(Loc::new(raw + 1))
+                } else {
+                    ptr(rng)
+                };
+                let val = Val::Int(rng.gen_range(0..3i64));
+                heap.insert(Loc::new(raw), HeapCell::new(sym("RNode"), vec![next, val]));
+            }
+        }
+        let mut stack = Stack::new();
+        stack.bind(sym("x"), ptr(rng));
+        stack.bind(sym("y"), ptr(rng));
+        StackHeapModel::new(stack, heap)
+    }
+
+    /// The residual cells of a slice reduction, as a heap.
+    fn residual_heap(cells: &[(Loc, &HeapCell)], red: &CellReduction) -> Heap {
+        cells
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| red.is_residual(i))
+            .map(|(_, &(l, c))| (l, c.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn slice_checks_equal_checks_of_the_materialized_heap() {
+        // `check_cells` on some cells of a heap must answer exactly as
+        // `check` on a model whose heap holds just those cells: same
+        // residual cells, instantiation and coverage. Cached, the slice
+        // and the heap share one key, so each answers the other's query
+        // from the cache.
+        let (types, preds) = list_envs();
+        let formulas: Vec<SymHeap> = [
+            "rseg(x, y)",
+            "exists e. rseg(x, e)",
+            "exists e, f. rseg(x, e) * rseg(y, f)",
+            "exists u, d. x -> RNode{next: u, val: d} * rseg(u, nil)",
+        ]
+        .iter()
+        .map(|f| parse_formula(f).unwrap())
+        .collect();
+        let plain = CheckCtx::new(&types, &preds);
+        let cache = CheckCache::new();
+        let cached = CheckCtx::with_cache(&types, &preds, CheckConfig::default(), &cache);
+        let mut rng = StdRng::seed_from_u64(0xce11);
+        let mut holds = 0;
+        for round in 0..200 {
+            let model = random_list_model(&mut rng);
+            let cells: Vec<(Loc, &HeapCell)> = model.heap.iter().collect();
+            let subset: Vec<(Loc, &HeapCell)> = cells
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.6))
+                .collect();
+            let heap: Heap = subset.iter().map(|&(l, c)| (l, c.clone())).collect();
+            let materialized = StackHeapModel::new(model.stack.clone(), heap);
+            for f in &formulas {
+                let expect = plain.check(&materialized, f);
+                let as_heap = |red: Option<CellReduction>| {
+                    red.map(|r| Reduction {
+                        residual: residual_heap(&subset, &r),
+                        covered: r.covered,
+                        inst: r.inst,
+                    })
+                };
+                let what = format!("round {round}: {f} on {materialized}");
+                assert_eq!(
+                    as_heap(plain.check_cells(&model.stack, &subset, f)),
+                    expect,
+                    "uncached, {what}"
+                );
+                // Miss, then two hits: one decoded onto the heap, one onto
+                // the slice.
+                let miss = cached.check_cells(&model.stack, &subset, f);
+                assert_eq!(as_heap(miss), expect, "cached miss, {what}");
+                assert_eq!(cached.check(&materialized, f), expect, "heap hit, {what}");
+                let hit = cached.check_cells(&model.stack, &subset, f);
+                assert_eq!(as_heap(hit), expect, "slice hit, {what}");
+                holds += usize::from(expect.is_some());
+            }
+        }
+        assert!(holds > 100, "too few satisfiable queries: {holds}");
+        assert!(cache.stats().hits >= 400, "{}", cache.stats());
+    }
 
     /// Checks the pure formula `f` on an empty heap whose stack binds
     /// `k` to the integer `k`.

@@ -66,7 +66,7 @@ pub mod persist;
 pub mod verify;
 
 pub use cache::{env_fingerprint, CacheStats, CheckCache, EnvProfile, SHARD_COUNT};
-pub use check::{CheckConfig, CheckCtx, Reduction};
+pub use check::{CellReduction, CheckConfig, CheckCtx, Reduction};
 pub use inst::Instantiation;
 pub use persist::{MergeStats, PersistError};
 pub use verify::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};

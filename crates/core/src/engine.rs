@@ -119,6 +119,8 @@ use crate::collect::Executor;
 use crate::pipeline::{infer_location, run_target, SlingConfig, VerifySettings};
 use crate::report::{BatchReport, LocationAnalysis, Report};
 use crate::request::AnalysisRequest;
+use crate::request::InputSource;
+use crate::spec::ValueSpec;
 
 /// Why an [`EngineBuilder`] could not produce an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,6 +175,18 @@ impl std::error::Error for BuildError {}
 pub enum AnalyzeError {
     /// The request's target is not a function of the engine's program.
     UnknownTarget(Symbol),
+    /// A cell of an exact input shape ([`ValueSpec::Exact`]) does not fit
+    /// the program: its type is not a declared structure, or it has a
+    /// different number of fields than the declaration.
+    BadExactCell {
+        /// The cell's type.
+        ty: Symbol,
+        /// The cell's field count.
+        fields: usize,
+        /// The declaration's field count; `None` when `ty` is not
+        /// declared.
+        declared: Option<usize>,
+    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -181,6 +195,24 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::UnknownTarget(t) => {
                 write!(f, "target `{t}` is not a function of the engine's program")
             }
+            AnalyzeError::BadExactCell {
+                ty,
+                fields,
+                declared: None,
+            } => write!(
+                f,
+                "exact input cell of type `{ty}` ({fields} field(s)): \
+                 no such structure in the engine's program"
+            ),
+            AnalyzeError::BadExactCell {
+                ty,
+                fields,
+                declared: Some(declared),
+            } => write!(
+                f,
+                "exact input cell of type `{ty}` has {fields} field(s), \
+                 but the structure declares {declared}"
+            ),
         }
     }
 }
@@ -608,6 +640,36 @@ impl Engine {
         }
     }
 
+    /// Checks that a request fits the program: its target is a function,
+    /// and every cell of an exact input shape has a declared structure
+    /// type with the declared number of fields (trace collection indexes
+    /// fields by the declaration).
+    fn validate(&self, request: &AnalysisRequest) -> Result<(), AnalyzeError> {
+        if self.program.func(request.target).is_none() {
+            return Err(AnalyzeError::UnknownTarget(request.target));
+        }
+        let specs = request.inputs.iter().filter_map(|input| match input {
+            InputSource::Spec(spec) => Some(spec.arg_specs()),
+            InputSource::Custom(_) => None,
+        });
+        for spec in specs.flatten() {
+            let ValueSpec::Exact { cells } = spec else {
+                continue;
+            };
+            for cell in cells {
+                let declared = self.types.get(cell.ty).map(|def| def.fields.len());
+                if declared != Some(cell.fields.len()) {
+                    return Err(AnalyzeError::BadExactCell {
+                        ty: cell.ty,
+                        fields: cell.fields.len(),
+                        declared,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Runs one (pre-validated) request with `workers` threads available
     /// for its per-location inference fan-out; the report's cache delta
     /// is left zeroed for the caller to fill in.
@@ -652,9 +714,7 @@ impl Engine {
     /// sequential run, and [`RunMetrics::workers`](crate::RunMetrics)
     /// reports the worker count actually used.
     pub fn analyze(&self, request: &AnalysisRequest) -> Result<Report, AnalyzeError> {
-        if self.program.func(request.target).is_none() {
-            return Err(AnalyzeError::UnknownTarget(request.target));
-        }
+        self.validate(request)?;
         let before = self.cache.stats();
         let mut report = self.run_request(request, self.parallelism);
         report.cache = self.cache.stats().since(&before);
@@ -696,9 +756,7 @@ impl Engine {
     {
         let requests: Vec<&AnalysisRequest> = requests.into_iter().collect();
         for request in &requests {
-            if self.program.func(request.target).is_none() {
-                return Err(AnalyzeError::UnknownTarget(request.target));
-            }
+            self.validate(request)?;
         }
         let before = self.cache.stats();
         let workers = self.parallelism.min(requests.len());
@@ -771,6 +829,8 @@ impl Engine {
 mod tests {
     use super::*;
     use std::sync::Mutex;
+
+    use crate::spec::{ExactCell, ExactVal, InputSpec};
 
     const SRC: &str = "
         struct TNode { next: TNode*; data: int; }
@@ -1023,6 +1083,52 @@ mod tests {
         let err = engine.analyze(&request).unwrap_err();
         assert_eq!(err, AnalyzeError::UnknownTarget(Symbol::intern("missing")));
         assert!(engine.analyze_all([&request]).is_err());
+    }
+
+    #[test]
+    fn exact_cells_must_fit_their_declaration() {
+        // A cell with fewer fields than its structure declares used to
+        // panic trace collection at the first read of a missing field.
+        let engine = Engine::builder()
+            .program_source(
+                "struct SNode { next: SNode*; data: int; }
+                 fn data_of(x: SNode*) -> int { return x->data; }",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let snode = Symbol::intern("SNode");
+        let request = |cell: ExactCell| {
+            AnalysisRequest::new("data_of")
+                .input(InputSpec::new().arg(ValueSpec::exact(vec![cell])))
+        };
+        let short = request(ExactCell {
+            ty: snode,
+            fields: vec![ExactVal::Nil],
+        });
+        let expected = AnalyzeError::BadExactCell {
+            ty: snode,
+            fields: 1,
+            declared: Some(2),
+        };
+        assert_eq!(engine.analyze(&short).unwrap_err(), expected);
+        assert_eq!(engine.analyze_all([&short]).unwrap_err(), expected);
+        assert!(expected.to_string().contains("declares 2"), "{expected}");
+
+        let alien = request(ExactCell {
+            ty: Symbol::intern("NoSuchNode"),
+            fields: Vec::new(),
+        });
+        assert!(matches!(
+            engine.analyze(&alien),
+            Err(AnalyzeError::BadExactCell { declared: None, .. })
+        ));
+
+        let good = request(ExactCell {
+            ty: snode,
+            fields: vec![ExactVal::Nil, ExactVal::Int(4)],
+        });
+        assert_eq!(engine.analyze(&good).unwrap().metrics.faulted_runs, 0);
     }
 
     #[test]

@@ -23,8 +23,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sling_checker::{CheckCtx, Instantiation};
 use sling_logic::{Expr, FieldAssign, FieldTy, FreshVars, PredDef, SpatialAtom, SymHeap, Symbol};
-use sling_models::{Heap, StackHeapModel, Val};
+use sling_models::{HeapCell, Loc, StackHeapModel, Val};
 
+use crate::cells::{CellIndex, Masks};
 use crate::split::BoundaryItem;
 
 /// Limits for the candidate search.
@@ -52,15 +53,22 @@ impl Default for InferConfig {
 
 /// One accepted atomic formula with its per-model evidence.
 #[derive(Debug, Clone)]
-pub struct AtomResult {
+pub(crate) struct AtomResult {
     /// `∃u⃗. p(...)`, a points-to, or `emp`.
-    pub formula: SymHeap,
+    pub(crate) formula: SymHeap,
     /// Per model: the part of the sub-heap *not* covered.
-    pub residues: Vec<Heap>,
+    pub(crate) residues: Masks,
     /// Per model: values of the formula's existentials.
-    pub insts: Vec<Instantiation>,
+    pub(crate) insts: Vec<Instantiation>,
     /// Total residue size across models (smaller = stronger).
-    pub total_residue: usize,
+    pub(crate) total_residue: usize,
+}
+
+/// One model's sub-heap as the checker takes it: the cells in address
+/// order, and each one's position in the location's index.
+struct SubHeap<'s> {
+    cells: Vec<(Loc, &'s HeapCell)>,
+    slots: Vec<usize>,
 }
 
 /// How a stack variable is typed, derived from observed values.
@@ -87,7 +95,9 @@ impl VarTy {
 
 /// Derives variable types from the values observed across models: an
 /// address typed by its cell wins over `nil`; integers are `Int`.
-pub fn var_types(models: &[StackHeapModel]) -> BTreeMap<Symbol, VarTy> {
+pub fn var_types<'m>(
+    models: impl IntoIterator<Item = &'m StackHeapModel>,
+) -> BTreeMap<Symbol, VarTy> {
     let mut out: BTreeMap<Symbol, VarTy> = BTreeMap::new();
     for m in models {
         for (w, val) in m.stack.iter() {
@@ -111,45 +121,69 @@ pub fn var_types(models: &[StackHeapModel]) -> BTreeMap<Symbol, VarTy> {
     out
 }
 
-/// Runs `InferAtom` for the root variable `v` (Algorithm 2).
+/// Runs `InferAtom` for the root variable `v` (Algorithm 2) on the
+/// sub-heaps `sub` selects from `index`.
 ///
 /// `types` maps stack variables to their observed types (for the
 /// `type(ki) <: type(ti)` check); `fresh` supplies existential names
 /// shared across the whole location so `u1, u2, ...` never collide.
-pub fn infer_atom(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn infer_atom(
     ctx: &CheckCtx<'_>,
     v: Symbol,
-    sub_models: &[StackHeapModel],
+    index: &CellIndex<'_>,
+    sub: &Masks,
     boundary: &BTreeSet<BoundaryItem>,
     types: &BTreeMap<Symbol, VarTy>,
     fresh: &mut FreshVars,
     config: &InferConfig,
 ) -> Vec<AtomResult> {
-    let n_models = sub_models.len();
-    assert!(n_models > 0, "InferAtom needs at least one model");
+    assert!(
+        !index.models.is_empty(),
+        "InferAtom needs at least one model"
+    );
 
     // Empty sub-heaps in every model: only `emp` is informative.
-    if sub_models.iter().all(|m| m.heap.is_empty()) {
-        return vec![emp_result(sub_models)];
+    if sub.is_empty() {
+        return vec![emp_result(index, sub)];
     }
 
     let mut results: Vec<AtomResult> = Vec::new();
 
     // --- Inductive predicates -------------------------------------------
-    let root_ty = sub_models.iter().find_map(|m| {
-        m.stack
-            .get(v)
-            .and_then(|val| val.as_addr())
-            .and_then(|l| m.heap.get(l))
-            .map(|c| c.ty)
-    });
+    // Per model: the cell `v` points to, when it is in the sub-heap.
+    let roots: Vec<Option<usize>> = index
+        .models
+        .iter()
+        .map(|m| {
+            let loc = m.model.stack.get(v)?.as_addr()?;
+            m.slot(loc).filter(|&i| m.has(sub, i))
+        })
+        .collect();
+    let root_ty = index
+        .models
+        .iter()
+        .zip(&roots)
+        .find_map(|(m, root)| Some(m.cells[(*root)?].1.ty));
     if let Some(root_ty) = root_ty {
         let items: Vec<BoundaryItem> = boundary.iter().copied().collect();
+        let subs: Vec<SubHeap> = index
+            .models
+            .iter()
+            .map(|m| {
+                let slots: Vec<usize> = m.slots(sub).collect();
+                SubHeap {
+                    cells: slots.iter().map(|&i| m.cells[i]).collect(),
+                    slots,
+                }
+            })
+            .collect();
         for pred in ctx.preds.for_root_type(root_ty) {
             infer_inductive(
                 ctx,
                 v,
-                sub_models,
+                index,
+                &subs,
                 &items,
                 types,
                 pred,
@@ -161,13 +195,13 @@ pub fn infer_atom(
     }
 
     // --- Singleton predicate --------------------------------------------
-    if let Some(single) = infer_singleton(ctx, v, sub_models, fresh) {
+    if let Some(single) = infer_singleton(ctx, v, index, sub, &roots, fresh) {
         results.push(single);
     }
 
     // --- emp fallback -----------------------------------------------------
     if results.is_empty() {
-        return vec![emp_result(sub_models)];
+        return vec![emp_result(index, sub)];
     }
 
     // Keep a *diverse* strongest set. Two rankings matter:
@@ -221,12 +255,12 @@ fn root_position(formula: &SymHeap, root: Symbol) -> usize {
     }
 }
 
-fn emp_result(sub_models: &[StackHeapModel]) -> AtomResult {
+fn emp_result(index: &CellIndex<'_>, sub: &Masks) -> AtomResult {
     AtomResult {
         formula: SymHeap::emp(),
-        residues: sub_models.iter().map(|m| m.heap.clone()).collect(),
-        insts: vec![Instantiation::new(); sub_models.len()],
-        total_residue: sub_models.iter().map(|m| m.heap.len()).sum(),
+        residues: sub.clone(),
+        insts: vec![Instantiation::new(); index.models.len()],
+        total_residue: sub.len(),
     }
 }
 
@@ -234,7 +268,8 @@ fn emp_result(sub_models: &[StackHeapModel]) -> AtomResult {
 fn infer_inductive(
     ctx: &CheckCtx<'_>,
     root: Symbol,
-    sub_models: &[StackHeapModel],
+    index: &CellIndex<'_>,
+    subs: &[SubHeap<'_>],
     boundary: &[BoundaryItem],
     types: &BTreeMap<Symbol, VarTy>,
     pred: &PredDef,
@@ -264,7 +299,9 @@ fn infer_inductive(
                 if tried > config.max_candidates_per_pred {
                     return;
                 }
-                try_candidate(ctx, sub_models, pred, &placement, fresh, config, results);
+                results.extend(try_candidate(
+                    ctx, index, subs, pred, &placement, fresh, config,
+                ));
             }
         }
     }
@@ -321,15 +358,16 @@ fn place_rec(
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn try_candidate(
     ctx: &CheckCtx<'_>,
-    sub_models: &[StackHeapModel],
+    index: &CellIndex<'_>,
+    subs: &[SubHeap<'_>],
     pred: &PredDef,
     placement: &[Option<BoundaryItem>],
     fresh: &mut FreshVars,
     config: &InferConfig,
-    results: &mut Vec<AtomResult>,
-) {
+) -> Option<AtomResult> {
     // Build ∃u⃗. p(args): fresh names are *tentative* — they only stick
     // if the candidate is accepted, so rejected candidates do not burn
     // through the u-namespace.
@@ -355,48 +393,52 @@ fn try_candidate(
         pure: vec![],
     };
 
-    let mut residues = Vec::with_capacity(sub_models.len());
-    let mut insts = Vec::with_capacity(sub_models.len());
+    let mut residues = index.empty();
+    let mut insts = Vec::with_capacity(subs.len());
     let mut covered_any = false;
-    for m in sub_models {
-        match ctx.check(m, &formula) {
-            Some(red) => {
-                covered_any |= red.covered > 0;
-                residues.push(red.residual);
-                insts.push(red.inst);
+    let mut total_residue = 0;
+    for (m, sub) in index.models.iter().zip(subs) {
+        let red = ctx.check_cells(&m.model.stack, &sub.cells, &formula)?;
+        covered_any |= red.covered > 0;
+        total_residue += sub.cells.len() - red.covered;
+        for (j, &slot) in sub.slots.iter().enumerate() {
+            if red.is_residual(j) {
+                m.set(&mut residues, slot);
             }
-            None => return,
         }
+        insts.push(red.inst);
     }
     if config.require_nonvacuous && !covered_any {
-        return;
+        return None;
     }
     *fresh = trial;
-    let total_residue = residues.iter().map(|h| h.len()).sum();
-    results.push(AtomResult {
+    Some(AtomResult {
         formula,
         residues,
         insts,
         total_residue,
-    });
+    })
 }
 
 /// Singleton inference (Algorithm 2, lines 12–13).
+///
+/// `roots` holds, per model, the position of the cell `v` points to when
+/// the sub-heap has it.
 fn infer_singleton(
     ctx: &CheckCtx<'_>,
     v: Symbol,
-    sub_models: &[StackHeapModel],
+    index: &CellIndex<'_>,
+    sub: &Masks,
+    roots: &[Option<usize>],
     fresh: &mut FreshVars,
 ) -> Option<AtomResult> {
-    // Applicable only when every sub-model is exactly the root's cell.
-    let mut cells = Vec::with_capacity(sub_models.len());
-    for m in sub_models {
-        if m.heap.len() != 1 {
+    // Applicable only when every sub-heap is exactly the root's cell.
+    let mut cells = Vec::with_capacity(roots.len());
+    for (m, root) in index.models.iter().zip(roots) {
+        if m.count(sub) != 1 {
             return None;
         }
-        let loc = m.stack.get(v)?.as_addr()?;
-        let cell = m.heap.get(loc)?;
-        cells.push((m, cell));
+        cells.push((m.model, m.cells[(*root)?].1));
     }
     let ty = cells[0].1.ty;
     if cells.iter().any(|(_, c)| c.ty != ty) {
@@ -406,7 +448,7 @@ fn infer_singleton(
 
     let mut exists = Vec::new();
     let mut fields = Vec::with_capacity(def.fields.len());
-    let mut insts = vec![Instantiation::new(); sub_models.len()];
+    let mut insts = vec![Instantiation::new(); roots.len()];
     for (i, fdef) in def.fields.iter().enumerate() {
         // A common constant value: nil everywhere?
         if cells.iter().all(|(_, c)| c.fields[i] == Val::Nil) {
@@ -467,7 +509,7 @@ fn infer_singleton(
             }],
             pure: vec![],
         },
-        residues: vec![Heap::new(); sub_models.len()],
+        residues: index.empty(),
         insts,
         total_residue: 0,
     })
@@ -502,7 +544,7 @@ fn combinations<T: Copy>(items: &[T], k: usize) -> Vec<Vec<T>> {
 mod tests {
     use super::*;
     use sling_logic::{parse_predicates, FieldDef, PredEnv, StructDef, TypeEnv};
-    use sling_models::{Loc, Stack};
+    use sling_models::{Heap, Stack};
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -590,10 +632,12 @@ mod tests {
         let models = fig3_submodels();
         let mut fresh = FreshVars::new("u");
         let vt = var_types(&models);
+        let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
             sym("x"),
-            &models,
+            &index,
+            &index.full(),
             &boundary(),
             &vt,
             &mut fresh,
@@ -627,10 +671,12 @@ mod tests {
         let models = vec![StackHeapModel::new(stack, Heap::new())];
         let mut fresh = FreshVars::new("u");
         let vt = var_types(&models);
+        let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
             sym("res"),
-            &models,
+            &index,
+            &index.full(),
             &BTreeSet::new(),
             &vt,
             &mut fresh,
@@ -653,10 +699,12 @@ mod tests {
         let models = vec![StackHeapModel::new(stack, heap)];
         let mut fresh = FreshVars::new("u");
         let vt = var_types(&models);
+        let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
             sym("p"),
-            &models,
+            &index,
+            &index.full(),
             &[BoundaryItem::Var(sym("p")), BoundaryItem::Var(sym("q"))]
                 .into_iter()
                 .collect(),
@@ -686,10 +734,12 @@ mod tests {
         let models = fig3_submodels();
         let mut fresh = FreshVars::new("u");
         let vt = var_types(&models);
+        let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
             sym("x"),
-            &models,
+            &index,
+            &index.full(),
             &boundary(),
             &vt,
             &mut fresh,

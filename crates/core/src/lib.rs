@@ -14,7 +14,8 @@
 //!    boundary variables ([`split_heap`], §4.1);
 //! 3. **searches** the predicate set for atomic formulae every sub-heap
 //!    satisfies, via a symbolic-heap model checker that returns residual
-//!    heaps and existential instantiations ([`infer_atom`], §4.2);
+//!    heaps and existential instantiations (`InferAtom`, §4.2);
+//!
 //! 4. conjoins the per-variable formulae with `∗`, then infers **pure
 //!    equalities** over stack variables, existentials, `nil` and `res`
 //!    ([`infer_pure`], §4.3);
@@ -25,6 +26,16 @@
 //!    against the sibling invariants, with refutation witnesses driving
 //!    counterexample-guided re-collection rounds
 //!    ([`EngineBuilder::verification`], [`InvariantGrade`]).
+//!
+//! Steps 2 and 3 never copy a heap: each location's selected models
+//! ([`select_models`]) are indexed once, with their cells in address
+//! order, and every residue, sub-heap and rest is a bitset over that
+//! index. The checker takes a sub-heap as a slice of indexed cells and
+//! returns its residue as a bitset over the slice
+//! ([`CheckCtx::check_cells`](sling_checker::CheckCtx::check_cells)).
+//! Heaps are built only for the reported [`Invariant::residues`].
+//! [`split_heap`] is the same split with heaps built, for callers that
+//! hold models.
 //!
 //! # The engine API
 //!
@@ -111,6 +122,7 @@
 
 #![warn(missing_docs)]
 
+mod cells;
 mod collect;
 pub mod engine;
 mod fanout;
@@ -129,8 +141,8 @@ pub use engine::{
     default_parallelism, AnalyzeError, BuildError, DiscardReports, Engine, EngineBuilder,
     ReportSink,
 };
-pub use infer::{infer_atom, var_types, AtomResult, InferConfig, VarTy};
-pub use pipeline::{SlingConfig, VerifySettings};
+pub use infer::{var_types, InferConfig, VarTy};
+pub use pipeline::{select_models, SlingConfig, VerifySettings};
 pub use pure::infer_pure;
 pub use report::{
     BatchReport, Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,

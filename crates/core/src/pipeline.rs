@@ -17,8 +17,9 @@ use sling_checker::{
 };
 use sling_lang::{Location, Program, Snapshot, TraceConfig, VmConfig};
 use sling_logic::{FreshVars, SymHeap, Symbol};
-use sling_models::{Heap, StackHeapModel};
+use sling_models::StackHeapModel;
 
+use crate::cells::{CellIndex, Masks};
 use crate::collect::{collect_models, Executor};
 use crate::infer::{infer_atom, var_types, InferConfig, VarTy};
 use crate::pure::infer_pure;
@@ -27,7 +28,7 @@ use crate::report::{
 };
 use crate::request::InputSource;
 use crate::spec::InputSpec;
-use crate::split::split_heap;
+use crate::split::{split_masks, BoundaryItem};
 use crate::validate::validate_frame;
 
 /// Configuration for a whole analysis.
@@ -101,7 +102,8 @@ impl Default for VerifySettings {
 #[derive(Debug, Clone)]
 struct Partial {
     formula: SymHeap,
-    residues: Vec<Heap>,
+    /// Per model, the cells no atom covers yet.
+    residues: Masks,
     insts: Vec<Instantiation>,
 }
 
@@ -322,8 +324,33 @@ fn run_target_once(
     }
 }
 
+/// The snapshots whose models inference uses at a location, in
+/// collection order: a model identical to an earlier one is dropped
+/// when [`SlingConfig::dedupe_models`] is set, and selection stops at
+/// [`SlingConfig::max_models_per_location`] models.
+pub fn select_models<'s>(snaps: &[&'s Snapshot], config: &SlingConfig) -> Vec<&'s Snapshot> {
+    // Dedupe by hash + structural equality: no string rendering on this
+    // per-location hot path.
+    let mut selected = Vec::new();
+    let mut seen: HashSet<&StackHeapModel> = HashSet::new();
+    for &s in snaps {
+        if config.dedupe_models && !seen.insert(&s.model) {
+            continue;
+        }
+        selected.push(s);
+        if config.max_models_per_location > 0 && selected.len() >= config.max_models_per_location {
+            break;
+        }
+    }
+    selected
+}
+
 /// Infers invariants at a single location (Algorithm 1, lines 2–11, plus
 /// pure inference and scope quantification).
+///
+/// The selected models are indexed once ([`CellIndex`]); every residue,
+/// sub-heap and rest of the main loop is a set of indexed cells, and
+/// heaps are built only for the reported invariants' residues.
 pub(crate) fn infer_location(
     ctx: &CheckCtx<'_>,
     location: Location,
@@ -334,22 +361,9 @@ pub(crate) fn infer_location(
     let snapshots_seen = snaps.len();
     let tainted = snaps.iter().any(|s| s.tainted);
 
-    // Select models: dedupe identical ones (by hash + structural
-    // equality, no string rendering on this per-location hot path),
-    // apply the cap.
-    let mut models: Vec<StackHeapModel> = Vec::new();
-    let mut activations: Vec<u64> = Vec::new();
-    let mut seen: HashSet<&StackHeapModel> = HashSet::new();
-    for s in snaps {
-        if config.dedupe_models && !seen.insert(&s.model) {
-            continue;
-        }
-        models.push(s.model.clone());
-        activations.push(s.activation);
-        if config.max_models_per_location > 0 && models.len() >= config.max_models_per_location {
-            break;
-        }
-    }
+    let selected = select_models(snaps, config);
+    let models: Vec<&StackHeapModel> = selected.iter().map(|s| &s.model).collect();
+    let activations: Vec<u64> = selected.iter().map(|s| s.activation).collect();
     if models.is_empty() {
         return LocationAnalysis {
             location,
@@ -360,8 +374,9 @@ pub(crate) fn infer_location(
         };
     }
 
-    let vt = var_types(&models);
-    let order = variable_order(&models, &vt, param_order);
+    let index = CellIndex::new(&models);
+    let vt = var_types(models.iter().copied());
+    let order = variable_order(&index, &vt, param_order);
     let mut fresh = FreshVars::new("u");
     for m in &models {
         fresh.avoid_all(m.stack.vars());
@@ -370,7 +385,7 @@ pub(crate) fn infer_location(
     // Algorithm 1 main loop.
     let mut set: Vec<Partial> = vec![Partial {
         formula: SymHeap::emp(),
-        residues: models.iter().map(|m| m.heap.clone()).collect(),
+        residues: index.full(),
         insts: vec![Instantiation::new(); models.len()],
     }];
     // Worklist over the variable order. A variable whose sub-heap could
@@ -388,28 +403,21 @@ pub(crate) fn infer_location(
         let mut next: Vec<(usize, Partial)> = Vec::new();
         let mut all_emp = true;
         for (parent, partial) in set.iter().enumerate() {
-            let res_models: Vec<StackHeapModel> = models
-                .iter()
-                .zip(&partial.residues)
-                .map(|(m, h)| StackHeapModel::new(m.stack.clone(), h.clone()))
-                .collect();
-            let split = split_heap(&res_models, *v);
+            let split = split_masks(&index, &partial.residues, *v);
             let atoms = infer_atom(
                 ctx,
                 *v,
-                &split.sub_models,
+                &index,
+                &split.sub,
                 &split.boundary,
                 &vt,
                 &mut fresh,
                 &config.infer,
             );
-            all_emp &= atoms.iter().all(|a| a.formula.is_emp())
-                && split.sub_models.iter().any(|m| !m.heap.is_empty());
+            all_emp &= atoms.iter().all(|a| a.formula.is_emp()) && !split.sub.is_empty();
             for atom in atoms {
-                let mut residues = Vec::with_capacity(models.len());
-                for (rest, sub_res) in split.rest.iter().zip(&atom.residues) {
-                    residues.push(rest.union(sub_res).expect("disjoint by construction"));
-                }
+                let mut residues = atom.residues;
+                residues.union_with(&split.rest);
                 let mut insts = partial.insts.clone();
                 for (acc, add) in insts.iter_mut().zip(&atom.insts) {
                     acc.merge(add);
@@ -432,7 +440,7 @@ pub(crate) fn infer_location(
         }
         // Stable sort: ties keep insertion order, which is the
         // strongest-first order of the per-variable atom results.
-        next.sort_by_key(|(_, p)| p.residues.iter().map(|h| h.len()).sum::<usize>());
+        next.sort_by_key(|(_, p)| p.residues.len());
         // Truncate, but keep every lineage alive: first the best child of
         // each parent (in sorted order), then the remaining slots by
         // strength. This is what lets both the maximal-coverage and the
@@ -478,7 +486,11 @@ pub(crate) fn infer_location(
         invariants.push(Invariant {
             location,
             formula,
-            residues: partial.residues,
+            residues: index
+                .models
+                .iter()
+                .map(|m| m.heap(&partial.residues))
+                .collect(),
             activations: activations.clone(),
             stats,
             spurious: tainted,
@@ -499,12 +511,12 @@ pub(crate) fn infer_location(
 /// first, then variables directly reachable from the boundaries of
 /// already-analyzed variables, `res` last.
 fn variable_order(
-    models: &[StackHeapModel],
+    index: &CellIndex<'_>,
     vt: &BTreeMap<Symbol, VarTy>,
     param_order: &[Symbol],
 ) -> Vec<Symbol> {
     let res = Symbol::intern("res");
-    let all_vars: Vec<Symbol> = models[0].stack.vars().collect();
+    let all_vars: Vec<Symbol> = index.models[0].model.stack.vars().collect();
     let pointer = |v: &Symbol| !matches!(vt.get(v), Some(VarTy::Int));
 
     let mut queue: Vec<Symbol> = Vec::new();
@@ -527,6 +539,7 @@ fn variable_order(
     let mut order: Vec<Symbol> = Vec::new();
     let mut boundary_seen: BTreeSet<Symbol> = BTreeSet::new();
     let mut remaining = queue;
+    let full = index.full();
     while !remaining.is_empty() {
         let pick = remaining
             .iter()
@@ -536,9 +549,9 @@ fn variable_order(
         // Record the boundary this variable produces on the *full* models
         // (a cheap approximation: splitting residues mid-loop would give
         // the precise set, but the reachability structure is the same).
-        let split = split_heap(models, v);
+        let split = split_masks(index, &full, v);
         for item in &split.boundary {
-            if let crate::split::BoundaryItem::Var(w) = item {
+            if let BoundaryItem::Var(w) = item {
                 boundary_seen.insert(*w);
             }
         }
@@ -554,7 +567,7 @@ fn variable_order(
 fn scope_free_vars(
     location: Location,
     param_order: &[Symbol],
-    models: &[StackHeapModel],
+    models: &[&StackHeapModel],
 ) -> BTreeSet<Symbol> {
     match location {
         Location::Entry | Location::Exit(_) => {
@@ -810,9 +823,9 @@ mod tests {
         );
         let by_loc = collected.by_location();
         let snaps = &by_loc[&Location::Exit(1)];
-        let models: Vec<StackHeapModel> = snaps.iter().map(|s| s.model.clone()).collect();
-        let vt = var_types(&models);
-        let order = variable_order(&models, &vt, &[sym("x"), sym("y")]);
+        let models: Vec<&StackHeapModel> = snaps.iter().map(|s| &s.model).collect();
+        let vt = var_types(models.iter().copied());
+        let order = variable_order(&CellIndex::new(&models), &vt, &[sym("x"), sym("y")]);
         assert_eq!(order, vec![sym("x"), sym("tmp"), sym("y"), sym("res")]);
     }
 }

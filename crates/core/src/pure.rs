@@ -16,6 +16,7 @@
 //! * equalities among preferred (free) entities are conjoined as pure
 //!   atoms (`res = x`).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use sling_checker::Instantiation;
@@ -52,9 +53,9 @@ impl Entity {
 /// instantiations of `formula`'s existentials (same order), and `prefer`
 /// the variables that may stay free (parameters and `res` at entries and
 /// exits; every stack variable elsewhere).
-pub fn infer_pure(
+pub fn infer_pure<M: Borrow<StackHeapModel>>(
     formula: &SymHeap,
-    models: &[StackHeapModel],
+    models: &[M],
     insts: &[Instantiation],
     prefer: &BTreeSet<Symbol>,
 ) -> SymHeap {
@@ -62,6 +63,7 @@ pub fn infer_pure(
     if models.is_empty() {
         return formula.clone();
     }
+    let models: Vec<&StackHeapModel> = models.iter().map(Borrow::borrow).collect();
 
     // Value vector per entity; an entity qualifies only if it has a value
     // in every model.

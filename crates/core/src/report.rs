@@ -67,7 +67,10 @@ pub struct Invariant {
     pub location: Location,
     /// The formula.
     pub formula: SymHeap,
-    /// Per used model: the heap cells the formula does not cover.
+    /// Per used model (in [`crate::select_models`] order): the heap cells
+    /// the formula does not cover. Inference tracks residues as cell
+    /// masks; these heaps are the only ones it builds, once per reported
+    /// invariant, for frame validation, reports and the wire.
     pub residues: Vec<Heap>,
     /// Per used model: which activation it came from.
     pub activations: Vec<u64>,

@@ -10,7 +10,9 @@
 use std::collections::BTreeSet;
 
 use sling_logic::{Expr, Symbol};
-use sling_models::{traverse, Heap, Loc, StackHeapModel};
+use sling_models::{Heap, Loc, StackHeapModel, Val};
+
+use crate::cells::{CellIndex, Masks};
 
 /// An element of a sub-heap boundary: the `nil` pointer or a stack
 /// variable.
@@ -62,54 +64,109 @@ pub struct Split {
 /// variable whose value lies in the sub-heap or on its rim, and `nil` if
 /// it was reached; the common boundary is the intersection over models.
 ///
+/// Inference runs the same split on cell masks; this builds the heaps.
+///
 /// # Examples
 ///
 /// See the paper's Figure 3: for the root `x` with stack
 /// `{x: 0x01, tmp: 0x02, y: 0x04, res: 0x01}` and the 5-cell heap, the
 /// sub-heap is `{0x01}` and the boundary `{x, res, nil, tmp}`.
 pub fn split_heap(models: &[StackHeapModel], v: Symbol) -> Split {
-    let mut sub_models = Vec::with_capacity(models.len());
-    let mut rest = Vec::with_capacity(models.len());
-    let mut common: Option<BTreeSet<BoundaryItem>> = None;
-
-    for m in models {
-        let root = m.stack.get(v).unwrap_or(sling_models::Val::Nil);
-        // Stop at cells pointed to by other (non-aliasing) stack pointers.
-        let stops: BTreeSet<Loc> = m
-            .stack
+    let index = CellIndex::new(models);
+    let split = split_masks(&index, &index.full(), v);
+    Split {
+        sub_models: index
+            .models
             .iter()
-            .filter(|(w, val)| *w != v && *val != root)
-            .filter_map(|(_, val)| val.as_addr())
-            .collect();
-        let trav = traverse(&m.heap, root, &stops);
-        let sub = m.heap.restrict(&trav.cells);
-        let remaining = m.heap.difference(&sub);
+            .map(|m| StackHeapModel::new(m.model.stack.clone(), m.heap(&split.sub)))
+            .collect(),
+        rest: index.models.iter().map(|m| m.heap(&split.rest)).collect(),
+        boundary: split.boundary,
+    }
+}
+
+/// [`split_heap`] over cell masks: per model, the sub-heap and the rest
+/// of a residue, plus the common boundary.
+#[derive(Debug)]
+pub(crate) struct MaskSplit {
+    pub(crate) sub: Masks,
+    pub(crate) rest: Masks,
+    pub(crate) boundary: BTreeSet<BoundaryItem>,
+}
+
+/// [`split_heap`] of the heaps `residues` selects from the index. A cell
+/// outside the mask counts as unallocated (dangling), exactly as a cell
+/// missing from a residue heap does.
+pub(crate) fn split_masks(index: &CellIndex<'_>, residues: &Masks, v: Symbol) -> MaskSplit {
+    let mut sub = index.empty();
+    let mut common: Option<BTreeSet<BoundaryItem>> = None;
+    let mut stops: Vec<Loc> = Vec::new();
+    let mut hit_stops: Vec<Loc> = Vec::new();
+    let mut work: Vec<Val> = Vec::new();
+
+    for m in &index.models {
+        let stack = &m.model.stack;
+        let root = stack.get(v).unwrap_or(Val::Nil);
+        // Stop at cells pointed to by other (non-aliasing) stack pointers.
+        stops.clear();
+        stops.extend(
+            stack
+                .iter()
+                .filter(|(w, val)| *w != v && *val != root)
+                .filter_map(|(_, val)| val.as_addr()),
+        );
+        // Depth-first from the root; a stop is recorded, not entered.
+        hit_stops.clear();
+        let mut saw_nil = false;
+        work.push(root);
+        while let Some(val) = work.pop() {
+            let loc = match val {
+                Val::Nil => {
+                    saw_nil = true;
+                    continue;
+                }
+                Val::Int(_) => continue,
+                Val::Addr(loc) => loc,
+            };
+            if stops.contains(&loc) {
+                if !hit_stops.contains(&loc) {
+                    hit_stops.push(loc);
+                }
+                continue;
+            }
+            let Some(i) = m.slot(loc).filter(|&i| m.has(residues, i)) else {
+                continue; // dangling
+            };
+            if m.has(&sub, i) {
+                continue; // visited
+            }
+            m.set(&mut sub, i);
+            // Reverse field order, so fields are visited left to right.
+            work.extend(m.cells[i].1.fields.iter().rev().filter(|f| f.is_pointer()));
+        }
 
         let mut boundary: BTreeSet<BoundaryItem> = BTreeSet::new();
         boundary.insert(BoundaryItem::Var(v));
-        if trav.saw_nil {
+        if saw_nil {
             boundary.insert(BoundaryItem::Nil);
         }
-        let rim: BTreeSet<Loc> = trav.cells.union(&trav.hit_stops).copied().collect();
-        for (w, val) in m.stack.iter() {
+        for (w, val) in stack.iter() {
             if let Some(loc) = val.as_addr() {
-                if rim.contains(&loc) {
+                let in_sub = m.slot(loc).is_some_and(|i| m.has(&sub, i));
+                if in_sub || hit_stops.contains(&loc) {
                     boundary.insert(BoundaryItem::Var(w));
                 }
             }
         }
-
         common = Some(match common {
             None => boundary,
             Some(acc) => acc.intersection(&boundary).copied().collect(),
         });
-        sub_models.push(StackHeapModel::new(m.stack.clone(), sub));
-        rest.push(remaining);
     }
 
-    Split {
-        sub_models,
-        rest,
+    MaskSplit {
+        rest: residues.minus(&sub),
+        sub,
         boundary: common.unwrap_or_default(),
     }
 }
@@ -117,7 +174,9 @@ pub fn split_heap(models: &[StackHeapModel], v: Symbol) -> Split {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sling_models::{Heap, HeapCell, Loc, Stack, Val};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sling_models::{traverse, Heap, HeapCell, Loc, Stack, Val};
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -204,6 +263,74 @@ mod tests {
             split_tmp.boundary, expect,
             "paper: boundary of tmp is {{tmp, x, res, y}}"
         );
+    }
+
+    /// A random model over two-field cells at addresses `1..=10` whose
+    /// fields and stack variables point into the heap, past it or to nil.
+    fn random_model(rng: &mut StdRng) -> StackHeapModel {
+        let val = |rng: &mut StdRng| match rng.gen_range(0..5) {
+            0 => Val::Nil,
+            _ => Val::Addr(l(rng.gen_range(1..=12u64))),
+        };
+        let mut heap = Heap::new();
+        for raw in 1..=10u64 {
+            if rng.gen_bool(0.7) {
+                heap.insert(l(raw), dcell(val(rng), val(rng)));
+            }
+        }
+        let mut stack = Stack::new();
+        for v in ["x", "y", "z"] {
+            stack.bind(sym(v), val(rng));
+        }
+        stack.bind(sym("k"), Val::Int(3));
+        StackHeapModel::new(stack, heap)
+    }
+
+    #[test]
+    fn masked_split_of_a_residue_equals_split_heap_of_the_residue_heaps() {
+        // Inference splits residues as masks over the full models' cells;
+        // a cell outside the mask must act as dangling, exactly as a cell
+        // missing from a residue heap does (`tmp_split_on_residue`).
+        let mut rng = StdRng::seed_from_u64(0x5b117);
+        for round in 0..300 {
+            let models: Vec<StackHeapModel> = (0..rng.gen_range(1..=3usize))
+                .map(|_| random_model(&mut rng))
+                .collect();
+            let index = CellIndex::new(&models);
+            let mut residues = index.empty();
+            for m in &index.models {
+                for i in 0..m.cells.len() {
+                    if rng.gen_bool(0.7) {
+                        m.set(&mut residues, i);
+                    }
+                }
+            }
+            let residue_models: Vec<StackHeapModel> = index
+                .models
+                .iter()
+                .map(|m| StackHeapModel::new(m.model.stack.clone(), m.heap(&residues)))
+                .collect();
+            for v in ["x", "y", "z"].map(sym) {
+                let masked = split_masks(&index, &residues, v);
+                let heaps = split_heap(&residue_models, v);
+                assert_eq!(masked.boundary, heaps.boundary, "round {round}: {v}");
+                for (k, m) in index.models.iter().enumerate() {
+                    let sub = &heaps.sub_models[k].heap;
+                    assert_eq!(&m.heap(&masked.sub), sub, "round {round}: {v}");
+                    assert_eq!(m.heap(&masked.rest), heaps.rest[k], "round {round}: {v}");
+                    // The sub-heap is the traversal of the residue heap.
+                    let stack = &m.model.stack;
+                    let root = stack.get(v).unwrap_or(Val::Nil);
+                    let stops = stack
+                        .iter()
+                        .filter(|(w, val)| *w != v && *val != root)
+                        .filter_map(|(_, val)| val.as_addr())
+                        .collect();
+                    let trav = traverse(&residue_models[k].heap, root, &stops);
+                    assert_eq!(sub.domain(), trav.cells, "round {round}: {v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use sling::{wire, AnalysisRequest, Engine, InputSpec, Report, ValueSpec};
+use sling::{wire, AnalysisRequest, Engine, ExactCell, InputSpec, Report, ValueSpec};
+use sling_logic::Symbol;
 use sling_serve::{Client, ServeError, ServeOptions, Service};
 use sling_suite::fixtures::ListCorpus;
 
@@ -244,6 +245,34 @@ fn malformed_frames_get_typed_errors_not_dropped_connections() {
         client.analyze_all(std::slice::from_ref(&custom)),
         Err(ServeError::Wire(wire::WireError::Unsupported(_)))
     ));
+    service.shutdown().expect("graceful drain");
+}
+
+#[test]
+fn exact_cells_that_do_not_fit_get_an_error_frame_and_the_connection_survives() {
+    let corpus = ListCorpus::new("ServeExactNode");
+    let engine = corpus_engine(&corpus).build().expect("engine builds");
+    let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
+    let mut client = Client::connect(service.local_addr()).expect("client connects");
+
+    // No fields for a two-field node: `reverse` reads `next` of it.
+    let short = ExactCell {
+        ty: Symbol::intern(corpus.node()),
+        fields: Vec::new(),
+    };
+    let bad =
+        AnalysisRequest::new("reverse").input(InputSpec::new().arg(ValueSpec::exact(vec![short])));
+    match client.analyze_all(std::slice::from_ref(&bad)) {
+        Err(ServeError::Remote(message)) => {
+            assert!(message.contains("exact input cell"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The same connection still serves a good batch.
+    let good = client
+        .analyze_all(&corpus.batch(1))
+        .expect("good batch after the error");
+    assert_eq!(good.reports.len(), 4);
     service.shutdown().expect("graceful drain");
 }
 
