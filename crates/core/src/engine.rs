@@ -187,6 +187,22 @@ pub enum AnalyzeError {
         /// declared.
         declared: Option<usize>,
     },
+    /// A list or tree layout ([`ValueSpec::List`], [`ValueSpec::Tree`])
+    /// does not fit the program: its type is not a declared structure,
+    /// its `nfields` differs from the declaration, or a field role
+    /// (`next`, `left`, ...) is not below `nfields`.
+    BadLayout {
+        /// The layout's type.
+        ty: Symbol,
+        /// The layout's field count.
+        nfields: usize,
+        /// The declaration's field count; `None` when `ty` is not
+        /// declared.
+        declared: Option<usize>,
+        /// The first role whose index is not below `nfields`, and that
+        /// index.
+        role: Option<(&'static str, usize)>,
+    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -213,6 +229,21 @@ impl fmt::Display for AnalyzeError {
                 "exact input cell of type `{ty}` has {fields} field(s), \
                  but the structure declares {declared}"
             ),
+            AnalyzeError::BadLayout {
+                ty,
+                nfields,
+                declared,
+                role,
+            } => {
+                write!(f, "input layout of type `{ty}` ({nfields} field(s)): ")?;
+                match (declared, role) {
+                    (None, _) => write!(f, "no such structure in the engine's program"),
+                    (Some(_), Some((name, index))) if *declared == Some(*nfields) => {
+                        write!(f, "its `{name}` field {index} is past the last field")
+                    }
+                    (Some(declared), _) => write!(f, "the structure declares {declared}"),
+                }
+            }
         }
     }
 }
@@ -641,9 +672,10 @@ impl Engine {
     }
 
     /// Checks that a request fits the program: its target is a function,
-    /// and every cell of an exact input shape has a declared structure
-    /// type with the declared number of fields (trace collection indexes
-    /// fields by the declaration).
+    /// every cell of an exact input shape and every list or tree layout
+    /// has a declared structure type with the declared number of fields,
+    /// and every layout role indexes one of those fields (input building
+    /// and trace collection index fields by the declaration).
     fn validate(&self, request: &AnalysisRequest) -> Result<(), AnalyzeError> {
         if self.program.func(request.target).is_none() {
             return Err(AnalyzeError::UnknownTarget(request.target));
@@ -653,21 +685,62 @@ impl Engine {
             InputSource::Custom(_) => None,
         });
         for spec in specs.flatten() {
-            let ValueSpec::Exact { cells } = spec else {
-                continue;
-            };
-            for cell in cells {
-                let declared = self.types.get(cell.ty).map(|def| def.fields.len());
-                if declared != Some(cell.fields.len()) {
-                    return Err(AnalyzeError::BadExactCell {
-                        ty: cell.ty,
-                        fields: cell.fields.len(),
-                        declared,
-                    });
+            match spec {
+                ValueSpec::Exact { cells } => {
+                    for cell in cells {
+                        let declared = self.types.get(cell.ty).map(|def| def.fields.len());
+                        if declared != Some(cell.fields.len()) {
+                            return Err(AnalyzeError::BadExactCell {
+                                ty: cell.ty,
+                                fields: cell.fields.len(),
+                                declared,
+                            });
+                        }
+                    }
                 }
+                ValueSpec::List { layout: l, .. } => self.check_layout(
+                    l.ty,
+                    l.nfields,
+                    &[("next", Some(l.next)), ("prev", l.prev), ("data", l.data)],
+                )?,
+                ValueSpec::Tree { layout: l, .. } => self.check_layout(
+                    l.ty,
+                    l.nfields,
+                    &[
+                        ("left", Some(l.left)),
+                        ("right", Some(l.right)),
+                        ("parent", l.parent),
+                        ("data", l.data),
+                        ("color", l.color),
+                    ],
+                )?,
+                ValueSpec::Nil | ValueSpec::Int(_) | ValueSpec::IntIn(..) => {}
             }
         }
         Ok(())
+    }
+
+    /// The layout half of [`Engine::validate`]: `ty` is declared with
+    /// `nfields` fields, and every present role index is below `nfields`.
+    fn check_layout(
+        &self,
+        ty: Symbol,
+        nfields: usize,
+        roles: &[(&'static str, Option<usize>)],
+    ) -> Result<(), AnalyzeError> {
+        let declared = self.types.get(ty).map(|def| def.fields.len());
+        let role = roles
+            .iter()
+            .find_map(|&(name, index)| index.filter(|&i| i >= nfields).map(|i| (name, i)));
+        if declared == Some(nfields) && role.is_none() {
+            return Ok(());
+        }
+        Err(AnalyzeError::BadLayout {
+            ty,
+            nfields,
+            declared,
+            role,
+        })
     }
 
     /// Runs one (pre-validated) request with `workers` threads available
@@ -831,6 +904,7 @@ mod tests {
     use std::sync::Mutex;
 
     use crate::spec::{ExactCell, ExactVal, InputSpec};
+    use sling_lang::{ListLayout, TreeKind, TreeLayout};
 
     const SRC: &str = "
         struct TNode { next: TNode*; data: int; }
@@ -1129,6 +1203,127 @@ mod tests {
             fields: vec![ExactVal::Nil, ExactVal::Int(4)],
         });
         assert_eq!(engine.analyze(&good).unwrap().metrics.faulted_runs, 0);
+    }
+
+    #[test]
+    fn list_and_tree_layouts_must_fit_their_declaration() {
+        // Each bad layout used to panic input building or trace
+        // collection (an index out of bounds on a field vector), or to
+        // feed inference cells its structure does not declare.
+        let engine = Engine::builder()
+            .program_source(
+                "struct LNode { next: LNode*; data: int; }
+                 struct BNode { left: BNode*; right: BNode*; key: int; }
+                 fn list_sum(x: LNode*) -> int {
+                     var s: int = 0;
+                     while @w (x != null) { s = s + x->data; x = x->next; }
+                     return s;
+                 }
+                 fn leftmost_key(t: BNode*) -> int {
+                     while @w (t->left != null) { t = t->left; }
+                     return t->key;
+                 }",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let (lnode, bnode) = (Symbol::intern("LNode"), Symbol::intern("BNode"));
+        let list = ListLayout {
+            ty: lnode,
+            nfields: 2,
+            next: 0,
+            prev: None,
+            data: Some(1),
+        };
+        let tree = TreeLayout {
+            ty: bnode,
+            nfields: 3,
+            left: 0,
+            right: 1,
+            parent: None,
+            data: Some(2),
+            color: None,
+        };
+        let analyze = |target: &str, spec: ValueSpec| {
+            engine.analyze(&AnalysisRequest::new(target).input(InputSpec::seeded(3).arg(spec)))
+        };
+        let bad = |ty, nfields, declared, role| AnalyzeError::BadLayout {
+            ty,
+            nfields,
+            declared,
+            role,
+        };
+        let cases = [
+            (
+                "list_sum",
+                ValueSpec::sll(ListLayout { next: 5, ..list }, 4),
+                bad(lnode, 2, Some(2), Some(("next", 5))),
+            ),
+            (
+                "list_sum",
+                ValueSpec::sll(
+                    ListLayout {
+                        nfields: 1,
+                        data: None,
+                        ..list
+                    },
+                    4,
+                ),
+                bad(lnode, 1, Some(2), None),
+            ),
+            (
+                "list_sum",
+                ValueSpec::dll(
+                    ListLayout {
+                        prev: Some(1),
+                        data: Some(2),
+                        ..list
+                    },
+                    4,
+                ),
+                bad(lnode, 2, Some(2), Some(("data", 2))),
+            ),
+            (
+                "list_sum",
+                ValueSpec::sll(
+                    ListLayout {
+                        ty: Symbol::intern("NoSuchNode"),
+                        ..list
+                    },
+                    4,
+                ),
+                bad(Symbol::intern("NoSuchNode"), 2, None, None),
+            ),
+            (
+                "leftmost_key",
+                ValueSpec::tree(TreeLayout { right: 7, ..tree }, 5, TreeKind::Random),
+                bad(bnode, 3, Some(3), Some(("right", 7))),
+            ),
+            (
+                "leftmost_key",
+                ValueSpec::tree(
+                    TreeLayout {
+                        nfields: 2,
+                        data: None,
+                        ..tree
+                    },
+                    5,
+                    TreeKind::Random,
+                ),
+                bad(bnode, 2, Some(3), None),
+            ),
+        ];
+        for (target, spec, expected) in cases {
+            assert_eq!(analyze(target, spec).unwrap_err(), expected);
+        }
+        let message = bad(lnode, 2, Some(2), Some(("next", 5))).to_string();
+        assert!(message.contains("`next` field 5"), "{message}");
+
+        // The layouts they were bent from fit.
+        let report = analyze("list_sum", ValueSpec::sll(list, 4)).unwrap();
+        assert_eq!(report.metrics.faulted_runs, 0);
+        let report = analyze("leftmost_key", ValueSpec::tree(tree, 5, TreeKind::Bst)).unwrap();
+        assert_eq!(report.metrics.faulted_runs, 0);
     }
 
     #[test]

@@ -134,7 +134,6 @@ pub mod request;
 pub mod spec;
 mod split;
 mod validate;
-pub mod wire;
 
 pub use collect::{collect_models, Collected, Executor, RunTrace};
 pub use engine::{
@@ -155,11 +154,12 @@ pub use sling_analysis::{
 pub use spec::{ExactCell, ExactVal, InputSpec, ValueSpec};
 pub use split::{split_heap, BoundaryItem, Split};
 pub use validate::validate_frame;
-pub use wire::WireError;
 
-// Re-exported so spec construction, cache persistence, and verification
-// need no direct `sling_lang` / `sling_checker` import.
+// Re-exported so spec construction, report reading, cache persistence,
+// and verification need no direct `sling_lang` / `sling_models` /
+// `sling_checker` import.
 pub use sling_checker::{persist, CacheStats, CheckCache, EnvProfile, MergeStats, PersistError};
 pub use sling_checker::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};
-pub use sling_lang::{DataOrder, ListLayout, TreeKind, TreeLayout};
+pub use sling_lang::{DataOrder, ListLayout, Location, TreeKind, TreeLayout};
+pub use sling_models::{Heap, HeapCell, Loc, Val};
 pub use sling_vm::{BytecodeVm, CompiledProgram, Compiler};

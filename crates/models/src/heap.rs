@@ -44,21 +44,6 @@ impl fmt::Display for HeapCell {
     }
 }
 
-/// Error from [`Heap::union`] when the operands overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlapError {
-    /// A location present in both heaps.
-    pub loc: Loc,
-}
-
-impl fmt::Display for OverlapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "heaps overlap at {}", self.loc)
-    }
-}
-
-impl std::error::Error for OverlapError {}
-
 /// A heap model `h : Loc ⇀ (Type × Val*)`.
 ///
 /// Deterministic iteration order (sorted by location) keeps the whole
@@ -143,46 +128,6 @@ impl Heap {
         small.cells.keys().all(|l| !large.contains(*l))
     }
 
-    /// Disjoint union `h1 ∘ h2`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlapError`] if the domains overlap.
-    pub fn union(&self, other: &Heap) -> Result<Heap, OverlapError> {
-        let mut out = self.clone();
-        for (l, c) in other.iter() {
-            if out.insert(l, c.clone()).is_some() {
-                return Err(OverlapError { loc: l });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Heap difference `h1 \ h2`: the cells of `self` whose locations are
-    /// not in `other`.
-    pub fn difference(&self, other: &Heap) -> Heap {
-        Heap {
-            cells: self
-                .cells
-                .iter()
-                .filter(|(l, _)| !other.contains(**l))
-                .map(|(l, c)| (*l, c.clone()))
-                .collect(),
-        }
-    }
-
-    /// The sub-heap of `self` restricted to `locs`.
-    pub fn restrict(&self, locs: &BTreeSet<Loc>) -> Heap {
-        Heap {
-            cells: self
-                .cells
-                .iter()
-                .filter(|(l, _)| locs.contains(l))
-                .map(|(l, c)| (*l, c.clone()))
-                .collect(),
-        }
-    }
-
     /// True if every cell of `self` is also (identically) in `other`
     /// (`h' ⊆ h` of Definition 2).
     pub fn subheap_of(&self, other: &Heap) -> bool {
@@ -244,37 +189,34 @@ mod tests {
 
     #[test]
     fn union_disjoint() {
+        // Disjoint heaps (`h1 # h2`) compose by extension into `h1 ∘ h2`;
+        // heaps sharing a location are not disjoint.
         let mut a = Heap::new();
         a.insert(l(1), cell(Val::Addr(l(2))));
         let mut b = Heap::new();
         b.insert(l(2), cell(Val::Nil));
-        assert!(a.disjoint(&b));
-        let u = a.union(&b).unwrap();
+        assert!(a.disjoint(&b) && b.disjoint(&a));
+        let mut u = a.clone();
+        u.extend(b.iter().map(|(loc, c)| (loc, c.clone())));
         assert_eq!(u.len(), 2);
+        assert!(a.subheap_of(&u) && b.subheap_of(&u));
+        assert!(!u.disjoint(&a));
     }
 
     #[test]
     fn union_overlap_errors() {
+        // Heaps sharing a location are not disjoint, so `h1 ∘ h2` is
+        // undefined: extending one by the other collides at that location.
         let mut a = Heap::new();
         a.insert(l(1), cell(Val::Nil));
         let mut b = Heap::new();
         b.insert(l(1), cell(Val::Nil));
-        assert!(!a.disjoint(&b));
-        assert_eq!(a.union(&b).unwrap_err().loc, l(1));
-    }
-
-    #[test]
-    fn difference_and_restrict() {
-        let mut a = Heap::new();
-        a.insert(l(1), cell(Val::Nil));
-        a.insert(l(2), cell(Val::Nil));
-        a.insert(l(3), cell(Val::Nil));
-        let mut b = Heap::new();
-        b.insert(l(2), cell(Val::Nil));
-        let d = a.difference(&b);
-        assert_eq!(d.domain(), [l(1), l(3)].into_iter().collect());
-        let r = a.restrict(&[l(3)].into_iter().collect());
-        assert_eq!(r.domain(), [l(3)].into_iter().collect());
+        assert!(!a.disjoint(&b) && !b.disjoint(&a));
+        let collisions: Vec<Loc> = b
+            .iter()
+            .filter_map(|(loc, c)| a.insert(loc, c.clone()).map(|_| loc))
+            .collect();
+        assert_eq!(collisions, [l(1)]);
     }
 
     #[test]

@@ -35,8 +35,8 @@ mod reach;
 mod stack;
 mod value;
 
-pub use heap::{Heap, HeapCell, OverlapError};
-pub use model::{ModelSeq, StackHeapModel};
+pub use heap::{Heap, HeapCell};
+pub use model::StackHeapModel;
 pub use reach::{reachable, traverse, Traversal};
 pub use stack::Stack;
 pub use value::{Loc, Val};

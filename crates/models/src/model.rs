@@ -1,13 +1,12 @@
-//! Stack-heap models and sequences of them.
+//! Stack-heap models.
 //!
 //! A *stack-heap model* `(s, h)` is the paper's notion of a concrete trace
-//! at a location (§3, Semantics). SLING operates on *sequences* of models
-//! (one per test execution reaching the location) with pointwise heap union
-//! `⊕` and difference `\` (§3).
+//! at a location (§3, Semantics). SLING operates on the models of every
+//! test execution reaching the location.
 
 use std::fmt;
 
-use crate::heap::{Heap, OverlapError};
+use crate::heap::Heap;
 use crate::stack::Stack;
 
 /// One concrete trace: a stack model paired with a heap model.
@@ -29,139 +28,5 @@ impl StackHeapModel {
 impl fmt::Display for StackHeapModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨{}, {}⟩", self.stack, self.heap)
-    }
-}
-
-/// A sequence of stack-heap models `(sᵢ, hᵢ)ⁿᵢ₌₁` collected at one location.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ModelSeq {
-    /// The models, in collection order.
-    pub models: Vec<StackHeapModel>,
-}
-
-impl ModelSeq {
-    /// An empty sequence.
-    pub fn new() -> ModelSeq {
-        ModelSeq::default()
-    }
-
-    /// Number of models.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// True if there are no models.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
-    /// Iterates over the models.
-    pub fn iter(&self) -> impl Iterator<Item = &StackHeapModel> {
-        self.models.iter()
-    }
-
-    /// Pointwise heap union `(sᵢ,hᵢ) ⊕ (sᵢ,h'ᵢ) = (sᵢ, hᵢ ∘ h'ᵢ)`.
-    ///
-    /// The stacks of `other` are ignored (the paper's operator requires the
-    /// same stacks; callers pair sequences originating from the same
-    /// snapshots).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlapError`] if any pair of heaps overlaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequences have different lengths.
-    pub fn heap_union(&self, other: &ModelSeq) -> Result<ModelSeq, OverlapError> {
-        assert_eq!(self.len(), other.len(), "⊕ needs sequences of equal length");
-        let mut out = Vec::with_capacity(self.len());
-        for (a, b) in self.models.iter().zip(&other.models) {
-            out.push(StackHeapModel::new(a.stack.clone(), a.heap.union(&b.heap)?));
-        }
-        Ok(ModelSeq { models: out })
-    }
-
-    /// Pointwise heap difference `(sᵢ,hᵢ) \ (sᵢ,h'ᵢ) = (sᵢ, hᵢ \ h'ᵢ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequences have different lengths.
-    pub fn heap_difference(&self, other: &ModelSeq) -> ModelSeq {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "\\ needs sequences of equal length"
-        );
-        ModelSeq {
-            models: self
-                .models
-                .iter()
-                .zip(&other.models)
-                .map(|(a, b)| StackHeapModel::new(a.stack.clone(), a.heap.difference(&b.heap)))
-                .collect(),
-        }
-    }
-}
-
-impl FromIterator<StackHeapModel> for ModelSeq {
-    fn from_iter<T: IntoIterator<Item = StackHeapModel>>(iter: T) -> ModelSeq {
-        ModelSeq {
-            models: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl IntoIterator for ModelSeq {
-    type Item = StackHeapModel;
-    type IntoIter = std::vec::IntoIter<StackHeapModel>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.models.into_iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::heap::HeapCell;
-    use crate::value::{Loc, Val};
-    use sling_logic::Symbol;
-
-    fn model(locs: &[u64]) -> StackHeapModel {
-        let mut h = Heap::new();
-        for &n in locs {
-            h.insert(
-                Loc::new(n),
-                HeapCell::new(Symbol::intern("N"), vec![Val::Nil]),
-            );
-        }
-        StackHeapModel::new(Stack::new(), h)
-    }
-
-    #[test]
-    fn union_and_difference_are_pointwise() {
-        let a: ModelSeq = vec![model(&[1]), model(&[2])].into_iter().collect();
-        let b: ModelSeq = vec![model(&[3]), model(&[4])].into_iter().collect();
-        let u = a.heap_union(&b).unwrap();
-        assert_eq!(u.models[0].heap.len(), 2);
-        let d = u.heap_difference(&b);
-        assert_eq!(d.models[0].heap.domain(), model(&[1]).heap.domain());
-        assert_eq!(d.models[1].heap.domain(), model(&[2]).heap.domain());
-    }
-
-    #[test]
-    fn union_detects_overlap() {
-        let a: ModelSeq = vec![model(&[1])].into_iter().collect();
-        let b: ModelSeq = vec![model(&[1])].into_iter().collect();
-        assert!(a.heap_union(&b).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn union_length_mismatch_panics() {
-        let a: ModelSeq = vec![model(&[1])].into_iter().collect();
-        let b = ModelSeq::new();
-        let _ = a.heap_union(&b);
     }
 }

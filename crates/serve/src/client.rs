@@ -5,11 +5,12 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use sling::wire::WireError;
 use sling::{AnalysisRequest, BatchReport, Diagnostics, Report};
 
 use crate::backoff::{jitter_seed, retry_delay};
-use crate::proto::{ClientFrame, FrameBuffer, PoolStats, ProgramUpload, ServerFrame, VerifyTotals};
+use crate::proto::{
+    ClientFrame, FrameBuffer, PoolStats, ProgramUpload, ServerFrame, VerifyTotals, WireError,
+};
 
 /// Why a served analysis failed on the client side.
 #[derive(Debug)]

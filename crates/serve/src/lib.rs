@@ -15,14 +15,14 @@
 //!
 //! Four layers:
 //!
-//! * [`proto`] — the frame grammar: `analyze` requests (optionally
-//!   carrying a [`ProgramUpload`]) in, streamed `report` frames plus a
-//!   `done` epilogue (with [`PoolStats`]) out, all built on the
-//!   hand-rolled [`sling::wire`] codec (no serde; the build is
-//!   offline).
-//! * [`EnginePool`] — the tenancy layer: fingerprint-keyed LRU of
-//!   built engines, one build per distinct upload, typed build
-//!   failures that never poison a slot.
+//! * [`proto`] — the protocol: `analyze` requests (optionally carrying
+//!   a [`ProgramUpload`]) in, streamed `report` frames plus a `done`
+//!   epilogue (with [`PoolStats`]) out. It owns the whole `sling8`
+//!   grammar and the hand-rolled text codec behind it (no serde; the
+//!   build is offline), which is private: peers exchange frames.
+//! * [`EnginePool`] — the tenancy layer: an LRU of built engines keyed
+//!   by upload, one build per distinct upload, typed build failures
+//!   that never poison a slot.
 //! * [`Service`] — the server: binds a listener, fans connections out
 //!   over handler threads, resolves each batch's tenant, answers it
 //!   through
@@ -86,6 +86,7 @@ mod client;
 mod pool;
 pub mod proto;
 mod service;
+mod wire;
 
 pub use client::{Client, ServeError};
 pub use pool::{fingerprint, EnginePool, PoolError, PoolSettings};

@@ -15,8 +15,12 @@
 //! used engine is evicted (its entailment cache and compiled chunks go
 //! with it; a returning tenant rebuilds and counts a miss).
 //!
+//! Slots are keyed by the upload itself, hashed by its [`fingerprint`]:
+//! two uploads whose fingerprints collide still compare their sources,
+//! so they never share an engine.
+//!
 //! Concurrency contract: at most one build runs per distinct upload —
-//! a second batch arriving for the same fingerprint mid-build waits on
+//! a second batch arriving for the same upload mid-build waits on
 //! a condvar rather than duplicating the build. Builds run *outside*
 //! the pool lock, so a slow typecheck never blocks hits on other
 //! tenants. A failed build removes its in-flight marker and wakes the
@@ -25,6 +29,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -92,8 +97,8 @@ impl std::error::Error for PoolError {}
 /// One pool slot: an engine being built, or built and ready.
 #[derive(Debug)]
 enum Slot {
-    /// A build for this fingerprint is in flight on some thread; wait
-    /// on the condvar.
+    /// A build for this upload is in flight on some thread; wait on the
+    /// condvar.
     Building,
     /// Built and servable.
     Ready {
@@ -105,7 +110,7 @@ enum Slot {
 
 #[derive(Debug)]
 struct Inner {
-    slots: HashMap<u64, Slot>,
+    slots: HashMap<ProgramUpload, Slot>,
     /// Monotonic logical clock advanced on every touch; drives LRU
     /// eviction without wall-clock reads.
     clock: u64,
@@ -178,13 +183,11 @@ impl EnginePool {
         let Some(upload) = upload else {
             return self.default.clone().ok_or(PoolError::NoDefault);
         };
-        let key = fingerprint(upload);
-
         let mut inner = self.inner.lock().expect("engine pool");
         loop {
             inner.clock += 1;
             let now = inner.clock;
-            let waiting = match inner.slots.get_mut(&key) {
+            let waiting = match inner.slots.get_mut(upload) {
                 Some(Slot::Ready { engine, last_used }) => {
                     *last_used = now;
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -196,7 +199,7 @@ impl EnginePool {
             if waiting {
                 inner = self.built.wait(inner).expect("engine pool");
             } else {
-                inner.slots.insert(key, Slot::Building);
+                inner.slots.insert(upload.clone(), Slot::Building);
                 break;
             }
         }
@@ -213,20 +216,20 @@ impl EnginePool {
                 inner.clock += 1;
                 let now = inner.clock;
                 inner.slots.insert(
-                    key,
+                    upload.clone(),
                     Slot::Ready {
                         engine: Arc::clone(&engine),
                         last_used: now,
                     },
                 );
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.evict_over_capacity(&mut inner, key);
+                self.evict_over_capacity(&mut inner, upload);
                 Ok(engine)
             }
             Err(e) => {
-                // Remove the in-flight marker so the fingerprint can be
+                // Remove the in-flight marker so the upload can be
                 // retried; a failed build must not poison the slot.
-                inner.slots.remove(&key);
+                inner.slots.remove(upload);
                 Err(PoolError::Build(e))
             }
         };
@@ -238,7 +241,7 @@ impl EnginePool {
     /// Evicts least-recently-used ready engines until at most
     /// `capacity` remain, never evicting `keep` (the slot just
     /// inserted) or in-flight builds.
-    fn evict_over_capacity(&self, inner: &mut Inner, keep: u64) {
+    fn evict_over_capacity(&self, inner: &mut Inner, keep: &ProgramUpload) {
         loop {
             let ready = inner
                 .slots
@@ -251,13 +254,13 @@ impl EnginePool {
             let victim = inner
                 .slots
                 .iter()
-                .filter(|(k, _)| **k != keep)
+                .filter(|(k, _)| *k != keep)
                 .filter_map(|(k, slot)| match slot {
-                    Slot::Ready { last_used, .. } => Some((*k, *last_used)),
+                    Slot::Ready { last_used, .. } => Some((k, *last_used)),
                     Slot::Building => None,
                 })
                 .min_by_key(|(_, last_used)| *last_used)
-                .map(|(k, _)| k);
+                .map(|(k, _)| k.clone());
             let Some(victim) = victim else { return };
             inner.slots.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -303,7 +306,7 @@ impl EnginePool {
 }
 
 /// FNV-1a over program source, a separator, and predicate source: the
-/// pool key. A 64-bit content hash — no canonicalization, so the same
+/// pool's hash. A 64-bit content hash — no canonicalization, so the same
 /// sources with different whitespace are distinct tenants (correct:
 /// byte-identical uploads are the reuse contract a client can reason
 /// about).
@@ -319,6 +322,16 @@ pub fn fingerprint(upload: &ProgramUpload) -> u64 {
     eat(&[0xff]); // program/predicates boundary, not a valid UTF-8 byte
     eat(upload.predicates.as_bytes());
     hash
+}
+
+/// Hashes an upload by its [`fingerprint`], so a pool lookup hashes the
+/// sources once and compares them only against slots of equal hash.
+/// Uploads crafted to collide cost at most one source comparison per
+/// resident engine: the pool holds at most its capacity.
+impl Hash for ProgramUpload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(fingerprint(self));
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +365,40 @@ mod tests {
         };
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
+    }
+
+    #[test]
+    fn uploads_with_equal_fingerprints_get_their_own_engines() {
+        // Two valid uploads whose fingerprints collide (found by a
+        // Pollard-rho search over the trailing comment): B returns nil,
+        // A returns its argument.
+        let program = |ret: &str| {
+            format!("struct N {{ next: N*; }}\nfn f(x: N*) -> N* {{ return {ret}; }}\n")
+        };
+        let predicates = |tag: &str| {
+            format!(
+                "pred p(x: N*) := emp & x == nil | exists u. x -> N{{next: u}} * p(u);\n// {tag}"
+            )
+        };
+        let a = ProgramUpload {
+            program: program("x"),
+            predicates: predicates("785c465af365e6fe"),
+        };
+        let b = ProgramUpload {
+            program: program("null"),
+            predicates: predicates("85cfa8d754d14da3"),
+        };
+        assert_eq!(fingerprint(&a), 0x5772_220b_a168_1662);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+
+        let pool = EnginePool::new(None, 4, PoolSettings::default());
+        let ea = pool.resolve(Some(&a)).expect("a builds");
+        let eb = pool.resolve(Some(&b)).expect("b builds");
+        assert!(!Arc::ptr_eq(&ea, &eb), "b must not be served by a's engine");
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.resident), (0, 2, 2));
+        assert!(Arc::ptr_eq(&ea, &pool.resolve(Some(&a)).expect("a hits")));
+        assert!(Arc::ptr_eq(&eb, &pool.resolve(Some(&b)).expect("b hits")));
     }
 
     #[test]

@@ -1,153 +1,17 @@
-//! The versioned text wire codec for requests and reports.
-//!
-//! The analysis service (`sling-serve`) moves [`AnalysisRequest`]s and
-//! [`Report`]s between processes as newline-delimited text frames. The
-//! build environment is offline (no serde), so this module hand-rolls a
-//! small, versioned, line-oriented codec: every frame is one line of
-//! space-separated tokens, opened by the protocol tag [`WIRE_VERSION`]
-//! and a frame kind, followed by the typed payload.
-//!
-//! # Grammar (version `sling8`)
-//!
-//! ```text
-//! frame      := "sling8" SP kind SP payload          ; one line, LF-terminated on the wire
-//! token      := atom | string | integer
-//! atom       := [^ "\n]+                             ; bare word (tags, numbers)
-//! string     := '"' escaped* '"'                     ; \\ \" \n \r \t escapes
-//!
-//! valuespec  := "nil" | "int" i64 | "intin" i64 i64
-//!             | "list" listlayout len:u64 order circular:bool
-//!             | "tree" treelayout size:u64 treekind
-//!             | "exact" ncells:u64 exactcell*
-//! listlayout := ty:string nfields:u64 next:u64 opt opt       ; prev, data
-//! treelayout := ty:string nfields:u64 left:u64 right:u64 opt opt opt ; parent, data, color
-//! exactcell  := ty:string nfields:u64 exactval*
-//! exactval   := "nil" | "i" i64 | "c" idx:u64               ; c = intra-shape cell index
-//! opt        := "-" | u64
-//! order      := "rand" | "sorted" | "rev"
-//! treekind   := "rand" | "bst" | "bal" | "rb"
-//! bool       := "t" | "f"
-//!
-//! config     := node_budget:u64 fuel_slack:u64               ; checker limits
-//!               results_per_var:u64 cands_per_pred:u64 nonvacuous:bool
-//!               results_per_loc:u64 dedupe:bool models_per_loc:u64
-//!               vm_steps:u64 vm_depth:u64 observe_freed:bool
-//!               executor:("bytecode"|"treewalk") verify
-//! verify     := "-" | "v" fuel:u64 depth:u64 models:u64 refs:u64 cegir:u64
-//!
-//! inputspec  := seed:u64 nargs:u64 valuespec*
-//! override   := "-" | "cfg" config                   ; per-request SlingConfig
-//! request    := target:string override ninputs:u64 inputspec*
-//!
-//! location   := "entry" | "exit" u64 | "label" string | "loop" string
-//! val        := "nil" | "i" i64 | "a" u64
-//! heap       := ncells:u64 (loc:u64 ty:string nfields:u64 val*)*
-//! stats      := singletons:u64 preds:u64 pures:u64
-//! grade      := "ungraded" | "verified" | "refuted" | "confirmed" | "unknown"
-//! invariant  := location formula:string stats spurious:bool grade
-//!               nresidues:u64 heap* nactivations:u64 u64*
-//! locreport  := location models:u64 snaps:u64 tainted:bool ninv:u64 invariant*
-//! metrics    := traces:u64 runs:u64 faulted:u64 workers:u64 seconds:f64bits
-//!               verified:u64 refuted:u64 confirmed:u64 unknown:u64
-//!               refuted0:u64 cegir:u64 vseconds:f64bits cseconds:f64bits
-//!               bseconds:f64bits executor:("bytecode"|"treewalk") swarnings:u64
-//! cache      := hits:u64 warm:u64 misses:u64 entries:u64 evictions:u64 resident:u64
-//! severity   := "warn" | "deny"
-//! diagnostic := code:string severity ("-" | "f" fn:string) lo:u64 hi:u64
-//!               message:string nnotes:u64 note:string*
-//! report     := target:string metrics cache ndecl:u64 location* nlocs:u64 locreport*
-//!               nwarn:u64 diagnostic* nunreach:u64 location*
-//! ```
-//!
-//! Formulas travel as their [`Display`](std::fmt::Display) text and are re-parsed with
-//! [`sling_logic::parse_formula`] on decode — the printer guarantees the
-//! round trip (up to binder names). `f64` values travel as their IEEE
-//! bit pattern, so metrics round-trip exactly.
-//!
-//! Malformed input is rejected with a typed [`WireError`]; decoding
-//! never panics. Frames from a different protocol version fail with
-//! [`WireError::Version`] instead of being misparsed, so the tag can be
-//! bumped safely.
-//!
-//! # Examples
-//!
-//! ```
-//! use sling::{wire, AnalysisRequest, InputSpec, ValueSpec};
-//!
-//! let request = AnalysisRequest::new("reverse")
-//!     .input(InputSpec::seeded(7).arg(ValueSpec::int_in(0, 9)));
-//! let line = wire::encode_request(&request)?;
-//! let back = wire::decode_request(&line)?;
-//! assert_eq!(format!("{back:?}"), format!("{request:?}"));
-//! # Ok::<(), sling::wire::WireError>(())
-//! ```
+//! The token layer and the per-production readers and writers behind
+//! [`proto`](crate::proto), which documents the grammar and owns the
+//! frames. Nothing here is public: peers exchange frames, not
+//! productions.
 
-use std::fmt;
-
-use sling_analysis::{Diagnostic, Severity};
-use sling_lang::{DataOrder, ListLayout, Location, TreeKind, TreeLayout};
-use sling_logic::{parse_formula, Span, Symbol};
-use sling_models::{Heap, HeapCell, Loc, Val};
-
-use crate::collect::Executor;
-use crate::pipeline::{SlingConfig, VerifySettings};
-use crate::report::{
-    Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,
+use sling::{
+    AnalysisRequest, CacheStats, DataOrder, Diagnostic, ExactCell, ExactVal, Executor, Heap,
+    HeapCell, InputSource, InputSpec, Invariant, InvariantGrade, InvariantStats, ListLayout, Loc,
+    Location, LocationAnalysis, Report, RunMetrics, Severity, SlingConfig, TreeKind, TreeLayout,
+    Val, ValueSpec, VerifySettings,
 };
-use crate::request::{AnalysisRequest, InputSource};
-use crate::spec::{ExactCell, ExactVal, InputSpec, ValueSpec};
-use crate::CacheStats;
+use sling_logic::{parse_formula, Span, Symbol};
 
-/// Protocol tag opening every frame; bump on any grammar change.
-/// (`sling8` dropped the four remote-tier counters from `cache` and
-/// `metrics` again, with the distributed entailment-cache tier that
-/// filled them; `sling7` had added those counters — and the tier's own
-/// `get`/`put`/`sync` productions;
-/// `sling6` added the static-diagnostics payloads: the `diagnostic`
-/// production, the warning count in `metrics`, the warning and
-/// unreachable-location lists in `report` — and, in the serve layer,
-/// the `rejected` frame the upload gate answers hostile programs with;
-/// `sling5` added the per-request config-override slot to `request`
-/// frames — and, in the serve layer, program-upload slots on `analyze`
-/// frames plus pool statistics on `hello`/`done`; `sling4` extended
-/// `metrics` with the collection/compile timings and the executor tag;
-/// `sling3` added the `exact` value spec, the per-invariant
-/// verification grade, and the verification counters in `metrics`;
-/// `sling2` extended `cachestats` with eviction and residency
-/// counters. Older peers are rejected with [`WireError::Version`]
-/// rather than misparsed.)
-pub const WIRE_VERSION: &str = "sling8";
-
-/// Why a wire frame could not be encoded or decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The token stream is malformed (truncated, bad tag, bad number,
-    /// unterminated string, trailing garbage, ...).
-    Syntax(String),
-    /// The frame opens with a protocol tag other than [`WIRE_VERSION`].
-    Version(String),
-    /// The value cannot travel over the wire at all (custom input
-    /// closures).
-    Unsupported(String),
-    /// A formula payload failed to re-parse on decode.
-    Formula(String),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Syntax(why) => write!(f, "malformed wire frame: {why}"),
-            WireError::Version(found) => write!(
-                f,
-                "unsupported wire protocol `{found}` (this build speaks `{WIRE_VERSION}`)"
-            ),
-            WireError::Unsupported(what) => write!(f, "not expressible on the wire: {what}"),
-            WireError::Formula(why) => write!(f, "formula failed to re-parse: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
+use crate::proto::{WireError, WIRE_VERSION};
 
 fn syntax(why: impl Into<String>) -> WireError {
     WireError::Syntax(why.into())
@@ -163,18 +27,18 @@ fn syntax(why: impl Into<String>) -> WireError {
 /// finished line contains no newline — the transport adds the `\n` frame
 /// delimiter.
 #[derive(Debug, Default)]
-pub struct WireWriter {
+pub(crate) struct WireWriter {
     buf: String,
 }
 
 impl WireWriter {
     /// An empty line.
-    pub fn new() -> WireWriter {
+    pub(crate) fn new() -> WireWriter {
         WireWriter::default()
     }
 
     /// Opens a frame: protocol tag plus frame kind.
-    pub fn frame(kind: &str) -> WireWriter {
+    pub(crate) fn frame(kind: &str) -> WireWriter {
         let mut w = WireWriter::new();
         w.atom(WIRE_VERSION);
         w.atom(kind);
@@ -189,7 +53,7 @@ impl WireWriter {
 
     /// Appends a bare token (must contain no spaces, quotes, or
     /// newlines — tags and numbers only).
-    pub fn atom(&mut self, token: &str) {
+    pub(crate) fn atom(&mut self, token: &str) {
         debug_assert!(
             !token.is_empty() && !token.contains([' ', '"', '\n', '\r']),
             "atoms must be bare words: {token:?}"
@@ -199,7 +63,7 @@ impl WireWriter {
     }
 
     /// Appends a quoted, escaped string token (arbitrary content).
-    pub fn text(&mut self, s: &str) {
+    pub(crate) fn text(&mut self, s: &str) {
         self.sep();
         self.buf.push('"');
         for c in s.chars() {
@@ -216,31 +80,31 @@ impl WireWriter {
     }
 
     /// Appends an unsigned integer.
-    pub fn u64(&mut self, n: u64) {
+    pub(crate) fn u64(&mut self, n: u64) {
         use std::fmt::Write as _;
         self.sep();
         let _ = write!(self.buf, "{n}");
     }
 
     /// Appends a signed integer.
-    pub fn i64(&mut self, n: i64) {
+    pub(crate) fn i64(&mut self, n: i64) {
         use std::fmt::Write as _;
         self.sep();
         let _ = write!(self.buf, "{n}");
     }
 
     /// Appends a boolean (`t` / `f`).
-    pub fn bool(&mut self, b: bool) {
+    pub(crate) fn bool(&mut self, b: bool) {
         self.atom(if b { "t" } else { "f" });
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round trip).
-    pub fn f64(&mut self, x: f64) {
+    pub(crate) fn f64(&mut self, x: f64) {
         self.u64(x.to_bits());
     }
 
     /// Appends an optional index (`-` when absent).
-    pub fn opt(&mut self, n: Option<usize>) {
+    pub(crate) fn opt(&mut self, n: Option<usize>) {
         match n {
             None => self.atom("-"),
             Some(n) => self.u64(n as u64),
@@ -248,20 +112,20 @@ impl WireWriter {
     }
 
     /// The finished frame line (no trailing newline).
-    pub fn finish(self) -> String {
+    pub(crate) fn finish(self) -> String {
         self.buf
     }
 }
 
 /// Consumes the tokens of one frame line.
 #[derive(Debug)]
-pub struct WireReader<'a> {
+pub(crate) struct WireReader<'a> {
     rest: &'a str,
 }
 
 impl<'a> WireReader<'a> {
     /// A reader over one frame line.
-    pub fn new(line: &'a str) -> WireReader<'a> {
+    pub(crate) fn new(line: &'a str) -> WireReader<'a> {
         WireReader {
             rest: line.trim_end_matches(['\n', '\r']),
         }
@@ -269,7 +133,7 @@ impl<'a> WireReader<'a> {
 
     /// Opens a frame: checks the protocol tag, returns the frame kind
     /// and a reader positioned at the payload.
-    pub fn frame(line: &'a str) -> Result<(&'a str, WireReader<'a>), WireError> {
+    pub(crate) fn frame(line: &'a str) -> Result<(&'a str, WireReader<'a>), WireError> {
         let mut r = WireReader::new(line);
         let tag = r.atom()?;
         if tag != WIRE_VERSION {
@@ -284,7 +148,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads one bare token.
-    pub fn atom(&mut self) -> Result<&'a str, WireError> {
+    pub(crate) fn atom(&mut self) -> Result<&'a str, WireError> {
         self.skip_spaces();
         if self.rest.is_empty() {
             return Err(syntax("unexpected end of frame"));
@@ -298,18 +162,8 @@ impl<'a> WireReader<'a> {
         Ok(token)
     }
 
-    /// Reads one bare token and checks it equals `expected`.
-    pub fn expect(&mut self, expected: &str) -> Result<(), WireError> {
-        let found = self.atom()?;
-        if found == expected {
-            Ok(())
-        } else {
-            Err(syntax(format!("expected `{expected}`, found `{found}`")))
-        }
-    }
-
     /// Reads one quoted string token, undoing the escapes.
-    pub fn text(&mut self) -> Result<String, WireError> {
+    pub(crate) fn text(&mut self) -> Result<String, WireError> {
         self.skip_spaces();
         let mut chars = self.rest.char_indices();
         match chars.next() {
@@ -340,7 +194,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads an unsigned integer.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         let token = self.atom()?;
         token
             .parse::<u64>()
@@ -348,12 +202,12 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads an unsigned integer as `usize`.
-    pub fn usize(&mut self) -> Result<usize, WireError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, WireError> {
         usize::try_from(self.u64()?).map_err(|_| syntax("integer out of range"))
     }
 
     /// Reads a signed integer.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, WireError> {
         let token = self.atom()?;
         token
             .parse::<i64>()
@@ -361,7 +215,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a boolean (`t` / `f`).
-    pub fn bool(&mut self) -> Result<bool, WireError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
         match self.atom()? {
             "t" => Ok(true),
             "f" => Ok(false),
@@ -370,12 +224,12 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads an optional index (`-` for absent).
-    pub fn opt(&mut self) -> Result<Option<usize>, WireError> {
+    pub(crate) fn opt(&mut self) -> Result<Option<usize>, WireError> {
         self.skip_spaces();
         if self.rest.starts_with('-') {
             self.atom()?;
@@ -385,7 +239,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Asserts every token was consumed.
-    pub fn finish(&mut self) -> Result<(), WireError> {
+    pub(crate) fn finish(&mut self) -> Result<(), WireError> {
         self.skip_spaces();
         if self.rest.is_empty() {
             Ok(())
@@ -440,7 +294,7 @@ fn read_tree_layout(r: &mut WireReader<'_>) -> Result<TreeLayout, WireError> {
 }
 
 /// Writes one [`ValueSpec`] into an open frame.
-pub fn write_value_spec(w: &mut WireWriter, spec: &ValueSpec) {
+fn write_value_spec(w: &mut WireWriter, spec: &ValueSpec) {
     match spec {
         ValueSpec::Nil => w.atom("nil"),
         ValueSpec::Int(k) => {
@@ -504,7 +358,7 @@ pub fn write_value_spec(w: &mut WireWriter, spec: &ValueSpec) {
 }
 
 /// Reads one [`ValueSpec`] from an open frame.
-pub fn read_value_spec(r: &mut WireReader<'_>) -> Result<ValueSpec, WireError> {
+fn read_value_spec(r: &mut WireReader<'_>) -> Result<ValueSpec, WireError> {
     match r.atom()? {
         "nil" => Ok(ValueSpec::Nil),
         "int" => Ok(ValueSpec::Int(r.i64()?)),
@@ -563,7 +417,7 @@ pub fn read_value_spec(r: &mut WireReader<'_>) -> Result<ValueSpec, WireError> {
 }
 
 /// Writes one [`InputSpec`] into an open frame.
-pub fn write_input_spec(w: &mut WireWriter, spec: &InputSpec) {
+fn write_input_spec(w: &mut WireWriter, spec: &InputSpec) {
     w.u64(spec.prng_seed());
     w.u64(spec.arg_specs().len() as u64);
     for arg in spec.arg_specs() {
@@ -572,7 +426,7 @@ pub fn write_input_spec(w: &mut WireWriter, spec: &InputSpec) {
 }
 
 /// Reads one [`InputSpec`] from an open frame.
-pub fn read_input_spec(r: &mut WireReader<'_>) -> Result<InputSpec, WireError> {
+fn read_input_spec(r: &mut WireReader<'_>) -> Result<InputSpec, WireError> {
     let seed = r.u64()?;
     let count = r.usize()?;
     let mut spec = InputSpec::seeded(seed);
@@ -585,7 +439,7 @@ pub fn read_input_spec(r: &mut WireReader<'_>) -> Result<InputSpec, WireError> {
 /// Writes a full [`SlingConfig`] into an open frame (the `config`
 /// production): every numeric budget, the executor tag, and the
 /// optional verification settings.
-pub fn write_config(w: &mut WireWriter, config: &SlingConfig) {
+fn write_config(w: &mut WireWriter, config: &SlingConfig) {
     w.u64(config.check.node_budget);
     w.u64(u64::from(config.check.fuel_slack));
     w.u64(config.infer.max_results_per_var as u64);
@@ -617,7 +471,7 @@ fn read_u32(r: &mut WireReader<'_>) -> Result<u32, WireError> {
 }
 
 /// Reads a full [`SlingConfig`] from an open frame.
-pub fn read_config(r: &mut WireReader<'_>) -> Result<SlingConfig, WireError> {
+fn read_config(r: &mut WireReader<'_>) -> Result<SlingConfig, WireError> {
     let mut config = SlingConfig::default();
     config.check.node_budget = r.u64()?;
     config.check.fuel_slack = read_u32(r)?;
@@ -658,7 +512,10 @@ pub fn read_config(r: &mut WireReader<'_>) -> Result<SlingConfig, WireError> {
 ///
 /// [`WireError::Unsupported`] when the request carries anything only
 /// meaningful in-process: a custom input closure.
-pub fn write_request(w: &mut WireWriter, request: &AnalysisRequest) -> Result<(), WireError> {
+pub(crate) fn write_request(
+    w: &mut WireWriter,
+    request: &AnalysisRequest,
+) -> Result<(), WireError> {
     w.text(&request.target.to_string());
     match &request.config {
         None => w.atom("-"),
@@ -682,7 +539,7 @@ pub fn write_request(w: &mut WireWriter, request: &AnalysisRequest) -> Result<()
 }
 
 /// Reads one [`AnalysisRequest`] from an open frame.
-pub fn read_request(r: &mut WireReader<'_>) -> Result<AnalysisRequest, WireError> {
+pub(crate) fn read_request(r: &mut WireReader<'_>) -> Result<AnalysisRequest, WireError> {
     let target = r.text()?;
     let config = match r.atom()? {
         "-" => None,
@@ -697,24 +554,6 @@ pub fn read_request(r: &mut WireReader<'_>) -> Result<AnalysisRequest, WireError
     for _ in 0..count {
         request = request.input(read_input_spec(r)?);
     }
-    Ok(request)
-}
-
-/// Encodes one request as a standalone `request` frame line.
-pub fn encode_request(request: &AnalysisRequest) -> Result<String, WireError> {
-    let mut w = WireWriter::frame("request");
-    write_request(&mut w, request)?;
-    Ok(w.finish())
-}
-
-/// Decodes a standalone `request` frame line.
-pub fn decode_request(line: &str) -> Result<AnalysisRequest, WireError> {
-    let (kind, mut r) = WireReader::frame(line)?;
-    if kind != "request" {
-        return Err(syntax(format!("expected a request frame, got `{kind}`")));
-    }
-    let request = read_request(&mut r)?;
-    r.finish()?;
     Ok(request)
 }
 
@@ -913,9 +752,8 @@ fn read_location_analysis(r: &mut WireReader<'_>) -> Result<LocationAnalysis, Wi
 }
 
 /// Writes one static [`Diagnostic`] into an open frame (the
-/// `diagnostic` production). Also used by the serve layer's `rejected`
-/// frames.
-pub fn write_diagnostic(w: &mut WireWriter, d: &Diagnostic) {
+/// `diagnostic` production of `report` and `rejected` frames).
+pub(crate) fn write_diagnostic(w: &mut WireWriter, d: &Diagnostic) {
     w.text(&d.code);
     w.atom(match d.severity {
         Severity::Warning => "warn",
@@ -938,7 +776,7 @@ pub fn write_diagnostic(w: &mut WireWriter, d: &Diagnostic) {
 }
 
 /// Reads one static [`Diagnostic`] from an open frame.
-pub fn read_diagnostic(r: &mut WireReader<'_>) -> Result<Diagnostic, WireError> {
+pub(crate) fn read_diagnostic(r: &mut WireReader<'_>) -> Result<Diagnostic, WireError> {
     let code = r.text()?;
     let severity = match r.atom()? {
         "warn" => Severity::Warning,
@@ -969,7 +807,7 @@ pub fn read_diagnostic(r: &mut WireReader<'_>) -> Result<Diagnostic, WireError> 
 }
 
 /// Writes [`RunMetrics`] into an open frame.
-pub fn write_metrics(w: &mut WireWriter, m: &RunMetrics) {
+fn write_metrics(w: &mut WireWriter, m: &RunMetrics) {
     w.u64(m.traces as u64);
     w.u64(m.runs as u64);
     w.u64(m.faulted_runs as u64);
@@ -989,7 +827,7 @@ pub fn write_metrics(w: &mut WireWriter, m: &RunMetrics) {
 }
 
 /// Reads [`RunMetrics`] from an open frame.
-pub fn read_metrics(r: &mut WireReader<'_>) -> Result<RunMetrics, WireError> {
+fn read_metrics(r: &mut WireReader<'_>) -> Result<RunMetrics, WireError> {
     Ok(RunMetrics {
         traces: r.usize()?,
         runs: r.usize()?,
@@ -1015,7 +853,7 @@ pub fn read_metrics(r: &mut WireReader<'_>) -> Result<RunMetrics, WireError> {
 }
 
 /// Writes [`CacheStats`] into an open frame.
-pub fn write_cache_stats(w: &mut WireWriter, s: &CacheStats) {
+pub(crate) fn write_cache_stats(w: &mut WireWriter, s: &CacheStats) {
     w.u64(s.hits);
     w.u64(s.warm_hits);
     w.u64(s.misses);
@@ -1025,7 +863,7 @@ pub fn write_cache_stats(w: &mut WireWriter, s: &CacheStats) {
 }
 
 /// Reads [`CacheStats`] from an open frame.
-pub fn read_cache_stats(r: &mut WireReader<'_>) -> Result<CacheStats, WireError> {
+pub(crate) fn read_cache_stats(r: &mut WireReader<'_>) -> Result<CacheStats, WireError> {
     Ok(CacheStats {
         hits: r.u64()?,
         warm_hits: r.u64()?,
@@ -1037,7 +875,7 @@ pub fn read_cache_stats(r: &mut WireReader<'_>) -> Result<CacheStats, WireError>
 }
 
 /// Writes one [`Report`] into an open frame.
-pub fn write_report(w: &mut WireWriter, report: &Report) {
+pub(crate) fn write_report(w: &mut WireWriter, report: &Report) {
     w.text(&report.target.to_string());
     write_metrics(w, &report.metrics);
     write_cache_stats(w, &report.cache);
@@ -1060,7 +898,7 @@ pub fn write_report(w: &mut WireWriter, report: &Report) {
 }
 
 /// Reads one [`Report`] from an open frame.
-pub fn read_report(r: &mut WireReader<'_>) -> Result<Report, WireError> {
+pub(crate) fn read_report(r: &mut WireReader<'_>) -> Result<Report, WireError> {
     let target = Symbol::intern(&r.text()?);
     let metrics = read_metrics(r)?;
     let cache = read_cache_stats(r)?;
@@ -1095,28 +933,33 @@ pub fn read_report(r: &mut WireReader<'_>) -> Result<Report, WireError> {
     })
 }
 
-/// Encodes one report as a standalone `report` frame line.
-pub fn encode_report(report: &Report) -> String {
-    let mut w = WireWriter::frame("report");
-    write_report(&mut w, report);
-    w.finish()
-}
-
-/// Decodes a standalone `report` frame line.
-pub fn decode_report(line: &str) -> Result<Report, WireError> {
-    let (kind, mut r) = WireReader::frame(line)?;
-    if kind != "report" {
-        return Err(syntax(format!("expected a report frame, got `{kind}`")));
-    }
-    let report = read_report(&mut r)?;
-    r.finish()?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SlingConfig;
+    use crate::proto::{encode_analyze_frame, encode_report_frame, ClientFrame, ServerFrame};
+
+    /// One request through an `analyze` frame and back.
+    fn through_analyze_frame(request: &AnalysisRequest) -> Result<AnalysisRequest, WireError> {
+        let line = encode_analyze_frame(1, None, std::slice::from_ref(request))?;
+        match ClientFrame::decode(&line)? {
+            ClientFrame::Analyze { mut requests, .. } if requests.len() == 1 => {
+                Ok(requests.remove(0))
+            }
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    /// One report through a `report` frame and back.
+    fn through_report_frame(report: &Report) -> Result<Report, WireError> {
+        match ServerFrame::decode(&encode_report_frame(7, 3, report))? {
+            ServerFrame::Report {
+                id: 7,
+                index: 3,
+                report,
+            } => Ok(report),
+            other => panic!("decoded {other:?}"),
+        }
+    }
 
     fn list_layout(ty: &str) -> ListLayout {
         ListLayout {
@@ -1219,8 +1062,7 @@ mod tests {
         let request = AnalysisRequest::new("reverse")
             .input(InputSpec::seeded(3).arg(ValueSpec::sll(list_layout("WNode"), 5)))
             .input(InputSpec::seeded(9).args([ValueSpec::int_in(-10, 10), ValueSpec::nil()]));
-        let line = encode_request(&request).unwrap();
-        let back = decode_request(&line).unwrap();
+        let back = through_analyze_frame(&request).unwrap();
         assert_eq!(format!("{back:?}"), format!("{request:?}"));
 
         // Decoded specs build bit-identical inputs.
@@ -1238,7 +1080,7 @@ mod tests {
         // let quotes, spaces, or newlines break the frame.
         let hostile = "evil \"name\"\nwith\ttokens \\ and spaces";
         let request = AnalysisRequest::new(hostile);
-        let back = decode_request(&encode_request(&request).unwrap()).unwrap();
+        let back = through_analyze_frame(&request).unwrap();
         assert_eq!(back.target, Symbol::intern(hostile));
     }
 
@@ -1246,7 +1088,7 @@ mod tests {
     fn custom_closures_are_rejected_typed() {
         let custom = AnalysisRequest::new("f").custom(|_| vec![Val::Nil]);
         assert!(matches!(
-            encode_request(&custom),
+            encode_analyze_frame(1, None, &[custom]),
             Err(WireError::Unsupported(_))
         ));
     }
@@ -1266,7 +1108,7 @@ mod tests {
         config.vm.max_depth = 17;
         config.trace.observe_freed = false;
         config.executor = Executor::Treewalk;
-        let mut verify = crate::VerifySettings::default();
+        let mut verify = VerifySettings::default();
         verify.prover.fuel = u32::MAX;
         verify.prover.max_depth = 5;
         verify.prover.max_models = 33;
@@ -1277,28 +1119,31 @@ mod tests {
             let request = AnalysisRequest::new("f")
                 .config(config)
                 .input(InputSpec::seeded(1).arg(ValueSpec::nil()));
-            let back = decode_request(&encode_request(&request).unwrap()).unwrap();
+            let back = through_analyze_frame(&request).unwrap();
             assert_eq!(format!("{back:?}"), format!("{request:?}"));
         }
         // The no-override case stays `None` on the far side.
         let bare = AnalysisRequest::new("f");
-        let back = decode_request(&encode_request(&bare).unwrap()).unwrap();
+        let back = through_analyze_frame(&bare).unwrap();
         assert!(back.config.is_none());
     }
 
     #[test]
     fn config_override_bad_tags_are_rejected() {
-        let good = encode_request(&AnalysisRequest::new("f")).unwrap();
+        let mut w = WireWriter::new();
+        write_request(&mut w, &AnalysisRequest::new("f")).unwrap();
+        let good = w.finish();
+        let decode = |line: &str| read_request(&mut WireReader::new(line));
         // `-` → some unknown override tag.
         let bad = good.replacen(" - ", " cfgx ", 1);
-        assert!(matches!(decode_request(&bad), Err(WireError::Syntax(_))));
+        assert!(matches!(decode(&bad), Err(WireError::Syntax(_))));
         // Truncated config payload.
         let bad = good.replacen(" - ", " cfg 1 2 ", 1);
-        assert!(matches!(decode_request(&bad), Err(WireError::Syntax(_))));
+        assert!(matches!(decode(&bad), Err(WireError::Syntax(_))));
     }
 
     fn sample_report() -> Report {
-        let engine = crate::Engine::builder()
+        let engine = sling::Engine::builder()
             .program_source(
                 "struct WireNode { next: WireNode*; data: int; }
                  fn walk(x: WireNode*) -> WireNode* {
@@ -1332,8 +1177,7 @@ mod tests {
     fn real_reports_round_trip_debug_identically() {
         let report = sample_report();
         assert!(report.invariant_count() > 0, "sample must infer something");
-        let line = encode_report(&report);
-        let back = decode_report(&line).unwrap();
+        let back = through_report_frame(&report).unwrap();
         // Formula Display round-trips up to binder names; the sample's
         // formulas use the default fresh-variable names, so the full
         // Debug forms must match exactly.
@@ -1372,15 +1216,18 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_rejected_with_typed_errors() {
-        let good = encode_report(&sample_report());
+        let good = encode_report_frame(7, 3, &sample_report());
 
         // Wrong protocol tag.
         assert!(matches!(
-            decode_report(&good.replacen(WIRE_VERSION, "sling9", 1)),
+            ServerFrame::decode(&good.replacen(WIRE_VERSION, "sling9", 1)),
             Err(WireError::Version(v)) if v == "sling9"
         ));
         // Wrong frame kind for the decoder.
-        assert!(matches!(decode_request(&good), Err(WireError::Syntax(_))));
+        assert!(matches!(
+            ClientFrame::decode(&good),
+            Err(WireError::Syntax(_))
+        ));
         // Truncations anywhere must error, never panic.
         for cut in [0, 1, 7, 10, good.len() / 3, good.len() / 2, good.len() - 1] {
             let mut prefix = good[..cut].to_string();
@@ -1388,17 +1235,17 @@ mod tests {
                 prefix.pop();
             }
             assert!(
-                decode_report(&prefix).is_err(),
+                ServerFrame::decode(&prefix).is_err(),
                 "truncation at {cut} must be rejected"
             );
         }
         // Trailing garbage is rejected.
         assert!(matches!(
-            decode_report(&format!("{good} 17")),
+            ServerFrame::decode(&format!("{good} 17")),
             Err(WireError::Syntax(_))
         ));
         // Corrupt numeric token.
-        assert!(decode_report(&good.replacen(" 0 ", " zero ", 1)).is_err());
+        assert!(ServerFrame::decode(&good.replacen(" 0 ", " zero ", 1)).is_err());
         // An exact-shape cell index past the shape is rejected.
         let mut w = WireWriter::new();
         write_value_spec(
@@ -1423,6 +1270,8 @@ mod tests {
         ));
         // A formula that does not re-parse is a typed Formula error.
         let mut w = WireWriter::frame("report");
+        w.u64(7); // batch id
+        w.u64(3); // index in the batch
         w.text("walk");
         write_metrics(&mut w, &RunMetrics::default());
         write_cache_stats(&mut w, &CacheStats::default());
@@ -1436,14 +1285,14 @@ mod tests {
         w.atom("entry");
         w.text("this is ( not a formula");
         assert!(matches!(
-            decode_report(&w.finish()),
+            ServerFrame::decode(&w.finish()),
             Err(WireError::Formula(_))
         ));
     }
 
     #[test]
     fn diagnostics_round_trip_with_hostile_payloads() {
-        use sling_analysis::codes;
+        use sling::lint_codes as codes;
         let zoo = [
             Diagnostic::new(codes::DEAD_STORE, Severity::Warning, "plain warning"),
             Diagnostic::new(
@@ -1480,7 +1329,7 @@ mod tests {
     fn reports_with_static_findings_round_trip() {
         let mut report = sample_report();
         report.static_warnings = vec![Diagnostic::new(
-            sling_analysis::codes::DEAD_STORE,
+            sling::lint_codes::DEAD_STORE,
             Severity::Warning,
             "initializer of `c` is never used",
         )
@@ -1490,7 +1339,7 @@ mod tests {
         report.metrics.static_warnings = 1;
         report.unreachable_locations =
             vec![Location::Label(Symbol::intern("dead")), Location::Exit(1)];
-        let back = decode_report(&encode_report(&report)).unwrap();
+        let back = through_report_frame(&report).unwrap();
         assert_eq!(format!("{back:?}"), format!("{report:?}"));
         assert_eq!(
             back.missing_locations()

@@ -8,8 +8,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use sling::{wire, AnalysisRequest, Engine, ExactCell, InputSpec, Report, ValueSpec};
+use sling::{AnalysisRequest, Engine, ExactCell, InputSpec, ListLayout, Report, ValueSpec};
 use sling_logic::Symbol;
+use sling_serve::proto::{
+    encode_analyze_frame, encode_report_frame, ClientFrame, ServerFrame, WireError,
+};
 use sling_serve::{Client, ServeError, ServeOptions, Service};
 use sling_suite::fixtures::ListCorpus;
 
@@ -243,7 +246,7 @@ fn malformed_frames_get_typed_errors_not_dropped_connections() {
     let custom = AnalysisRequest::new("reverse").custom(|_| vec![sling_models::Val::Nil]);
     assert!(matches!(
         client.analyze_all(std::slice::from_ref(&custom)),
-        Err(ServeError::Wire(wire::WireError::Unsupported(_)))
+        Err(ServeError::Wire(WireError::Unsupported(_)))
     ));
     service.shutdown().expect("graceful drain");
 }
@@ -265,6 +268,36 @@ fn exact_cells_that_do_not_fit_get_an_error_frame_and_the_connection_survives() 
     match client.analyze_all(std::slice::from_ref(&bad)) {
         Err(ServeError::Remote(message)) => {
             assert!(message.contains("exact input cell"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The same connection still serves a good batch.
+    let good = client
+        .analyze_all(&corpus.batch(1))
+        .expect("good batch after the error");
+    assert_eq!(good.reports.len(), 4);
+    service.shutdown().expect("graceful drain");
+}
+
+#[test]
+fn layouts_that_do_not_fit_get_an_error_frame_and_the_connection_survives() {
+    let corpus = ListCorpus::new("ServeLayoutNode");
+    let engine = corpus_engine(&corpus).build().expect("engine builds");
+    let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
+    let mut client = Client::connect(service.local_addr()).expect("client connects");
+
+    // `next` past the node's two fields: building the list indexed out
+    // of bounds and took the handler thread down.
+    let past_end = ListLayout {
+        next: 5,
+        ..corpus.layout()
+    };
+    let bad = AnalysisRequest::new("reverse")
+        .input(InputSpec::seeded(1).arg(ValueSpec::sll(past_end, 3)));
+    match client.analyze_all(std::slice::from_ref(&bad)) {
+        Err(ServeError::Remote(message)) => {
+            assert!(message.contains("input layout"), "{message}");
+            assert!(message.contains("`next` field 5"), "{message}");
         }
         other => panic!("expected an error frame, got {other:?}"),
     }
@@ -532,23 +565,31 @@ fn verification_totals_ride_the_done_epilogue() {
 
 #[test]
 fn wire_codec_round_trips_served_corpus_reports() {
-    // Property-style: every report the corpus produces must survive the
-    // wire codec Debug-identically (formulas, residues, activations,
+    // Property-style: every report the corpus produces must survive a
+    // `report` frame Debug-identically (formulas, residues, activations,
     // metrics bits and all).
     let corpus = ListCorpus::new("ServeCodecNode");
     let engine = corpus_engine(&corpus).build().expect("engine builds");
     let batch = engine
         .analyze_all(&corpus.batch(1))
         .expect("in-process batch runs");
-    for report in &batch.reports {
-        let line = wire::encode_report(report);
-        let back = wire::decode_report(&line).expect("round trip decodes");
-        assert_eq!(format!("{back:?}"), format!("{report:?}"));
+    for (index, report) in batch.reports.iter().enumerate() {
+        let line = encode_report_frame(5, index as u64, report);
+        match ServerFrame::decode(&line).expect("round trip decodes") {
+            ServerFrame::Report { report: back, .. } => {
+                assert_eq!(format!("{back:?}"), format!("{report:?}"));
+            }
+            other => panic!("decoded {other:?}"),
+        }
     }
-    // Requests round-trip too (the corpus batch is spec-only).
-    for request in corpus.batch(2) {
-        let line = wire::encode_request(&request).expect("specs encode");
-        let back = wire::decode_request(&line).expect("round trip decodes");
-        assert_eq!(format!("{back:?}"), format!("{request:?}"));
+    // Requests round-trip too, as one `analyze` frame (the corpus batch
+    // is spec-only).
+    let requests = corpus.batch(2);
+    let line = encode_analyze_frame(6, None, &requests).expect("specs encode");
+    match ClientFrame::decode(&line).expect("round trip decodes") {
+        ClientFrame::Analyze { requests: back, .. } => {
+            assert_eq!(format!("{back:?}"), format!("{requests:?}"));
+        }
+        other => panic!("decoded {other:?}"),
     }
 }

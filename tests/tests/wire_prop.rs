@@ -1,12 +1,12 @@
-//! Property tests for the `sling::wire` codec and the `sling8` frame
-//! layer on top of it: arbitrary `InputSpec`/`Report`/`CacheStats`
-//! values round-trip bit-identically, requests round-trip with and
-//! without per-request [`SlingConfig`] overrides, `analyze` frames
-//! round-trip with and without a [`ProgramUpload`], frames tagged with
-//! previous protocols (`sling7` and older) are rejected as
-//! [`WireError::Version`], and arbitrary byte mutations of a valid
-//! frame never panic — every malformed input is rejected with a typed
-//! error.
+//! Property tests for the `sling8` frames of `sling_serve::proto`,
+//! driven through the calls a peer makes: arbitrary
+//! `InputSpec`/`Report`/`CacheStats` values round-trip bit-identically
+//! inside `analyze`, `report` and `done` frames, requests round-trip with
+//! and without per-request [`SlingConfig`] overrides and with and without
+//! a [`ProgramUpload`], frames tagged with previous protocols (`sling7`
+//! and older) are rejected as [`WireError::Version`], and arbitrary byte
+//! mutations of a valid frame never panic either decoder — every
+//! malformed input is rejected with a typed error.
 //!
 //! Values are generated from the deterministic `proptest` stub RNG
 //! (seeded per case), so failures reproduce.
@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 
-use sling::wire::{self, WireError, WireReader, WireWriter};
 use sling::{
     AnalysisRequest, CacheStats, DataOrder, Diagnostic, ExactCell, ExactVal, InputSpec, Invariant,
     InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics, Severity, SlingConfig,
@@ -23,8 +22,10 @@ use sling::{
 use sling_lang::{ListLayout, Location, TreeLayout};
 use sling_logic::{parse_formula, Span, SymHeap, Symbol};
 use sling_models::{Heap, HeapCell, Loc, Val};
-use sling_serve::proto::{encode_analyze_frame, ClientFrame};
-use sling_serve::ProgramUpload;
+use sling_serve::proto::{
+    encode_analyze_frame, encode_report_frame, ClientFrame, ServerFrame, WireError, WIRE_VERSION,
+};
+use sling_serve::{PoolStats, ProgramUpload, VerifyTotals};
 
 fn rng_for(name: &str, case: u64) -> TestRng {
     TestRng::deterministic(&format!("{name}-{case}"))
@@ -369,47 +370,80 @@ fn arb_report(rng: &mut TestRng, pool: &[SymHeap]) -> Report {
     }
 }
 
+/// One report through a `report` frame and back, checking the frame's
+/// batch id and index survive too.
+fn through_report_frame(id: u64, index: u64, report: &Report) -> Report {
+    let line = encode_report_frame(id, index, report);
+    match ServerFrame::decode(&line).expect("valid frames decode") {
+        ServerFrame::Report {
+            id: back_id,
+            index: back_index,
+            report,
+        } => {
+            assert_eq!((back_id, back_index), (id, index));
+            report
+        }
+        other => panic!("decoded {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary spec-built requests round-trip Debug-identically, and
-    /// the decoded specs materialize bit-identical inputs.
+    /// Arbitrary spec-built requests, with and without a per-request
+    /// config override, round-trip Debug-identically alone in an
+    /// upload-free `analyze` frame.
     #[test]
     fn requests_round_trip(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-req", case);
         let request = arb_request(&mut rng);
-        let line = wire::encode_request(&request).expect("specs always encode");
-        let back = wire::decode_request(&line).expect("valid frames decode");
-        prop_assert_eq!(format!("{back:?}"), format!("{request:?}"));
+        let line = encode_analyze_frame(0, None, std::slice::from_ref(&request))
+            .expect("specs always encode");
+        match ClientFrame::decode(&line).expect("valid frames decode") {
+            ClientFrame::Analyze { upload: None, requests, .. } => {
+                prop_assert_eq!(requests.len(), 1);
+                prop_assert_eq!(format!("{:?}", requests[0]), format!("{request:?}"));
+            }
+            other => panic!("decoded {other:?}"),
+        }
     }
 
-    /// Arbitrary cache stats round-trip value-identically (all six
-    /// counters, extremes included).
+    /// Arbitrary cache stats round-trip value-identically in a `done`
+    /// frame (all six counters, extremes included).
     #[test]
     fn cache_stats_round_trip(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-stats", case);
         let stats = arb_cache_stats(&mut rng);
-        let mut w = WireWriter::new();
-        wire::write_cache_stats(&mut w, &stats);
-        let line = w.finish();
-        let mut r = WireReader::new(&line);
-        let back = wire::read_cache_stats(&mut r).expect("round trip decodes");
-        r.finish().expect("no trailing tokens");
-        prop_assert_eq!(back, stats);
+        let line = ServerFrame::Done {
+            id: pick_u64(&mut rng),
+            count: pick_u64(&mut rng),
+            cache: stats,
+            verify: VerifyTotals::default(),
+            pool: PoolStats::default(),
+        }
+        .encode();
+        match ServerFrame::decode(&line).expect("valid frames decode") {
+            ServerFrame::Done { cache, .. } => prop_assert_eq!(cache, stats),
+            other => panic!("decoded {other:?}"),
+        }
     }
 
-    /// Arbitrary metrics round-trip with exact `f64` bits — NaN
-    /// payloads and infinities included.
+    /// Arbitrary metrics round-trip in a `report` frame with exact `f64`
+    /// bits — NaN payloads and infinities included.
     #[test]
     fn metrics_round_trip_bit_exact(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-metrics", case);
         let metrics = arb_metrics(&mut rng);
-        let mut w = WireWriter::new();
-        wire::write_metrics(&mut w, &metrics);
-        let line = w.finish();
-        let mut r = WireReader::new(&line);
-        let back = wire::read_metrics(&mut r).expect("round trip decodes");
-        r.finish().expect("no trailing tokens");
+        let report = Report {
+            target: Symbol::intern("metrics_only"),
+            locations: Vec::new(),
+            declared_locations: Vec::new(),
+            metrics,
+            cache: CacheStats::default(),
+            static_warnings: Vec::new(),
+            unreachable_locations: Vec::new(),
+        };
+        let back = through_report_frame(pick_u64(&mut rng), 0, &report).metrics;
         prop_assert_eq!(back.seconds.to_bits(), metrics.seconds.to_bits());
         prop_assert_eq!(back.verify_seconds.to_bits(), metrics.verify_seconds.to_bits());
         prop_assert_eq!(
@@ -427,20 +461,22 @@ proptest! {
     }
 
     /// Arbitrary synthetic reports — hostile target names, random
-    /// residue heaps, extreme counters — round-trip Debug-identically.
+    /// residue heaps, extreme counters — round-trip Debug-identically in
+    /// `report` frames.
     #[test]
     fn reports_round_trip(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-report", case);
         let pool = formula_pool();
         let report = arb_report(&mut rng, &pool);
-        let line = wire::encode_report(&report);
-        let back = wire::decode_report(&line).expect("valid frames decode");
+        let (id, index) = (pick_u64(&mut rng), pick_u64(&mut rng));
+        let back = through_report_frame(id, index, &report);
         prop_assert_eq!(format!("{back:?}"), format!("{report:?}"));
     }
 
     /// `analyze` frames round-trip Debug-identically with and without
-    /// an uploaded tenant — hostile sources, per-request config
-    /// overrides, extreme batch ids included.
+    /// an uploaded tenant — arbitrary spec-built requests, hostile
+    /// sources, per-request config overrides, extreme batch ids
+    /// included.
     #[test]
     fn analyze_frames_round_trip(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-analyze", case);
@@ -463,22 +499,21 @@ proptest! {
     fn previous_protocol_versions_are_rejected_typed(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-downlevel", case);
         let pool = formula_pool();
-        let request_line =
-            wire::encode_request(&arb_request(&mut rng)).expect("specs always encode");
-        let report_line = wire::encode_report(&arb_report(&mut rng, &pool));
+        let report_line = encode_report_frame(
+            pick_u64(&mut rng),
+            pick_u64(&mut rng),
+            &arb_report(&mut rng, &pool),
+        );
         let upload = arb_upload(&mut rng);
-        let analyze_line = encode_analyze_frame(pick_u64(&mut rng), Some(&upload), &[])
-            .expect("upload-only frames encode");
+        let analyze_line =
+            encode_analyze_frame(pick_u64(&mut rng), Some(&upload), &[arb_request(&mut rng)])
+                .expect("specs always encode");
         for old in [
             "sling7", "sling6", "sling5", "sling4", "sling3", "sling2", "sling1",
         ] {
-            let downlevel = |line: &str| line.replacen(wire::WIRE_VERSION, old, 1);
+            let downlevel = |line: &str| line.replacen(WIRE_VERSION, old, 1);
             prop_assert!(matches!(
-                wire::decode_request(&downlevel(&request_line)),
-                Err(WireError::Version(v)) if v == old
-            ));
-            prop_assert!(matches!(
-                wire::decode_report(&downlevel(&report_line)),
+                ServerFrame::decode(&downlevel(&report_line)),
                 Err(WireError::Version(v)) if v == old
             ));
             prop_assert!(matches!(
@@ -495,9 +530,11 @@ proptest! {
     fn mutated_frames_never_panic(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-mutate", case);
         let pool = formula_pool();
-        let report_line = wire::encode_report(&arb_report(&mut rng, &pool));
-        let request_line =
-            wire::encode_request(&arb_request(&mut rng)).expect("specs always encode");
+        let report_line = encode_report_frame(
+            pick_u64(&mut rng),
+            pick_u64(&mut rng),
+            &arb_report(&mut rng, &pool),
+        );
         let upload = arb_upload(&mut rng);
         let analyze_line = encode_analyze_frame(
             pick_u64(&mut rng),
@@ -505,7 +542,7 @@ proptest! {
             &[arb_request(&mut rng)],
         )
         .expect("specs always encode");
-        for line in [report_line, request_line, analyze_line] {
+        for line in [report_line, analyze_line] {
             let mut bytes = line.clone().into_bytes();
             for _ in 0..8 {
                 match rng.next_u64() % 3 {
@@ -529,8 +566,7 @@ proptest! {
                 // Every decoder entry point must return, not panic;
                 // errors must be the typed WireError (guaranteed by the
                 // signature — the assertion is that we get here at all).
-                let _ = wire::decode_report(&mutated);
-                let _ = wire::decode_request(&mutated);
+                let _ = ServerFrame::decode(&mutated);
                 let _ = ClientFrame::decode(&mutated);
                 let _ = ClientFrame::salvage_id(&mutated);
             }
@@ -538,16 +574,20 @@ proptest! {
     }
 }
 
-/// The report encoder asserts (debug builds) that atoms stay bare; the
-/// public writer API must uphold it for every value the proptests
-/// generate. This spot-checks the token layer against quoting abuse.
+/// The token layer quotes and escapes every string token: a hostile
+/// message survives an `error` frame, and the encoded frame stays one
+/// line, so it cannot split in the transport.
 #[test]
 fn token_layer_handles_hostile_strings() {
     let hostile = "a\\b\"c\nd\re\tf g";
-    let mut w = WireWriter::new();
-    w.text(hostile);
-    let line = w.finish();
-    let mut r = WireReader::new(&line);
-    assert_eq!(r.text().unwrap(), hostile);
-    r.finish().unwrap();
+    let line = ServerFrame::Error {
+        id: 9,
+        message: hostile.to_string(),
+    }
+    .encode();
+    assert!(!line.contains(['\n', '\r']), "{line:?}");
+    match ServerFrame::decode(&line).expect("valid frames decode") {
+        ServerFrame::Error { id, message } => assert_eq!((id, message.as_str()), (9, hostile)),
+        other => panic!("decoded {other:?}"),
+    }
 }
