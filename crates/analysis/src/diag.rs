@@ -181,13 +181,6 @@ impl Diagnostics {
         self.iter().filter(|d| d.severity == Severity::Deny).count()
     }
 
-    /// Number of warnings.
-    pub fn warning_count(&self) -> usize {
-        self.iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count()
-    }
-
     /// True when any finding is deny-level.
     pub fn has_deny(&self) -> bool {
         self.iter().any(|d| d.severity == Severity::Deny)

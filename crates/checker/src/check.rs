@@ -283,12 +283,6 @@ impl<'a> CheckCtx<'a> {
             .unwrap_or(false)
     }
 
-    /// Checks `f` against every model of a sequence; `None` unless all
-    /// models admit a reduction.
-    pub fn check_all(&self, models: &[StackHeapModel], f: &SymHeap) -> Option<Vec<Reduction>> {
-        models.iter().map(|m| self.check(m, f)).collect()
-    }
-
     /// True if the disjunction holds exactly on the model: some disjunct
     /// has an empty residue.
     pub fn holds_exact_disj(&self, model: &StackHeapModel, fs: &[SymHeap]) -> bool {

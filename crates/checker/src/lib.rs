@@ -69,4 +69,4 @@ pub use cache::{env_fingerprint, CacheStats, CheckCache, EnvProfile, SHARD_COUNT
 pub use check::{CellReduction, CheckConfig, CheckCtx, Reduction};
 pub use inst::Instantiation;
 pub use persist::{MergeStats, PersistError};
-pub use verify::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};
+pub use verify::Verdict;

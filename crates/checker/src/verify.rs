@@ -3,9 +3,9 @@
 //!
 //! Dynamic inference emits formulas that hold on every *sampled* model;
 //! this module re-examines each candidate against models the sampler never
-//! produced. The built-in [`UnfoldProver`] enumerates concrete stack-heap
-//! models of the *sibling* candidates at the same location — the reduct of
-//! bounded unfold/fold of the `PredEnv` definitions plus pure-constraint
+//! produced. [`prove`] enumerates concrete stack-heap models of the
+//! *sibling* candidates at the same location — the reduct of bounded
+//! unfold/fold of the `PredEnv` definitions plus pure-constraint
 //! concretization — and model-checks the candidate on each:
 //!
 //! * a model of a sibling that falsifies the candidate is a countermodel:
@@ -25,9 +25,8 @@
 //! the candidate. Soundness is therefore relative to the model checker,
 //! never to the concretization heuristics.
 //!
-//! The [`Prover`] trait keeps the engine generic over the proof backend so
-//! an SMT-based entailment prover (Reynolds et al., CAV'16) can slot in
-//! behind the same verdict interface later.
+//! The budgets are fixed: per reference, 256 unfoldings in all, at most 4
+//! along one derivation, and 24 models; per candidate, 8 references.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -37,47 +36,22 @@ use sling_models::{Heap, HeapCell, Loc, Stack, StackHeapModel, Val};
 
 use crate::check::CheckCtx;
 
-/// Budget knobs for the unfolding prover. All bounds are per
-/// [`Prover::prove`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifyConfig {
-    /// Total expansion steps (predicate unfoldings) across the whole
-    /// enumeration for one reference formula.
-    pub fuel: u32,
-    /// Maximum predicate unfoldings along any single model's derivation —
-    /// bounds the size of enumerated heaps (a list model gets at most
-    /// `max_depth` nodes per segment).
-    pub max_depth: u32,
-    /// Maximum concrete models materialized per reference formula.
-    pub max_models: usize,
-    /// Maximum sibling references consulted per obligation.
-    pub max_references: usize,
-}
+/// Total expansion steps (predicate unfoldings) across the whole
+/// enumeration for one reference formula.
+const FUEL: u32 = 256;
 
-impl Default for VerifyConfig {
-    fn default() -> VerifyConfig {
-        VerifyConfig {
-            fuel: 256,
-            max_depth: 4,
-            max_models: 24,
-            max_references: 8,
-        }
-    }
-}
+/// Maximum predicate unfoldings along any single model's derivation —
+/// bounds the size of enumerated heaps (a list model gets at most
+/// `MAX_DEPTH` nodes per segment).
+const MAX_DEPTH: u32 = 4;
 
-/// One proof obligation: a candidate invariant and the sibling invariants
-/// inferred at the same location (the reference evidence).
-#[derive(Debug, Clone)]
-pub struct Obligation<'a> {
-    /// The formula to verify.
-    pub candidate: &'a SymHeap,
-    /// The other candidates at the same location, assumed true of the
-    /// states the candidate describes. The prover ignores references that
-    /// do not cover the candidate's free variables.
-    pub references: &'a [SymHeap],
-}
+/// Maximum concrete models materialized per reference formula.
+const MAX_MODELS: usize = 24;
 
-/// The prover's answer for one obligation.
+/// Maximum sibling references consulted per candidate.
+const MAX_REFERENCES: usize = 8;
+
+/// The prover's answer for one candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// Every enumerated model of every usable reference satisfies the
@@ -97,18 +71,6 @@ pub enum Verdict {
     },
 }
 
-impl Verdict {
-    /// True for [`Verdict::Verified`].
-    pub fn is_verified(&self) -> bool {
-        matches!(self, Verdict::Verified)
-    }
-
-    /// True for [`Verdict::Refuted`].
-    pub fn is_refuted(&self) -> bool {
-        matches!(self, Verdict::Refuted { .. })
-    }
-}
-
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -119,80 +81,49 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// A verification backend: turns one [`Obligation`] into a [`Verdict`].
-///
-/// Implementations must be deterministic — the engine asserts that
-/// verification never perturbs inference output, and CI replays graded
-/// runs.
-pub trait Prover {
-    /// Short backend name for logs and metrics (e.g. `"unfold"`).
-    fn name(&self) -> &'static str;
-
-    /// Proves or refutes `obligation` under `ctx`'s type and predicate
-    /// environments.
-    fn prove(&self, ctx: &CheckCtx<'_>, obligation: &Obligation<'_>) -> Verdict;
-}
-
-/// The built-in prover: bounded unfolding of reference formulas into
-/// concrete models, each certified by the model checker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnfoldProver {
-    /// Enumeration budgets.
-    pub config: VerifyConfig,
-}
-
-impl UnfoldProver {
-    /// A prover with the given budgets.
-    pub fn new(config: VerifyConfig) -> UnfoldProver {
-        UnfoldProver { config }
-    }
-}
-
-impl Prover for UnfoldProver {
-    fn name(&self) -> &'static str {
-        "unfold"
-    }
-
-    fn prove(&self, ctx: &CheckCtx<'_>, obligation: &Obligation<'_>) -> Verdict {
-        let candidate = obligation.candidate;
-        let needed = candidate.free_vars();
-        let mut usable = 0usize;
-        let mut models_checked = 0usize;
-        for reference in obligation
-            .references
-            .iter()
-            .filter(|r| {
-                if *r == candidate {
-                    return false;
-                }
-                let scope = r.free_vars();
-                needed.iter().all(|v| scope.contains(v))
-            })
-            .take(self.config.max_references)
-        {
-            usable += 1;
-            for model in enumerate_models(ctx, reference, self.config) {
-                // Certify the model against the reference it came from;
-                // concretization is heuristic, the checker is the judge.
-                if !ctx.holds_exact(&model, reference) {
-                    continue;
-                }
-                models_checked += 1;
-                if !ctx.holds_exact(&model, candidate) {
-                    return Verdict::Refuted { witness: model };
-                }
+/// Proves or refutes `candidate` under `ctx`'s type and predicate
+/// environments, against `references`: the other candidates at the same
+/// location, assumed true of the states the candidate describes.
+/// References that do not cover the candidate's free variables are
+/// ignored. Deterministic: the engine asserts that verification never
+/// perturbs inference output, and CI replays graded runs.
+pub fn prove(ctx: &CheckCtx<'_>, candidate: &SymHeap, references: &[SymHeap]) -> Verdict {
+    let needed = candidate.free_vars();
+    let mut usable = 0usize;
+    let mut models_checked = 0usize;
+    for reference in references
+        .iter()
+        .filter(|r| {
+            if *r == candidate {
+                return false;
+            }
+            let scope = r.free_vars();
+            needed.iter().all(|v| scope.contains(v))
+        })
+        .take(MAX_REFERENCES)
+    {
+        usable += 1;
+        for model in enumerate_models(ctx, reference) {
+            // Certify the model against the reference it came from;
+            // concretization is heuristic, the checker is the judge.
+            if !ctx.holds_exact(&model, reference) {
+                continue;
+            }
+            models_checked += 1;
+            if !ctx.holds_exact(&model, candidate) {
+                return Verdict::Refuted { witness: model };
             }
         }
-        if models_checked > 0 {
-            Verdict::Verified
-        } else if usable == 0 {
-            Verdict::Unknown {
-                reason: "no sibling invariant covers the candidate's variables".into(),
-            }
-        } else {
-            Verdict::Unknown {
-                reason: format!("no model of {usable} sibling reference(s) within budget"),
-            }
+    }
+    if models_checked > 0 {
+        Verdict::Verified
+    } else if usable == 0 {
+        Verdict::Unknown {
+            reason: "no sibling invariant covers the candidate's variables".into(),
+        }
+    } else {
+        Verdict::Unknown {
+            reason: format!("no model of {usable} sibling reference(s) within budget"),
         }
     }
 }
@@ -210,11 +141,7 @@ struct Branch {
 /// Enumerates concrete models of `reference` by breadth-first bounded
 /// unfolding (smallest models first). The result is deterministic: queue
 /// order, case order, and location numbering are all fixed by the input.
-fn enumerate_models(
-    ctx: &CheckCtx<'_>,
-    reference: &SymHeap,
-    config: VerifyConfig,
-) -> Vec<StackHeapModel> {
+fn enumerate_models(ctx: &CheckCtx<'_>, reference: &SymHeap) -> Vec<StackHeapModel> {
     let mut queue: VecDeque<Branch> = VecDeque::new();
     let (preds, flats): (Vec<_>, Vec<_>) = reference
         .spatial
@@ -229,10 +156,10 @@ fn enumerate_models(
     });
 
     let mut fresh = 0u32;
-    let mut fuel = config.fuel;
+    let mut fuel = FUEL;
     let mut models = Vec::new();
     while let Some(mut branch) = queue.pop_front() {
-        if models.len() >= config.max_models {
+        if models.len() >= MAX_MODELS {
             break;
         }
         let Some(goal) = branch.pending.pop_front() else {
@@ -244,7 +171,7 @@ fn enumerate_models(
         let SpatialAtom::Pred { name, args } = goal else {
             unreachable!("pending holds predicate atoms only");
         };
-        if branch.unfolds >= config.max_depth || fuel == 0 {
+        if branch.unfolds >= MAX_DEPTH || fuel == 0 {
             continue; // this derivation is out of budget; drop it
         }
         fuel = fuel.saturating_sub(1);
@@ -538,7 +465,7 @@ mod tests {
     fn enumerates_list_models_smallest_first() {
         let (types, preds) = node_env();
         let ctx = CheckCtx::new(&types, &preds);
-        let models = enumerate_models(&ctx, &heap_of("vsll(x)"), VerifyConfig::default());
+        let models = enumerate_models(&ctx, &heap_of("vsll(x)"));
         assert!(models.len() >= 3);
         assert_eq!(models[0].heap.len(), 0);
         assert_eq!(models[1].heap.len(), 1);
@@ -558,14 +485,7 @@ mod tests {
         let references = vec![heap_of(
             "exists d. vlseg(x, res) * res -> VNode{next: nil, data: d}",
         )];
-        let prover = UnfoldProver::default();
-        let verdict = prover.prove(
-            &ctx,
-            &Obligation {
-                candidate: &candidate,
-                references: &references,
-            },
-        );
+        let verdict = prove(&ctx, &candidate, &references);
         let Verdict::Refuted { witness } = verdict else {
             panic!("expected refutation, got {verdict}");
         };
@@ -581,14 +501,7 @@ mod tests {
             heap_of("vlseg(x, res) * vsll(res) & res == nil"),
             heap_of("vsll(x)"),
         ];
-        let prover = UnfoldProver::default();
-        let verdict = prover.prove(
-            &ctx,
-            &Obligation {
-                candidate: &candidate,
-                references: &references,
-            },
-        );
+        let verdict = prove(&ctx, &candidate, &references);
         assert_eq!(verdict, Verdict::Verified, "lseg-to-nil models are slls");
     }
 
@@ -598,14 +511,7 @@ mod tests {
         let ctx = CheckCtx::new(&types, &preds);
         let candidate = heap_of("vsll(y)");
         let references = vec![heap_of("vsll(x)")]; // mentions x, not y
-        let prover = UnfoldProver::default();
-        let verdict = prover.prove(
-            &ctx,
-            &Obligation {
-                candidate: &candidate,
-                references: &references,
-            },
-        );
+        let verdict = prove(&ctx, &candidate, &references);
         assert!(matches!(verdict, Verdict::Unknown { .. }));
     }
 
@@ -615,14 +521,7 @@ mod tests {
         let ctx = CheckCtx::new(&types, &preds);
         let candidate = heap_of("emp & res == nil");
         let references = vec![heap_of("emp & res == nil & x == nil")];
-        let prover = UnfoldProver::default();
-        let verdict = prover.prove(
-            &ctx,
-            &Obligation {
-                candidate: &candidate,
-                references: &references,
-            },
-        );
+        let verdict = prove(&ctx, &candidate, &references);
         assert_eq!(verdict, Verdict::Verified);
     }
 
@@ -631,8 +530,8 @@ mod tests {
         let (types, preds) = node_env();
         let ctx = CheckCtx::new(&types, &preds);
         let f = heap_of("vlseg(x, y) * vsll(y)");
-        let a = enumerate_models(&ctx, &f, VerifyConfig::default());
-        let b = enumerate_models(&ctx, &f, VerifyConfig::default());
+        let a = enumerate_models(&ctx, &f);
+        let b = enumerate_models(&ctx, &f);
         assert_eq!(a, b);
     }
 }

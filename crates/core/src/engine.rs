@@ -2,8 +2,8 @@
 //!
 //! An [`Engine`] owns everything that is expensive to set up and cheap
 //! to reuse: the parsed, type-checked [`Program`], its [`TypeEnv`], the
-//! [`PredEnv`] of inductive predicate definitions, the base
-//! [`SlingConfig`], and a shared [`CheckCache`] that memoizes checker
+//! [`PredEnv`] of inductive predicate definitions, its [`SlingConfig`],
+//! and a shared [`CheckCache`] that memoizes checker
 //! reductions across every request served. Construction goes through
 //! [`EngineBuilder`] (`Engine::builder()`); work is described by
 //! [`AnalysisRequest`]s and answered with [`Report`]s.
@@ -112,11 +112,11 @@ use std::sync::Arc;
 
 use sling_analysis::{analyze_program, AnalysisSettings, Diagnostic, Diagnostics, ProgramAnalysis};
 use sling_checker::{persist, CacheStats, CheckCache, CheckCtx, EnvProfile, PersistError};
-use sling_lang::{check_program, parse_program, Location, Program, Snapshot};
+use sling_lang::{check_program, parse_program, Location, Program, Snapshot, TreeKind};
 use sling_logic::{check_pred_env, parse_predicates, PredDef, PredEnv, Symbol, TypeEnv};
 
 use crate::collect::Executor;
-use crate::pipeline::{infer_location, run_target, SlingConfig, VerifySettings};
+use crate::pipeline::{infer_location, run_target, SlingConfig};
 use crate::report::{BatchReport, LocationAnalysis, Report};
 use crate::request::AnalysisRequest;
 use crate::request::InputSource;
@@ -203,6 +203,20 @@ pub enum AnalyzeError {
         /// index.
         role: Option<(&'static str, usize)>,
     },
+    /// A list or tree layout fits its structure but not its shape: a
+    /// [`TreeKind::Bst`] tree without a `data` field, a
+    /// [`TreeKind::RedBlack`] tree without a `color` field, or two roles
+    /// on one field index.
+    BadLayoutRole {
+        /// The layout's type.
+        ty: Symbol,
+        /// The role at fault.
+        role: &'static str,
+        /// The earlier role whose field index `role` repeats, and that
+        /// index; `None` when the shape needs `role` and the layout
+        /// gives none.
+        shares: Option<(&'static str, usize)>,
+    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -244,6 +258,23 @@ impl fmt::Display for AnalyzeError {
                     (Some(declared), _) => write!(f, "the structure declares {declared}"),
                 }
             }
+            AnalyzeError::BadLayoutRole {
+                ty,
+                role,
+                shares: None,
+            } => write!(
+                f,
+                "input layout of type `{ty}`: its shape needs a `{role}` field"
+            ),
+            AnalyzeError::BadLayoutRole {
+                ty,
+                role,
+                shares: Some((other, index)),
+            } => write!(
+                f,
+                "input layout of type `{ty}`: its `{role}` and `{other}` roles \
+                 share field {index}"
+            ),
         }
     }
 }
@@ -303,7 +334,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the base configuration (requests may override per call).
+    /// Sets the configuration every request of the engine runs under.
     /// It replaces the whole config, so call it before
     /// [`EngineBuilder::executor`] and [`EngineBuilder::verification`],
     /// which write single fields of it.
@@ -315,10 +346,10 @@ impl EngineBuilder {
     /// Enables the static-verification post-pass: every reported
     /// invariant is graded against its siblings by bounded unfolding
     /// (see [`sling_checker::verify`]), and refutation witnesses drive
-    /// up to [`VerifySettings::cegir_rounds`] counterexample-guided
-    /// re-collection rounds. Off by default.
-    pub fn verification(mut self, settings: VerifySettings) -> EngineBuilder {
-        self.config.verify = Some(settings);
+    /// up to three counterexample-guided re-collection rounds. Off by
+    /// default.
+    pub fn verification(mut self) -> EngineBuilder {
+        self.config.verify = true;
         self
     }
 
@@ -374,8 +405,7 @@ impl EngineBuilder {
     /// bytecode VM (default, the hot path) or the tree-walk interpreter
     /// (the differential-testing oracle — both produce identical traces,
     /// so this is a performance knob, not a semantics one). Writes the
-    /// base config's [`SlingConfig::executor`]; requests may still
-    /// override per call via their own config.
+    /// config's [`SlingConfig::executor`].
     pub fn executor(mut self, executor: Executor) -> EngineBuilder {
         self.config.executor = executor;
         self
@@ -428,8 +458,8 @@ impl EngineBuilder {
         }
         let profile = EnvProfile::new(&types, &self.preds);
         // Compile to bytecode once per engine, whatever the executor:
-        // compilation is a single cheap pass, and pre-compiling keeps
-        // per-request `executor` overrides zero-cost either way.
+        // compilation is a single cheap pass, and the listings stay
+        // inspectable (`Engine::compiled`) on either tier.
         let compile_start = std::time::Instant::now();
         let compiled = sling_vm::Compiler::compile(&program);
         let compile_seconds = compile_start.elapsed().as_secs_f64();
@@ -567,7 +597,7 @@ impl Engine {
         &self.preds
     }
 
-    /// The base configuration.
+    /// The configuration every request runs under.
     pub fn config(&self) -> &SlingConfig {
         &self.config
     }
@@ -653,19 +683,12 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Drops every memoized entailment (counters are kept). Long-lived
-    /// services call this to bound memory between unrelated workloads;
-    /// benchmarks call it to measure the cold path.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
     /// The checker context every request of this engine runs under.
-    fn check_ctx<'e>(&'e self, config: &SlingConfig) -> CheckCtx<'e> {
+    fn check_ctx(&self) -> CheckCtx<'_> {
         CheckCtx {
             types: &self.types,
             preds: &self.preds,
-            config: config.check,
+            config: self.config.check,
             cache: Some(&self.cache),
             env_tag: self.profile.env_tag(),
         }
@@ -675,7 +698,8 @@ impl Engine {
     /// every cell of an exact input shape and every list or tree layout
     /// has a declared structure type with the declared number of fields,
     /// and every layout role indexes one of those fields (input building
-    /// and trace collection index fields by the declaration).
+    /// and trace collection index fields by the declaration), a field of
+    /// its own, and the shape has the roles it builds with.
     fn validate(&self, request: &AnalysisRequest) -> Result<(), AnalyzeError> {
         if self.program.func(request.target).is_none() {
             return Err(AnalyzeError::UnknownTarget(request.target));
@@ -702,8 +726,11 @@ impl Engine {
                     l.ty,
                     l.nfields,
                     &[("next", Some(l.next)), ("prev", l.prev), ("data", l.data)],
+                    None,
                 )?,
-                ValueSpec::Tree { layout: l, .. } => self.check_layout(
+                ValueSpec::Tree {
+                    layout: l, kind, ..
+                } => self.check_layout(
                     l.ty,
                     l.nfields,
                     &[
@@ -713,6 +740,11 @@ impl Engine {
                         ("data", l.data),
                         ("color", l.color),
                     ],
+                    match kind {
+                        TreeKind::Bst => Some("data"),
+                        TreeKind::RedBlack => Some("color"),
+                        TreeKind::Random | TreeKind::Balanced => None,
+                    },
                 )?,
                 ValueSpec::Nil | ValueSpec::Int(_) | ValueSpec::IntIn(..) => {}
             }
@@ -721,41 +753,59 @@ impl Engine {
     }
 
     /// The layout half of [`Engine::validate`]: `ty` is declared with
-    /// `nfields` fields, and every present role index is below `nfields`.
+    /// `nfields` fields, every present role index is below `nfields`, no
+    /// two roles share an index, and the role the shape `needs` is
+    /// present.
     fn check_layout(
         &self,
         ty: Symbol,
         nfields: usize,
         roles: &[(&'static str, Option<usize>)],
+        needs: Option<&'static str>,
     ) -> Result<(), AnalyzeError> {
         let declared = self.types.get(ty).map(|def| def.fields.len());
         let role = roles
             .iter()
             .find_map(|&(name, index)| index.filter(|&i| i >= nfields).map(|i| (name, i)));
-        if declared == Some(nfields) && role.is_none() {
-            return Ok(());
+        if declared != Some(nfields) || role.is_some() {
+            return Err(AnalyzeError::BadLayout {
+                ty,
+                nfields,
+                declared,
+                role,
+            });
         }
-        Err(AnalyzeError::BadLayout {
-            ty,
-            nfields,
-            declared,
-            role,
-        })
+        if let Some(role) = needs.filter(|need| roles.contains(&(*need, None))) {
+            return Err(AnalyzeError::BadLayoutRole {
+                ty,
+                role,
+                shares: None,
+            });
+        }
+        for (at, &(role, index)) in roles.iter().enumerate() {
+            let Some(index) = index else { continue };
+            if let Some(&(other, _)) = roles[..at].iter().find(|(_, i)| *i == Some(index)) {
+                return Err(AnalyzeError::BadLayoutRole {
+                    ty,
+                    role,
+                    shares: Some((other, index)),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Runs one (pre-validated) request with `workers` threads available
     /// for its per-location inference fan-out; the report's cache delta
     /// is left zeroed for the caller to fill in.
     fn run_request(&self, request: &AnalysisRequest, workers: usize) -> Report {
-        let config = request.config.as_ref().unwrap_or(&self.config);
-        let ctx = self.check_ctx(config);
         let mut report = run_target(
-            &ctx,
+            &self.check_ctx(),
             &self.program,
             &self.compiled,
             request.target,
             &request.inputs,
-            config,
+            &self.config,
             workers,
         );
         report.metrics.compile_seconds = self.compile_seconds;
@@ -887,9 +937,8 @@ impl Engine {
             return Err(AnalyzeError::UnknownTarget(target));
         };
         let param_order: Vec<Symbol> = func.params.iter().map(|p| p.name).collect();
-        let ctx = self.check_ctx(&self.config);
         Ok(infer_location(
-            &ctx,
+            &self.check_ctx(),
             location,
             snaps,
             &param_order,
@@ -1324,6 +1373,131 @@ mod tests {
         assert_eq!(report.metrics.faulted_runs, 0);
         let report = analyze("leftmost_key", ValueSpec::tree(tree, 5, TreeKind::Bst)).unwrap();
         assert_eq!(report.metrics.faulted_runs, 0);
+    }
+
+    /// An engine over one tree node with a field for every tree role
+    /// but `parent`, and the layout that gives each role its own field.
+    fn shape_engine() -> (Engine, TreeLayout) {
+        let engine = Engine::builder()
+            .program_source(
+                "struct RNode { left: RNode*; right: RNode*; key: int; color: int; }
+                 struct DNode { next: DNode*; prev: DNode*; }
+                 fn min_key(t: RNode*) -> int {
+                     while @w (t->left != null) { t = t->left; }
+                     return t->key;
+                 }
+                 fn first(x: DNode*) -> DNode* { return x; }",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let layout = TreeLayout {
+            ty: Symbol::intern("RNode"),
+            nfields: 4,
+            left: 0,
+            right: 1,
+            parent: None,
+            data: Some(2),
+            color: Some(3),
+        };
+        (engine, layout)
+    }
+
+    fn analyze_tree(
+        engine: &Engine,
+        layout: TreeLayout,
+        kind: TreeKind,
+    ) -> Result<Report, AnalyzeError> {
+        let input = InputSpec::seeded(5).arg(ValueSpec::tree(layout, 6, kind));
+        engine.analyze(&AnalysisRequest::new("min_key").input(input))
+    }
+
+    #[test]
+    fn bst_layouts_need_a_data_field() {
+        // A BST orders its nodes by key.
+        let (engine, layout) = shape_engine();
+        let keyless = TreeLayout {
+            data: None,
+            ..layout
+        };
+        let err = analyze_tree(&engine, keyless, TreeKind::Bst).unwrap_err();
+        let expected = AnalyzeError::BadLayoutRole {
+            ty: layout.ty,
+            role: "data",
+            shares: None,
+        };
+        assert_eq!(err, expected);
+        assert!(err.to_string().contains("needs a `data` field"), "{err}");
+        // A random tree needs no key, and the keyed layout builds a BST.
+        assert!(analyze_tree(&engine, keyless, TreeKind::Random).is_ok());
+        assert!(analyze_tree(&engine, layout, TreeKind::Bst).is_ok());
+    }
+
+    #[test]
+    fn red_black_layouts_need_a_color_field() {
+        // Painting a red-black tree writes its color field.
+        let (engine, layout) = shape_engine();
+        let colorless = TreeLayout {
+            color: None,
+            ..layout
+        };
+        assert_eq!(
+            analyze_tree(&engine, colorless, TreeKind::RedBlack).unwrap_err(),
+            AnalyzeError::BadLayoutRole {
+                ty: layout.ty,
+                role: "color",
+                shares: None,
+            }
+        );
+        assert!(analyze_tree(&engine, colorless, TreeKind::Balanced).is_ok());
+        assert!(analyze_tree(&engine, layout, TreeKind::RedBlack).is_ok());
+    }
+
+    #[test]
+    fn layout_roles_need_fields_of_their_own() {
+        // A BST keyed on its left pointer overwrites a key with a child,
+        // then reads that child back as a key.
+        let (engine, layout) = shape_engine();
+        let on_left = TreeLayout {
+            data: Some(0),
+            ..layout
+        };
+        let err = analyze_tree(&engine, on_left, TreeKind::Bst).unwrap_err();
+        assert_eq!(
+            err,
+            AnalyzeError::BadLayoutRole {
+                ty: layout.ty,
+                role: "data",
+                shares: Some(("left", 0)),
+            }
+        );
+        assert!(
+            err.to_string()
+                .contains("`data` and `left` roles share field 0"),
+            "{err}"
+        );
+
+        // A list whose `prev` is its `next` would link each node to
+        // itself backwards.
+        let dnode = Symbol::intern("DNode");
+        let folded = ListLayout {
+            ty: dnode,
+            nfields: 2,
+            next: 0,
+            prev: Some(0),
+            data: None,
+        };
+        let input = InputSpec::seeded(5).arg(ValueSpec::dll(folded, 3));
+        assert_eq!(
+            engine
+                .analyze(&AnalysisRequest::new("first").input(input))
+                .unwrap_err(),
+            AnalyzeError::BadLayoutRole {
+                ty: dnode,
+                role: "prev",
+                shares: Some(("next", 0)),
+            }
+        );
     }
 
     #[test]

@@ -28,28 +28,12 @@ use sling_models::{HeapCell, Loc, StackHeapModel, Val};
 use crate::cells::{CellIndex, Masks};
 use crate::split::BoundaryItem;
 
-/// Limits for the candidate search.
-#[derive(Debug, Clone, Copy)]
-pub struct InferConfig {
-    /// Maximum accepted atomic formulae per variable (strongest —
-    /// smallest total residue — kept first).
-    pub max_results_per_var: usize,
-    /// Maximum candidate argument tuples tried per predicate.
-    pub max_candidates_per_pred: usize,
-    /// Reject inductive candidates that cover no cell in any model
-    /// (vacuously true base-case matches convey nothing beyond `emp`).
-    pub require_nonvacuous: bool,
-}
+/// Maximum accepted atomic formulae per variable (strongest — smallest
+/// total residue — kept first).
+const MAX_RESULTS_PER_VAR: usize = 4;
 
-impl Default for InferConfig {
-    fn default() -> InferConfig {
-        InferConfig {
-            max_results_per_var: 4,
-            max_candidates_per_pred: 4_096,
-            require_nonvacuous: true,
-        }
-    }
-}
+/// Maximum candidate argument tuples tried per predicate.
+const MAX_CANDIDATES_PER_PRED: usize = 4_096;
 
 /// One accepted atomic formula with its per-model evidence.
 #[derive(Debug, Clone)]
@@ -127,7 +111,6 @@ pub fn var_types<'m>(
 /// `types` maps stack variables to their observed types (for the
 /// `type(ki) <: type(ti)` check); `fresh` supplies existential names
 /// shared across the whole location so `u1, u2, ...` never collide.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn infer_atom(
     ctx: &CheckCtx<'_>,
     v: Symbol,
@@ -136,7 +119,6 @@ pub(crate) fn infer_atom(
     boundary: &BTreeSet<BoundaryItem>,
     types: &BTreeMap<Symbol, VarTy>,
     fresh: &mut FreshVars,
-    config: &InferConfig,
 ) -> Vec<AtomResult> {
     assert!(
         !index.models.is_empty(),
@@ -188,7 +170,6 @@ pub(crate) fn infer_atom(
                 types,
                 pred,
                 fresh,
-                config,
                 &mut results,
             );
         }
@@ -211,7 +192,6 @@ pub(crate) fn infer_atom(
     //    §2.3 keeps it even though its residue is larger than the
     //    tail-rooted alternative when back-pointers reach above `x`).
     // Half the slots go to each ranking; duplicates collapse.
-    let k = config.max_results_per_var.max(1);
     let mut ranked = results.clone();
     ranked.sort_by_cached_key(|r| {
         (
@@ -229,10 +209,14 @@ pub(crate) fn infer_atom(
             r.formula.to_string(),
         )
     });
-    let mut keep: Vec<AtomResult> = Vec::with_capacity(k);
+    let mut keep: Vec<AtomResult> = Vec::with_capacity(MAX_RESULTS_PER_VAR);
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    for r in ranked.into_iter().take(k.div_ceil(2)).chain(results) {
-        if keep.len() >= k {
+    for r in ranked
+        .into_iter()
+        .take(MAX_RESULTS_PER_VAR.div_ceil(2))
+        .chain(results)
+    {
+        if keep.len() >= MAX_RESULTS_PER_VAR {
             break;
         }
         if seen.insert(r.formula.to_string()) {
@@ -274,7 +258,6 @@ fn infer_inductive(
     types: &BTreeMap<Symbol, VarTy>,
     pred: &PredDef,
     fresh: &mut FreshVars,
-    config: &InferConfig,
     results: &mut Vec<AtomResult>,
 ) {
     let n = pred.arity();
@@ -296,12 +279,10 @@ fn infer_inductive(
             let placements = placements(&set, n, pred, types);
             for placement in placements {
                 tried += 1;
-                if tried > config.max_candidates_per_pred {
+                if tried > MAX_CANDIDATES_PER_PRED {
                     return;
                 }
-                results.extend(try_candidate(
-                    ctx, index, subs, pred, &placement, fresh, config,
-                ));
+                results.extend(try_candidate(ctx, index, subs, pred, &placement, fresh));
             }
         }
     }
@@ -358,7 +339,6 @@ fn place_rec(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn try_candidate(
     ctx: &CheckCtx<'_>,
     index: &CellIndex<'_>,
@@ -366,7 +346,6 @@ fn try_candidate(
     pred: &PredDef,
     placement: &[Option<BoundaryItem>],
     fresh: &mut FreshVars,
-    config: &InferConfig,
 ) -> Option<AtomResult> {
     // Build ∃u⃗. p(args): fresh names are *tentative* — they only stick
     // if the candidate is accepted, so rejected candidates do not burn
@@ -408,7 +387,9 @@ fn try_candidate(
         }
         insts.push(red.inst);
     }
-    if config.require_nonvacuous && !covered_any {
+    // A candidate that covers no cell in any model is a vacuously true
+    // base-case match: it conveys nothing beyond `emp`.
+    if !covered_any {
         return None;
     }
     *fresh = trial;
@@ -641,7 +622,6 @@ mod tests {
             &boundary(),
             &vt,
             &mut fresh,
-            &InferConfig::default(),
         );
         assert!(!results.is_empty());
         // The strongest results must fully cover every sub-heap.
@@ -680,7 +660,6 @@ mod tests {
             &BTreeSet::new(),
             &vt,
             &mut fresh,
-            &InferConfig::default(),
         );
         assert_eq!(results.len(), 1);
         assert!(results[0].formula.is_emp());
@@ -710,7 +689,6 @@ mod tests {
                 .collect(),
             &vt,
             &mut fresh,
-            &InferConfig::default(),
         );
         let singleton = results
             .iter()
@@ -743,7 +721,6 @@ mod tests {
             &boundary(),
             &vt,
             &mut fresh,
-            &InferConfig::default(),
         );
         // No accepted inductive formula may be a vacuous base-case match.
         for r in &results {

@@ -51,10 +51,10 @@
 //!   (`program` / `program_source`), the predicates (`predicates` /
 //!   `predicates_source` / `pred_env`), optionally a [`SlingConfig`], a
 //!   shared cache, and a `parallelism` worker count, then `build()`.
-//! * [`AnalysisRequest`]: a target function, its test inputs
+//!   The builder is the one place settings enter an engine.
+//! * [`AnalysisRequest`]: a target function and its test inputs
 //!   (declarative [`InputSpec`]s, or custom closures as an escape
-//!   hatch), and an optional per-request config override. Requests are
-//!   `Send + Sync + Clone + Debug`.
+//!   hatch). Requests are `Send + Sync + Clone + Debug`.
 //! * [`Engine::analyze`] serves one request as a [`Report`] — with its
 //!   per-location inference fanned out over the engine's worker pool,
 //!   so even a single-target request uses every core;
@@ -140,8 +140,8 @@ pub use engine::{
     default_parallelism, AnalyzeError, BuildError, DiscardReports, Engine, EngineBuilder,
     ReportSink,
 };
-pub use infer::{var_types, InferConfig, VarTy};
-pub use pipeline::{select_models, SlingConfig, VerifySettings};
+pub use infer::{var_types, VarTy};
+pub use pipeline::{select_models, SlingConfig};
 pub use pure::infer_pure;
 pub use report::{
     BatchReport, Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,
@@ -155,11 +155,10 @@ pub use spec::{ExactCell, ExactVal, InputSpec, ValueSpec};
 pub use split::{split_heap, BoundaryItem, Split};
 pub use validate::validate_frame;
 
-// Re-exported so spec construction, report reading, cache persistence,
-// and verification need no direct `sling_lang` / `sling_models` /
+// Re-exported so spec construction, report reading and cache
+// persistence need no direct `sling_lang` / `sling_models` /
 // `sling_checker` import.
 pub use sling_checker::{persist, CacheStats, CheckCache, EnvProfile, MergeStats, PersistError};
-pub use sling_checker::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};
 pub use sling_lang::{DataOrder, ListLayout, Location, TreeKind, TreeLayout};
 pub use sling_models::{Heap, HeapCell, Loc, Val};
 pub use sling_vm::{BytecodeVm, CompiledProgram, Compiler};

@@ -12,16 +12,15 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::Instant;
 
-use sling_checker::{
-    CheckConfig, CheckCtx, Instantiation, Obligation, Prover, UnfoldProver, Verdict, VerifyConfig,
-};
+use sling_checker::verify::prove;
+use sling_checker::{CheckConfig, CheckCtx, Instantiation, Verdict};
 use sling_lang::{Location, Program, Snapshot, TraceConfig, VmConfig};
 use sling_logic::{FreshVars, SymHeap, Symbol};
 use sling_models::StackHeapModel;
 
 use crate::cells::{CellIndex, Masks};
 use crate::collect::{collect_models, Executor};
-use crate::infer::{infer_atom, var_types, InferConfig, VarTy};
+use crate::infer::{infer_atom, var_types, VarTy};
 use crate::pure::infer_pure;
 use crate::report::{
     Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,
@@ -36,11 +35,6 @@ use crate::validate::validate_frame;
 pub struct SlingConfig {
     /// Model-checker limits.
     pub check: CheckConfig,
-    /// InferAtom limits.
-    pub infer: InferConfig,
-    /// Cap on the result set `R` carried across variables (strongest
-    /// kept).
-    pub max_results_per_location: usize,
     /// Drop duplicate stack-heap models before inference (identical
     /// models carry no extra information but multiply checking cost).
     pub dedupe_models: bool,
@@ -53,50 +47,35 @@ pub struct SlingConfig {
     /// Tracer behaviour (freed-cell visibility).
     pub trace: TraceConfig,
     /// Which execution tier collects traces (bytecode by default; the
-    /// tree-walk oracle via [`crate::EngineBuilder::executor`] or a
-    /// per-request override).
+    /// tree-walk oracle via [`crate::EngineBuilder::executor`]).
     pub executor: Executor,
-    /// Static verification + CEGIR refinement; `None` leaves every
+    /// Static verification + CEGIR refinement
+    /// ([`crate::EngineBuilder::verification`]); off leaves every
     /// invariant [`InvariantGrade::Ungraded`].
-    pub verify: Option<VerifySettings>,
+    pub verify: bool,
 }
 
 impl Default for SlingConfig {
     fn default() -> SlingConfig {
         SlingConfig {
             check: CheckConfig::default(),
-            infer: InferConfig::default(),
-            max_results_per_location: 8,
             dedupe_models: true,
             max_models_per_location: 48,
             vm: VmConfig::default(),
             trace: TraceConfig::default(),
             executor: Executor::default(),
-            verify: None,
+            verify: false,
         }
     }
 }
 
-/// Settings for the verification post-pass and its counterexample-guided
-/// refinement loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifySettings {
-    /// Budgets of the bounded-unfolding prover.
-    pub prover: VerifyConfig,
-    /// Maximum refinement rounds: each round turns refutation witnesses
-    /// into new inputs and re-runs collection + inference. `0` grades
-    /// once and never refines.
-    pub cegir_rounds: usize,
-}
+/// Cap on the result set `R` carried across variables (strongest kept).
+const MAX_RESULTS_PER_LOCATION: usize = 8;
 
-impl Default for VerifySettings {
-    fn default() -> VerifySettings {
-        VerifySettings {
-            prover: VerifyConfig::default(),
-            cegir_rounds: 3,
-        }
-    }
-}
+/// Maximum refinement rounds of the verification post-pass: each round
+/// turns refutation witnesses into new inputs and re-runs collection and
+/// inference.
+const CEGIR_ROUNDS: usize = 3;
 
 /// One in-flight element of the result set `R` (Algorithm 1).
 #[derive(Debug, Clone)]
@@ -132,11 +111,10 @@ pub(crate) fn run_target(
     config: &SlingConfig,
     workers: usize,
 ) -> Report {
-    let Some(settings) = config.verify else {
+    if !config.verify {
         return run_target_once(ctx, program, compiled, target, inputs, config, workers);
-    };
+    }
     let start = Instant::now();
-    let prover = UnfoldProver::new(settings.prover);
     let func = program.func(target).expect("target exists");
     let params = func.params.clone();
 
@@ -160,12 +138,12 @@ pub(crate) fn run_target(
         let witnesses: Vec<StackHeapModel> = report
             .locations
             .iter_mut()
-            .flat_map(|analysis| grade_location(ctx, &prover, analysis))
+            .flat_map(|analysis| grade_location(ctx, analysis))
             .collect();
         if rounds == 0 {
             refuted_initial = report.graded_count(InvariantGrade::Refuted);
         }
-        if witnesses.is_empty() || rounds >= settings.cegir_rounds {
+        if witnesses.is_empty() || rounds >= CEGIR_ROUNDS {
             break;
         }
         // Counterexample-guided refinement: each witness becomes a
@@ -215,11 +193,7 @@ pub(crate) fn run_target(
 /// Grades every invariant at one location against its siblings; returns
 /// the refutation witnesses of non-spurious invariants (spurious ones are
 /// graded but neither feed the refinement loop nor serve as references).
-fn grade_location(
-    ctx: &CheckCtx<'_>,
-    prover: &UnfoldProver,
-    analysis: &mut LocationAnalysis,
-) -> Vec<StackHeapModel> {
+fn grade_location(ctx: &CheckCtx<'_>, analysis: &mut LocationAnalysis) -> Vec<StackHeapModel> {
     let references: Vec<SymHeap> = analysis
         .invariants
         .iter()
@@ -228,14 +202,7 @@ fn grade_location(
         .collect();
     let mut witnesses = Vec::new();
     for inv in &mut analysis.invariants {
-        let verdict = prover.prove(
-            ctx,
-            &Obligation {
-                candidate: &inv.formula,
-                references: &references,
-            },
-        );
-        inv.grade = match verdict {
+        inv.grade = match prove(ctx, &inv.formula, &references) {
             Verdict::Verified => InvariantGrade::Verified,
             Verdict::Refuted { witness } => {
                 if !inv.spurious {
@@ -412,7 +379,6 @@ pub(crate) fn infer_location(
                 &split.boundary,
                 &vt,
                 &mut fresh,
-                &config.infer,
             );
             all_emp &= atoms.iter().all(|a| a.formula.is_emp()) && !split.sub.is_empty();
             for atom in atoms {
@@ -445,11 +411,10 @@ pub(crate) fn infer_location(
         // each parent (in sorted order), then the remaining slots by
         // strength. This is what lets both the maximal-coverage and the
         // paper's head-rooted results survive to the end.
-        let cap = config.max_results_per_location.max(1);
-        let mut kept: Vec<Partial> = Vec::with_capacity(cap);
+        let mut kept: Vec<Partial> = Vec::with_capacity(MAX_RESULTS_PER_LOCATION);
         let mut parents_done: BTreeSet<usize> = BTreeSet::new();
         for (parent, p) in &next {
-            if kept.len() >= cap {
+            if kept.len() >= MAX_RESULTS_PER_LOCATION {
                 break;
             }
             if parents_done.insert(*parent) {
@@ -457,7 +422,7 @@ pub(crate) fn infer_location(
             }
         }
         for (_, p) in next {
-            if kept.len() >= cap {
+            if kept.len() >= MAX_RESULTS_PER_LOCATION {
                 break;
             }
             if !kept.iter().any(|q| q.formula == p.formula) {

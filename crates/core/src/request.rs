@@ -14,7 +14,6 @@ use sling_lang::RtHeap;
 use sling_logic::Symbol;
 use sling_models::Val;
 
-use crate::pipeline::SlingConfig;
 use crate::spec::InputSpec;
 
 /// Builds the argument vector for one run, allocating input structures
@@ -75,13 +74,13 @@ impl From<InputBuilder> for InputSource {
 }
 
 /// One unit of work for an [`crate::Engine`]: a target function of the
-/// engine's program, the test inputs to trace it on, and an optional
-/// per-request configuration override.
+/// engine's program and the test inputs to trace it on. Settings are the
+/// engine's own ([`crate::EngineBuilder`]); a request carries none.
 ///
 /// Built fluently:
 ///
 /// ```
-/// use sling::{AnalysisRequest, InputSpec, ListLayout, SlingConfig, ValueSpec};
+/// use sling::{AnalysisRequest, InputSpec, ListLayout, ValueSpec};
 /// use sling_logic::Symbol;
 ///
 /// let layout = ListLayout {
@@ -89,9 +88,8 @@ impl From<InputBuilder> for InputSource {
 /// };
 /// let request = AnalysisRequest::new("concat")
 ///     .input(InputSpec::seeded(7).arg(ValueSpec::dll(layout, 3)))
-///     .config(SlingConfig { max_models_per_location: 16, ..SlingConfig::default() });
-/// assert_eq!(request.inputs.len(), 1);
-/// assert_eq!(request.config.unwrap().max_models_per_location, 16);
+///     .input(InputSpec::seeded(8).arg(ValueSpec::nil()));
+/// assert_eq!(request.inputs.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnalysisRequest {
@@ -100,8 +98,6 @@ pub struct AnalysisRequest {
     /// Input sources; each produces the argument vector for one traced
     /// run.
     pub inputs: Vec<InputSource>,
-    /// Overrides the engine's configuration for this request only.
-    pub config: Option<SlingConfig>,
 }
 
 impl AnalysisRequest {
@@ -110,7 +106,6 @@ impl AnalysisRequest {
         AnalysisRequest {
             target: target.into(),
             inputs: Vec::new(),
-            config: None,
         }
     }
 
@@ -136,12 +131,6 @@ impl AnalysisRequest {
         I::Item: Into<InputSource>,
     {
         self.inputs.extend(sources.into_iter().map(Into::into));
-        self
-    }
-
-    /// Overrides the engine configuration for this request.
-    pub fn config(mut self, config: SlingConfig) -> AnalysisRequest {
-        self.config = Some(config);
         self
     }
 }

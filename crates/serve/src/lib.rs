@@ -17,7 +17,7 @@
 //!
 //! * [`proto`] — the protocol: `analyze` requests (optionally carrying
 //!   a [`ProgramUpload`]) in, streamed `report` frames plus a `done`
-//!   epilogue (with [`PoolStats`]) out. It owns the whole `sling8`
+//!   epilogue (with [`PoolStats`]) out. It owns the whole wire
 //!   grammar and the hand-rolled text codec behind it (no serde; the
 //!   build is offline), which is private: peers exchange frames.
 //! * [`EnginePool`] — the tenancy layer: an LRU of built engines keyed

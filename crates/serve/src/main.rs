@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sling::{Engine, SlingConfig, VerifySettings};
+use sling::{Engine, SlingConfig};
 use sling_serve::{EnginePool, PoolSettings, ServeOptions, Service, DEFAULT_POOL_CAPACITY};
 use sling_suite::fixtures::ListCorpus;
 
@@ -240,7 +240,7 @@ fn build_engine(
         builder = builder.executor(executor);
     }
     if args.verify {
-        builder = builder.verification(VerifySettings::default());
+        builder = builder.verification();
     }
     Ok(builder.build()?)
 }
@@ -345,14 +345,11 @@ fn main() -> ExitCode {
     if let Some(executor) = args.executor {
         config.executor = executor;
     }
-    if args.verify {
-        config.verify = Some(VerifySettings::default());
-    }
+    config.verify = args.verify;
     let settings = PoolSettings {
         config,
         parallelism: args.parallelism,
         cache_capacity: args.cache_cap,
-        analysis: Some(sling::AnalysisSettings::default()),
     };
     let pool_cap = args.pool_cap.unwrap_or(DEFAULT_POOL_CAPACITY);
     let pool = EnginePool::new(engine, pool_cap, settings);

@@ -6,14 +6,15 @@
 //! [`ProgramUpload`], which the pool resolves to a built engine —
 //! reusing one built for an identical upload, or running the full build
 //! pipeline (parse → typecheck → static diagnostics → productivity lint
-//! → bytecode compile) on a miss. Uploaded programs pass the
-//! [`sling::AnalysisSettings`] lint gate by default — a tenant is
-//! untrusted source, and deny-level findings (use-before-init,
-//! unreachable snapshot locations, definite-null dereferences) reject
-//! the upload with the structured findings instead of pooling an engine
-//! that would fault or silently under-infer. Residency is bounded: past the cap, the least-recently-
-//! used engine is evicted (its entailment cache and compiled chunks go
-//! with it; a returning tenant rebuilds and counts a miss).
+//! → bytecode compile) on a miss. Every uploaded program passes the
+//! [`sling::AnalysisSettings`] lint gate — a tenant is untrusted source,
+//! and deny-level findings (use-before-init, unreachable snapshot
+//! locations, definite-null dereferences) reject the upload with the
+//! structured findings instead of pooling an engine that would fault or
+//! silently under-infer. Residency is bounded: past the cap, the
+//! least-recently-used engine is evicted (its entailment cache and
+//! compiled chunks go with it; a returning tenant rebuilds and counts a
+//! miss).
 //!
 //! Slots are keyed by the upload itself, hashed by its [`fingerprint`]:
 //! two uploads whose fingerprints collide still compare their sources,
@@ -38,12 +39,10 @@ use sling::{AnalysisSettings, BuildError, Engine, SlingConfig};
 use crate::proto::{PoolStats, ProgramUpload};
 
 /// Build-time settings every pool-built engine shares. (The default
-/// tenant keeps whatever it was built with; per-request [`SlingConfig`]
-/// overrides ride on the requests themselves and need no rebuild.)
-#[derive(Debug, Clone)]
+/// tenant keeps whatever it was built with.)
+#[derive(Debug, Clone, Default)]
 pub struct PoolSettings {
-    /// Base [`SlingConfig`] for uploaded tenants (requests may still
-    /// override it per-request).
+    /// The [`SlingConfig`] uploaded tenants are built with.
     pub config: SlingConfig,
     /// Worker budget per built engine; `None` uses
     /// [`sling::default_parallelism`].
@@ -51,21 +50,6 @@ pub struct PoolSettings {
     /// Entailment-cache entry bound per built engine; `None` keeps the
     /// engine default.
     pub cache_capacity: Option<usize>,
-    /// Static-diagnostics settings applied to every upload before an
-    /// engine is pooled for it. Defaults to the full lint suite — an
-    /// upload is untrusted source; set `None` to run uploads ungated.
-    pub analysis: Option<AnalysisSettings>,
-}
-
-impl Default for PoolSettings {
-    fn default() -> PoolSettings {
-        PoolSettings {
-            config: SlingConfig::default(),
-            parallelism: None,
-            cache_capacity: None,
-            analysis: Some(AnalysisSettings::default()),
-        }
-    }
 }
 
 /// Why the pool could not produce an engine for a batch.
@@ -267,15 +251,14 @@ impl EnginePool {
         }
     }
 
-    /// Runs the full build pipeline on uploaded sources.
+    /// Runs the full build pipeline on uploaded sources, lint gate
+    /// included.
     fn build(&self, upload: &ProgramUpload) -> Result<Engine, BuildError> {
         let mut builder = Engine::builder()
             .program_source(&upload.program)?
             .predicates_source(&upload.predicates)?
-            .config(self.settings.config);
-        if let Some(settings) = self.settings.analysis {
-            builder = builder.static_analysis(settings);
-        }
+            .config(self.settings.config)
+            .static_analysis(AnalysisSettings::default());
         if let Some(workers) = self.settings.parallelism {
             builder = builder.parallelism(workers);
         }
@@ -455,7 +438,7 @@ mod tests {
     fn lint_gate_rejects_hostile_uploads_by_default() {
         let pool = EnginePool::new(None, 4, PoolSettings::default());
         // Use-before-init: `y` is read on every path without ever being
-        // written. The default settings deny this at build time.
+        // written. The lint gate denies this at build time.
         let hostile = ProgramUpload {
             program: "fn f() -> int { var y: int; return y; }".into(),
             predicates: String::new(),
@@ -469,19 +452,6 @@ mod tests {
             }
             other => panic!("expected a rejected build, got {other:?}"),
         }
-
-        // Opting out of the gate lets the same upload build.
-        let ungated = EnginePool::new(
-            None,
-            4,
-            PoolSettings {
-                analysis: None,
-                ..PoolSettings::default()
-            },
-        );
-        ungated
-            .resolve(Some(&hostile))
-            .expect("ungated pool builds the lint-dirty upload");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! productions are private to this crate, and only the frames below are
 //! public.
 //!
-//! # Grammar (version `sling8`)
+//! # Grammar (version `sling9`)
 //!
 //! ```text
-//! frame      := "sling8" SP kind SP payload          ; one line, LF-terminated on the wire
+//! frame      := "sling9" SP kind SP payload          ; one line, LF-terminated on the wire
 //! token      := atom | string
 //! atom       := [^ "\n]+                             ; bare word (tags, numbers)
 //! string     := '"' escaped* '"'                     ; \\ \" \n \r \t escapes
@@ -32,14 +32,7 @@
 //! verifytotals := verified:u64 refuted:u64 confirmed:u64 unknown:u64
 //!                 refuted0:u64 cegir:u64 vseconds:f64bits
 //!
-//! request    := target:string override ninputs:u64 inputspec*
-//! override   := "-" | "cfg" config                   ; per-request SlingConfig
-//! config     := node_budget:u64 fuel_slack:u64               ; checker limits
-//!               results_per_var:u64 cands_per_pred:u64 nonvacuous:bool
-//!               results_per_loc:u64 dedupe:bool models_per_loc:u64
-//!               vm_steps:u64 vm_depth:u64 observe_freed:bool
-//!               executor:("bytecode"|"treewalk") verify
-//! verify     := "-" | "v" fuel:u64 depth:u64 models:u64 refs:u64 cegir:u64
+//! request    := target:string ninputs:u64 inputspec*
 //! inputspec  := seed:u64 nargs:u64 valuespec*
 //! valuespec  := "nil" | "int" i64 | "intin" i64 i64
 //!             | "list" listlayout len:u64 order circular:bool
@@ -108,7 +101,7 @@
 //! let request = AnalysisRequest::new("reverse")
 //!     .input(InputSpec::seeded(7).arg(ValueSpec::int_in(0, 9)));
 //! let line = encode_analyze_frame(1, None, std::slice::from_ref(&request))?;
-//! assert!(line.starts_with("sling8 analyze 1 - 1 \"reverse\""));
+//! assert!(line.starts_with("sling9 analyze 1 - 1 \"reverse\" 1 7"));
 //! match ClientFrame::decode(&line)? {
 //!     ClientFrame::Analyze { requests, .. } => {
 //!         assert_eq!(format!("{:?}", requests[0]), format!("{request:?}"));
@@ -128,7 +121,7 @@ use crate::wire::{self, WireReader, WireWriter};
 /// Protocol tag opening every frame. Any change to the frame bytes bumps
 /// it, so a peer speaking another version gets [`WireError::Version`]
 /// instead of a misparse.
-pub const WIRE_VERSION: &str = "sling8";
+pub const WIRE_VERSION: &str = "sling9";
 
 /// Why a wire frame could not be encoded or decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,14 +1,13 @@
-//! The `sling8` bytes, pinned: one hand-built frame of each kind, encoded
-//! and compared with the line the codec wrote when this test was added.
-//! Round-trip tests pass whenever the encoder and decoder change
-//! together; this one fails on any byte change, which must come with a
-//! [`WIRE_VERSION`](super::WIRE_VERSION) bump and new literals here.
+//! The protocol's bytes, pinned: one hand-built frame of each kind,
+//! encoded and compared with the line the codec wrote at the current
+//! [`WIRE_VERSION`](super::WIRE_VERSION). Round-trip tests pass whenever
+//! the encoder and decoder change together; this one fails on any byte
+//! change, which must come with a version bump and new literals here.
 
 use sling::{
     lint_codes, AnalysisRequest, CacheStats, DataOrder, Diagnostic, Diagnostics, ExactCell,
     ExactVal, Executor, InputSpec, Invariant, InvariantGrade, InvariantStats, ListLayout,
-    LocationAnalysis, Report, RunMetrics, Severity, SlingConfig, TreeKind, TreeLayout, ValueSpec,
-    VerifySettings,
+    LocationAnalysis, Report, RunMetrics, Severity, TreeKind, TreeLayout, ValueSpec,
 };
 use sling_lang::Location;
 use sling_logic::{parse_formula, Span, Symbol};
@@ -18,31 +17,6 @@ use super::{
     encode_analyze_frame, encode_report_frame, ClientFrame, PoolStats, ProgramUpload, ServerFrame,
     VerifyTotals,
 };
-
-/// A config override with every field off its default, verification on.
-fn config() -> SlingConfig {
-    let mut config = SlingConfig::default();
-    config.check.node_budget = 12_345;
-    config.check.fuel_slack = 9;
-    config.infer.max_results_per_var = 3;
-    config.infer.max_candidates_per_pred = 77;
-    config.infer.require_nonvacuous = false;
-    config.max_results_per_location = 2;
-    config.dedupe_models = false;
-    config.max_models_per_location = 101;
-    config.vm.max_steps = u64::MAX;
-    config.vm.max_depth = 17;
-    config.trace.observe_freed = false;
-    config.executor = Executor::Treewalk;
-    let mut verify = VerifySettings::default();
-    verify.prover.fuel = 40;
-    verify.prover.max_depth = 5;
-    verify.prover.max_models = 33;
-    verify.prover.max_references = 1;
-    verify.cegir_rounds = 2;
-    config.verify = Some(verify);
-    config
-}
 
 /// Every `ValueSpec` shape, every data order and every tree kind.
 fn value_specs() -> Vec<ValueSpec> {
@@ -98,7 +72,6 @@ fn analyze_frame() -> String {
     };
     let requests = [
         AnalysisRequest::new("f")
-            .config(config())
             .input(InputSpec::seeded(7).args(value_specs()))
             .input(InputSpec::seeded(u64::MAX)),
         AnalysisRequest::new("g h"),
@@ -283,23 +256,22 @@ fn frames() -> Vec<String> {
 /// What the frames of [`frames`] encode to, in order.
 const GOLDEN: [&str; 9] = [
     concat!(
-        "sling8 analyze 42 upload \"struct GNode { next: GNode*; }\\nfn f(x: ",
+        "sling9 analyze 42 upload \"struct GNode { next: GNode*; }\\nfn f(x: ",
         "GNode*) -> GNode* { return x; }\" \"pred g(x: GNode*) := emp & x == ",
         "nil\\n\\t| exists u. x -> GNode{next: u} * g(u); // \\\"q\\\" \\\\\" ",
-        "2 \"f\" cfg 12345 9 3 77 f 2 f 101 18446744073709551615 17 f treewalk ",
-        "v 40 5 33 1 2 2 7 11 nil int -3 intin -9223372036854775808 5 list ",
+        "2 \"f\" 2 7 11 nil int -3 intin -9223372036854775808 5 list ",
         "\"GNode\" 3 0 - - 4 rand f list \"GNode\" 3 0 1 2 2 sorted f list ",
         "\"GNode\" 3 0 1 2 3 rev t tree \"GTree\" 5 0 1 2 3 4 7 rand tree ",
         "\"GTree\" 5 0 1 2 3 4 0 bst tree \"GTree\" 5 0 1 2 3 4 6 bal tree ",
         "\"GTree\" 5 0 1 2 3 4 5 rb exact 2 \"GNode\" 3 c 1 nil i -8 \"GNode\" ",
-        "3 nil c 0 i 9 18446744073709551615 0 \"g h\" - 0",
+        "3 nil c 0 i 9 18446744073709551615 0 \"g h\" 0",
     ),
-    "sling8 ping",
-    "sling8 hello 12 2 5 2 1 2 4",
-    "sling8 busy 3 3",
-    "sling8 pong",
+    "sling9 ping",
+    "sling9 hello 12 2 5 2 1 2 4",
+    "sling9 busy 3 3",
+    "sling9 pong",
     concat!(
-        "sling8 report 42 1 \"f\" 12 3 1 2 4602678819172646912 1 0 0 1 2 1 ",
+        "sling9 report 42 1 \"f\" 12 3 1 2 4602678819172646912 1 0 0 1 2 1 ",
         "4598175219545276416 4593671619917905920 4609434218613702656 bytecode ",
         "1 1 2 3 4 5 6 4 entry loop \"w\" label \"dead\" exit 0 2 entry 4 6 f ",
         "1 entry \"exists u. x -> GNode{next: u} * g(u) & x != nil\" 1 1 1 f ",
@@ -308,18 +280,18 @@ const GOLDEN: [&str; 9] = [
         "\"f\" 100 120 \"initializer of `c` is never used\" 1 \"no later ",
         "statement observes this value\" 1 label \"dead\"",
     ),
-    "sling8 done 42 2 7 0 9 16 0 4096 1 0 2 3 4 5 4604930618986332160 5 2 1 2 4",
+    "sling9 done 42 2 7 0 9 16 0 4096 1 0 2 3 4 5 4604930618986332160 5 2 1 2 4",
     concat!(
-        "sling8 rejected 43 2 \"SA001\" deny f \"f\" 20 29 \"variable `y` is ",
+        "sling9 rejected 43 2 \"SA001\" deny f \"f\" 20 29 \"variable `y` is ",
         "used before it is initialized\" 0 \"SA003\" warn f \"f\" 100 120 ",
         "\"initializer of `c` is never used\" 1 \"no later statement observes ",
         "this value\"",
     ),
-    "sling8 error 0 \"frame too large: \\\"x\\\"\\n\"",
+    "sling9 error 0 \"frame too large: \\\"x\\\"\\n\"",
 ];
 
 #[test]
-fn every_frame_kind_encodes_to_its_pinned_sling8_bytes() {
+fn every_frame_kind_encodes_to_its_pinned_bytes() {
     let frames = frames();
     assert_eq!(frames.len(), GOLDEN.len());
     let changed: Vec<&String> = frames

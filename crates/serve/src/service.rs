@@ -134,7 +134,6 @@ impl Service {
             config: *engine.config(),
             parallelism: Some(engine.parallelism()),
             cache_capacity: None,
-            analysis: Some(sling::AnalysisSettings::default()),
         };
         Service::bind_pool(
             EnginePool::new(Some(engine), DEFAULT_POOL_CAPACITY, settings),

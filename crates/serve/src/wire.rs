@@ -6,8 +6,7 @@
 use sling::{
     AnalysisRequest, CacheStats, DataOrder, Diagnostic, ExactCell, ExactVal, Executor, Heap,
     HeapCell, InputSource, InputSpec, Invariant, InvariantGrade, InvariantStats, ListLayout, Loc,
-    Location, LocationAnalysis, Report, RunMetrics, Severity, SlingConfig, TreeKind, TreeLayout,
-    Val, ValueSpec, VerifySettings,
+    Location, LocationAnalysis, Report, RunMetrics, Severity, TreeKind, TreeLayout, Val, ValueSpec,
 };
 use sling_logic::{parse_formula, Span, Symbol};
 
@@ -436,77 +435,12 @@ fn read_input_spec(r: &mut WireReader<'_>) -> Result<InputSpec, WireError> {
     Ok(spec)
 }
 
-/// Writes a full [`SlingConfig`] into an open frame (the `config`
-/// production): every numeric budget, the executor tag, and the
-/// optional verification settings.
-fn write_config(w: &mut WireWriter, config: &SlingConfig) {
-    w.u64(config.check.node_budget);
-    w.u64(u64::from(config.check.fuel_slack));
-    w.u64(config.infer.max_results_per_var as u64);
-    w.u64(config.infer.max_candidates_per_pred as u64);
-    w.bool(config.infer.require_nonvacuous);
-    w.u64(config.max_results_per_location as u64);
-    w.bool(config.dedupe_models);
-    w.u64(config.max_models_per_location as u64);
-    w.u64(config.vm.max_steps);
-    w.u64(config.vm.max_depth as u64);
-    w.bool(config.trace.observe_freed);
-    w.atom(&config.executor.to_string());
-    match &config.verify {
-        None => w.atom("-"),
-        Some(v) => {
-            w.atom("v");
-            w.u64(u64::from(v.prover.fuel));
-            w.u64(u64::from(v.prover.max_depth));
-            w.u64(v.prover.max_models as u64);
-            w.u64(v.prover.max_references as u64);
-            w.u64(v.cegir_rounds as u64);
-        }
-    }
-}
-
 fn read_u32(r: &mut WireReader<'_>) -> Result<u32, WireError> {
     let n = r.u64()?;
     u32::try_from(n).map_err(|_| syntax(format!("{n} does not fit in u32")))
 }
 
-/// Reads a full [`SlingConfig`] from an open frame.
-fn read_config(r: &mut WireReader<'_>) -> Result<SlingConfig, WireError> {
-    let mut config = SlingConfig::default();
-    config.check.node_budget = r.u64()?;
-    config.check.fuel_slack = read_u32(r)?;
-    config.infer.max_results_per_var = r.usize()?;
-    config.infer.max_candidates_per_pred = r.usize()?;
-    config.infer.require_nonvacuous = r.bool()?;
-    config.max_results_per_location = r.usize()?;
-    config.dedupe_models = r.bool()?;
-    config.max_models_per_location = r.usize()?;
-    config.vm.max_steps = r.u64()?;
-    config.vm.max_depth = r.usize()?;
-    config.trace.observe_freed = r.bool()?;
-    config.executor = {
-        let name = r.atom()?;
-        Executor::parse(name)
-            .ok_or_else(|| WireError::Syntax(format!("unknown executor {name:?}")))?
-    };
-    config.verify = match r.atom()? {
-        "-" => None,
-        "v" => {
-            let mut v = VerifySettings::default();
-            v.prover.fuel = read_u32(r)?;
-            v.prover.max_depth = read_u32(r)?;
-            v.prover.max_models = r.usize()?;
-            v.prover.max_references = r.usize()?;
-            v.cegir_rounds = r.usize()?;
-            Some(v)
-        }
-        other => return Err(syntax(format!("bad verify tag `{other}`"))),
-    };
-    Ok(config)
-}
-
-/// Writes one [`AnalysisRequest`] into an open frame, including its
-/// per-request config override when present.
+/// Writes one [`AnalysisRequest`] into an open frame.
 ///
 /// # Errors
 ///
@@ -517,13 +451,6 @@ pub(crate) fn write_request(
     request: &AnalysisRequest,
 ) -> Result<(), WireError> {
     w.text(&request.target.to_string());
-    match &request.config {
-        None => w.atom("-"),
-        Some(config) => {
-            w.atom("cfg");
-            write_config(w, config);
-        }
-    }
     w.u64(request.inputs.len() as u64);
     for input in &request.inputs {
         match input {
@@ -541,16 +468,8 @@ pub(crate) fn write_request(
 /// Reads one [`AnalysisRequest`] from an open frame.
 pub(crate) fn read_request(r: &mut WireReader<'_>) -> Result<AnalysisRequest, WireError> {
     let target = r.text()?;
-    let config = match r.atom()? {
-        "-" => None,
-        "cfg" => Some(read_config(r)?),
-        other => return Err(syntax(format!("bad config-override tag `{other}`"))),
-    };
     let count = r.usize()?;
     let mut request = AnalysisRequest::new(target.as_str());
-    if let Some(config) = config {
-        request = request.config(config);
-    }
     for _ in 0..count {
         request = request.input(read_input_spec(r)?);
     }
@@ -1093,55 +1012,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn config_overrides_round_trip() {
-        let mut config = SlingConfig::default();
-        config.check.node_budget = 12_345;
-        config.check.fuel_slack = 9;
-        config.infer.max_results_per_var = 3;
-        config.infer.max_candidates_per_pred = 77;
-        config.infer.require_nonvacuous = false;
-        config.max_results_per_location = 2;
-        config.dedupe_models = false;
-        config.max_models_per_location = 101;
-        config.vm.max_steps = u64::MAX;
-        config.vm.max_depth = 17;
-        config.trace.observe_freed = false;
-        config.executor = Executor::Treewalk;
-        let mut verify = VerifySettings::default();
-        verify.prover.fuel = u32::MAX;
-        verify.prover.max_depth = 5;
-        verify.prover.max_models = 33;
-        verify.prover.max_references = 1;
-        verify.cegir_rounds = 0;
-        for verify in [None, Some(verify)] {
-            config.verify = verify;
-            let request = AnalysisRequest::new("f")
-                .config(config)
-                .input(InputSpec::seeded(1).arg(ValueSpec::nil()));
-            let back = through_analyze_frame(&request).unwrap();
-            assert_eq!(format!("{back:?}"), format!("{request:?}"));
-        }
-        // The no-override case stays `None` on the far side.
-        let bare = AnalysisRequest::new("f");
-        let back = through_analyze_frame(&bare).unwrap();
-        assert!(back.config.is_none());
-    }
-
-    #[test]
-    fn config_override_bad_tags_are_rejected() {
-        let mut w = WireWriter::new();
-        write_request(&mut w, &AnalysisRequest::new("f")).unwrap();
-        let good = w.finish();
-        let decode = |line: &str| read_request(&mut WireReader::new(line));
-        // `-` → some unknown override tag.
-        let bad = good.replacen(" - ", " cfgx ", 1);
-        assert!(matches!(decode(&bad), Err(WireError::Syntax(_))));
-        // Truncated config payload.
-        let bad = good.replacen(" - ", " cfg 1 2 ", 1);
-        assert!(matches!(decode(&bad), Err(WireError::Syntax(_))));
-    }
-
     fn sample_report() -> Report {
         let engine = sling::Engine::builder()
             .program_source(
@@ -1220,8 +1090,8 @@ mod tests {
 
         // Wrong protocol tag.
         assert!(matches!(
-            ServerFrame::decode(&good.replacen(WIRE_VERSION, "sling9", 1)),
-            Err(WireError::Version(v)) if v == "sling9"
+            ServerFrame::decode(&good.replacen(WIRE_VERSION, "sling8", 1)),
+            Err(WireError::Version(v)) if v == "sling8"
         ));
         // Wrong frame kind for the decoder.
         assert!(matches!(

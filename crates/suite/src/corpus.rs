@@ -1,6 +1,6 @@
 //! The assembled corpus: all 157 programs of Table 1.
 
-use crate::program::{Bench, Category};
+use crate::program::Bench;
 use crate::programs;
 
 /// Every benchmark, grouped in Table 1 row order.
@@ -31,17 +31,10 @@ pub fn all_benches() -> Vec<Bench> {
     out
 }
 
-/// The benchmarks of one category.
-pub fn benches_of(cat: Category) -> Vec<Bench> {
-    all_benches()
-        .into_iter()
-        .filter(|b| b.category == cat)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Category;
     use std::collections::BTreeMap;
 
     #[test]

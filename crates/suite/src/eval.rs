@@ -524,7 +524,7 @@ mod tests {
     #[test]
     fn grade_summary_reports_graded_precision() {
         let mut config = quick_config();
-        config.sling.verify = Some(sling::VerifySettings::default());
+        config.sling.verify = true;
         let bench = all_benches()
             .into_iter()
             .find(|b| b.name == "sll/reverse")

@@ -11,9 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sling::{InputSource, InputSpec, ValueSpec};
-use sling_lang::{
-    gen_circular_list, gen_list, gen_tree, DataOrder, ListLayout, RtHeap, TreeKind, TreeLayout,
-};
+use sling_lang::{DataOrder, ListLayout, RtHeap, TreeKind, TreeLayout};
 use sling_models::Val;
 
 /// Table 1 / Table 2 category (one per row).
@@ -155,31 +153,21 @@ pub enum ArgCand {
 }
 
 impl ArgCand {
+    /// Builds the value, drawing from `rng`: a declarative candidate
+    /// through its [`ValueSpec`], so a combination built in a custom
+    /// closure draws exactly what its spec-built siblings do.
     fn build(&self, heap: &mut RtHeap, rng: &mut StdRng) -> Val {
         match self {
-            ArgCand::Nil => Val::Nil,
-            ArgCand::List {
-                layout,
-                order,
-                size,
-                circular,
-            } => {
-                if *circular {
-                    gen_circular_list(heap, layout, *size, *order, rng)
-                } else {
-                    gen_list(heap, layout, *size, *order, rng)
-                }
-            }
-            ArgCand::Tree { layout, kind, size } => gen_tree(heap, layout, *size, *kind, rng),
-            ArgCand::Int(k) => Val::Int(*k),
             ArgCand::Custom(f) => f(heap, rng),
+            _ => self
+                .spec()
+                .expect("every non-custom candidate has a spec")
+                .build(heap, rng),
         }
     }
 
     /// The equivalent declarative [`ValueSpec`], when one exists.
-    /// [`ArgCand::Custom`] generators have no declarative form. The
-    /// mapping draws from the PRNG exactly as [`ArgCand::build`] does,
-    /// so spec-built inputs are bit-identical to closure-built ones.
+    /// [`ArgCand::Custom`] generators have no declarative form.
     fn spec(&self) -> Option<ValueSpec> {
         match self {
             ArgCand::Nil => Some(ValueSpec::Nil),

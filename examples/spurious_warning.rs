@@ -9,7 +9,6 @@
 //! cargo run -p sling-examples --example spurious_warning
 //! ```
 
-use sling::VerifySettings;
 use sling_lang::Location;
 use sling_suite::corpus::all_benches;
 use sling_suite::eval::{run_bench, EvalConfig};
@@ -19,7 +18,7 @@ fn main() {
     // `res == nil` surviving as *Verified* is what separates a real bug
     // from an inference artifact.
     let mut config = EvalConfig::default();
-    config.sling.verify = Some(VerifySettings::default());
+    config.sling.verify = true;
 
     // The correct merge sort: the "leak" FBInfer reports is refuted by
     // the alias equalities in the inferred invariants.

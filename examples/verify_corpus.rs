@@ -14,13 +14,13 @@
 //! Exit status: 0 when no refutation survives (grades printed), 1 when
 //! one does or when nothing was graded, 2 on misuse.
 
-use sling::{InvariantGrade, VerifySettings};
+use sling::InvariantGrade;
 use sling_suite::eval::{grade_summary, run_corpus, EvalConfig};
 
 fn main() {
     let filters: Vec<String> = std::env::args().skip(1).collect();
     let mut config = EvalConfig::default();
-    config.sling.verify = Some(VerifySettings::default());
+    config.sling.verify = true;
 
     let filter = |b: &sling_suite::program::Bench| {
         filters.is_empty() || filters.iter().any(|f| b.name.contains(f.as_str()))

@@ -145,28 +145,3 @@ fn repeated_requests_run_almost_entirely_warm() {
     };
     assert_eq!(fmt(&cold), fmt(&warm));
 }
-
-#[test]
-fn per_request_config_overrides_apply() {
-    let engine = engine();
-    let mut tight = *engine.config();
-    tight.max_results_per_location = 1;
-    let narrow = engine
-        .analyze(
-            &AnalysisRequest::new("traverse")
-                .input(traverse_input(2))
-                .config(tight),
-        )
-        .unwrap();
-    let wide = engine
-        .analyze(&AnalysisRequest::new("traverse").input(traverse_input(2)))
-        .unwrap();
-    for loc in &narrow.locations {
-        assert!(
-            loc.invariants.len() <= 1,
-            "override ignored at {}",
-            loc.location
-        );
-    }
-    assert!(wide.invariant_count() >= narrow.invariant_count());
-}

@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use sling::{AnalysisRequest, Engine, Report, SlingConfig};
+use sling::{AnalysisRequest, Engine, Report};
 use sling_suite::fixtures::ListCorpus;
 
 /// Four list functions over one node type: a multi-target batch program.
@@ -128,34 +128,5 @@ fn streaming_sink_runs_while_the_batch_is_in_flight() {
     // The assembled batch still has them in request order.
     for (request, report) in requests.iter().zip(&batch_report.reports) {
         assert_eq!(request.target, report.target);
-    }
-}
-
-#[test]
-fn per_request_config_overrides_hold_under_parallelism() {
-    let engine = engine(3);
-    let mut tight = *engine.config();
-    tight.max_results_per_location = 1;
-    let requests: Vec<AnalysisRequest> = (0..6)
-        .map(|i| {
-            let req = AnalysisRequest::new("traverse").input(corpus().one(i, 3));
-            if i % 2 == 0 {
-                req.config(SlingConfig { ..tight })
-            } else {
-                req
-            }
-        })
-        .collect();
-    let batch = engine.analyze_all(&requests).expect("targets exist");
-    for (i, report) in batch.reports.iter().enumerate() {
-        if i % 2 == 0 {
-            for loc in &report.locations {
-                assert!(
-                    loc.invariants.len() <= 1,
-                    "override ignored for request {i} at {}",
-                    loc.location
-                );
-            }
-        }
     }
 }

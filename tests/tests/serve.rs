@@ -8,7 +8,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use sling::{AnalysisRequest, Engine, ExactCell, InputSpec, ListLayout, Report, ValueSpec};
+use sling::{
+    AnalysisRequest, Engine, ExactCell, InputSpec, ListLayout, Report, TreeKind, TreeLayout,
+    ValueSpec,
+};
 use sling_logic::Symbol;
 use sling_serve::proto::{
     encode_analyze_frame, encode_report_frame, ClientFrame, ServerFrame, WireError,
@@ -189,45 +192,46 @@ fn malformed_frames_get_typed_errors_not_dropped_connections() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello banner");
-    assert!(line.starts_with("sling8 hello "), "{line:?}");
+    assert!(line.starts_with("sling9 hello "), "{line:?}");
 
     let bad_frames = [
         "complete nonsense\n",
-        "sling9 analyze 1 - 0\n",                 // wrong protocol version
-        "sling2 ping\n",                          // previous protocol version
-        "sling4 analyze 1 1 \"reverse\" 0\n",     // pre-upload protocol version
-        "sling5 analyze 5 - 1 \"reverse\" - 0\n", // pre-diagnostics protocol version
-        "sling6 ping\n",                          // pre-cache-tier protocol version
-        "sling7 ping\n",                          // cache-tier protocol version
-        "sling8 frobnicate 1\n",                  // unknown frame kind
-        "sling8 analyze 6 steal 0\n",             // unknown tenant tag
-        "sling8 analyze 7 - 1 \"no_such_fn\" - 0\n", // decodes, but unknown target
-        "sling8 analyze 8 - 2 \"reverse\" - 0\n", // truncated batch
-        "sling8 analyze 9 - 1 \"reverse\" - 1 zz 0\n", // bad integer token
+        "sling10 analyze 1 - 0\n",                 // wrong protocol version
+        "sling2 ping\n",                           // previous protocol version
+        "sling4 analyze 1 1 \"reverse\" 0\n",      // pre-upload protocol version
+        "sling5 analyze 5 - 1 \"reverse\" - 0\n",  // pre-diagnostics protocol version
+        "sling6 ping\n",                           // pre-cache-tier protocol version
+        "sling7 ping\n",                           // cache-tier protocol version
+        "sling8 analyze 5 - 1 \"reverse\" - 0\n",  // per-request-override protocol version
+        "sling9 frobnicate 1\n",                   // unknown frame kind
+        "sling9 analyze 6 steal 0\n",              // unknown tenant tag
+        "sling9 analyze 7 - 1 \"no_such_fn\" 0\n", // decodes, but unknown target
+        "sling9 analyze 8 - 2 \"reverse\" 0\n",    // truncated batch
+        "sling9 analyze 9 - 1 \"reverse\" 1 zz 0\n", // bad integer token
     ];
     for frame in bad_frames {
         writer.write_all(frame.as_bytes()).expect("write");
         line.clear();
         reader.read_line(&mut line).expect("error response");
         assert!(
-            line.starts_with("sling8 error "),
+            line.starts_with("sling9 error "),
             "bad frame {frame:?} must be answered with an error frame, \
              got {line:?}"
         );
     }
     // Correlation ids are salvaged when readable.
     writer
-        .write_all(b"sling8 analyze 42 - 1 \"reverse\" oops\n")
+        .write_all(b"sling9 analyze 42 - 1 \"reverse\" oops\n")
         .expect("write");
     line.clear();
     reader.read_line(&mut line).expect("error response");
-    assert!(line.starts_with("sling8 error 42 "), "{line:?}");
+    assert!(line.starts_with("sling9 error 42 "), "{line:?}");
 
     // The connection still serves real work.
-    writer.write_all(b"sling8 ping\n").expect("write");
+    writer.write_all(b"sling9 ping\n").expect("write");
     line.clear();
     reader.read_line(&mut line).expect("pong");
-    assert_eq!(line.trim_end(), "sling8 pong");
+    assert_eq!(line.trim_end(), "sling9 pong");
     drop(writer);
     drop(reader);
 
@@ -310,6 +314,59 @@ fn layouts_that_do_not_fit_get_an_error_frame_and_the_connection_survives() {
 }
 
 #[test]
+fn tree_layouts_without_their_shape_get_an_error_frame_and_the_connection_survives() {
+    let engine = Engine::builder()
+        .program_source(
+            "struct SrvTree { left: SrvTree*; right: SrvTree*; key: int; }
+             fn min_key(t: SrvTree*) -> int {
+                 while @w (t->left != null) { t = t->left; }
+                 return t->key;
+             }",
+        )
+        .expect("tree program parses")
+        .build()
+        .expect("engine builds");
+    let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
+    let mut client = Client::connect(service.local_addr()).expect("client connects");
+
+    // A BST layout with no key field fits the structure, but ordering
+    // its nodes needs a key, so no input can be built from it.
+    let keyed = TreeLayout {
+        ty: Symbol::intern("SrvTree"),
+        nfields: 3,
+        left: 0,
+        right: 1,
+        parent: None,
+        data: Some(2),
+        color: None,
+    };
+    let keyless = TreeLayout {
+        data: None,
+        ..keyed
+    };
+    let request = |layout| {
+        AnalysisRequest::new("min_key").input(InputSpec::seeded(1).arg(ValueSpec::tree(
+            layout,
+            5,
+            TreeKind::Bst,
+        )))
+    };
+    match client.analyze_all(&[request(keyless)]) {
+        Err(ServeError::Remote(message)) => {
+            assert!(message.contains("needs a `data` field"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The same connection still serves a good batch.
+    let good = client
+        .analyze_all(&[request(keyed)])
+        .expect("good batch after the error");
+    assert_eq!(good.reports.len(), 1);
+    assert!(good.reports[0].invariant_count() > 0);
+    service.shutdown().expect("graceful drain");
+}
+
+#[test]
 fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     // A peer streaming bytes with no newline must not grow the server's
     // frame buffer without bound: past the configured cap it gets one
@@ -332,7 +389,7 @@ fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello banner");
-    assert!(line.starts_with("sling8 hello "), "{line:?}");
+    assert!(line.starts_with("sling9 hello "), "{line:?}");
 
     // Far past the cap, never a newline. The server may close mid-write
     // once the cap trips, so write errors are expected, not failures.
@@ -346,7 +403,7 @@ fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     reader
         .read_line(&mut line)
         .expect("typed error before close");
-    assert!(line.starts_with("sling8 error 0 "), "{line:?}");
+    assert!(line.starts_with("sling9 error 0 "), "{line:?}");
     assert!(line.contains("frame too large"), "{line:?}");
     // Then EOF: the connection is gone, not wedged.
     line.clear();
@@ -530,7 +587,7 @@ fn verification_totals_ride_the_done_epilogue() {
     // into the batch's `done` frame.
     let corpus = ListCorpus::new("ServeVfyNode");
     let engine = corpus_engine(&corpus)
-        .verification(sling::VerifySettings::default())
+        .verification()
         .build()
         .expect("engine builds");
     let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");

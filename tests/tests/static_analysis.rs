@@ -4,7 +4,7 @@
 //! observed in any trace, under either executor), a fuzz sweep of the
 //! analyzer over randomly generated MiniC ASTs (no panics, fully
 //! deterministic), and the serve-layer upload gate answering lint-dirty
-//! programs with a typed `rejected` frame over `sling8`.
+//! programs with a typed `rejected` frame on the wire.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

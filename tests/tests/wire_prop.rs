@@ -1,12 +1,11 @@
-//! Property tests for the `sling8` frames of `sling_serve::proto`,
-//! driven through the calls a peer makes: arbitrary
+//! Property tests for the frames of `sling_serve::proto`, driven
+//! through the calls a peer makes: arbitrary
 //! `InputSpec`/`Report`/`CacheStats` values round-trip bit-identically
 //! inside `analyze`, `report` and `done` frames, requests round-trip with
-//! and without per-request [`SlingConfig`] overrides and with and without
-//! a [`ProgramUpload`], frames tagged with previous protocols (`sling7`
-//! and older) are rejected as [`WireError::Version`], and arbitrary byte
-//! mutations of a valid frame never panic either decoder — every
-//! malformed input is rejected with a typed error.
+//! and without a [`ProgramUpload`], frames tagged with previous
+//! protocols (`sling8` and older) are rejected as [`WireError::Version`],
+//! and arbitrary byte mutations of a valid frame never panic either
+//! decoder — every malformed input is rejected with a typed error.
 //!
 //! Values are generated from the deterministic `proptest` stub RNG
 //! (seeded per case), so failures reproduce.
@@ -16,8 +15,8 @@ use proptest::TestRng;
 
 use sling::{
     AnalysisRequest, CacheStats, DataOrder, Diagnostic, ExactCell, ExactVal, InputSpec, Invariant,
-    InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics, Severity, SlingConfig,
-    TreeKind, ValueSpec, VerifyConfig, VerifySettings,
+    InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics, Severity, TreeKind,
+    ValueSpec,
 };
 use sling_lang::{ListLayout, Location, TreeLayout};
 use sling_logic::{parse_formula, Span, SymHeap, Symbol};
@@ -138,36 +137,6 @@ fn arb_input_spec(rng: &mut TestRng) -> InputSpec {
     spec
 }
 
-fn arb_config(rng: &mut TestRng) -> SlingConfig {
-    let mut config = SlingConfig::default();
-    config.check.node_budget = pick_u64(rng);
-    config.check.fuel_slack = rng.next_u64() as u32;
-    config.infer.max_results_per_var = (rng.next_u64() % (1 << 20)) as usize;
-    config.infer.max_candidates_per_pred = (rng.next_u64() % (1 << 20)) as usize;
-    config.infer.require_nonvacuous = rng.next_u64().is_multiple_of(2);
-    config.max_results_per_location = (rng.next_u64() % (1 << 20)) as usize;
-    config.dedupe_models = rng.next_u64().is_multiple_of(2);
-    config.max_models_per_location = (rng.next_u64() % (1 << 20)) as usize;
-    config.vm.max_steps = pick_u64(rng);
-    config.vm.max_depth = (rng.next_u64() % (1 << 20)) as usize;
-    config.trace.observe_freed = rng.next_u64().is_multiple_of(2);
-    config.executor = if rng.next_u64().is_multiple_of(2) {
-        sling::Executor::Bytecode
-    } else {
-        sling::Executor::Treewalk
-    };
-    config.verify = rng.next_u64().is_multiple_of(2).then(|| VerifySettings {
-        prover: VerifyConfig {
-            fuel: rng.next_u64() as u32,
-            max_depth: rng.next_u64() as u32,
-            max_models: (rng.next_u64() % (1 << 20)) as usize,
-            max_references: (rng.next_u64() % (1 << 20)) as usize,
-        },
-        cegir_rounds: (rng.next_u64() % 16) as usize,
-    });
-    config
-}
-
 fn arb_request(rng: &mut TestRng) -> AnalysisRequest {
     let hostile_names = [
         "plain",
@@ -181,11 +150,6 @@ fn arb_request(rng: &mut TestRng) -> AnalysisRequest {
     let mut request = AnalysisRequest::new(name);
     for _ in 0..(rng.next_u64() % 3) {
         request = request.input(arb_input_spec(rng));
-    }
-    // Half the requests carry a per-request config override (sling5's
-    // `cfg` slot), half ride the engine default (`-`).
-    if rng.next_u64().is_multiple_of(2) {
-        request = request.config(arb_config(rng));
     }
     request
 }
@@ -390,9 +354,8 @@ fn through_report_frame(id: u64, index: u64, report: &Report) -> Report {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary spec-built requests, with and without a per-request
-    /// config override, round-trip Debug-identically alone in an
-    /// upload-free `analyze` frame.
+    /// Arbitrary spec-built requests round-trip Debug-identically alone
+    /// in an upload-free `analyze` frame.
     #[test]
     fn requests_round_trip(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-req", case);
@@ -475,8 +438,7 @@ proptest! {
 
     /// `analyze` frames round-trip Debug-identically with and without
     /// an uploaded tenant — arbitrary spec-built requests, hostile
-    /// sources, per-request config overrides, extreme batch ids
-    /// included.
+    /// sources, extreme batch ids included.
     #[test]
     fn analyze_frames_round_trip(case in 0u64..1_000_000) {
         let mut rng = rng_for("wire-analyze", case);
@@ -509,7 +471,7 @@ proptest! {
             encode_analyze_frame(pick_u64(&mut rng), Some(&upload), &[arb_request(&mut rng)])
                 .expect("specs always encode");
         for old in [
-            "sling7", "sling6", "sling5", "sling4", "sling3", "sling2", "sling1",
+            "sling8", "sling7", "sling6", "sling5", "sling4", "sling3", "sling2", "sling1",
         ] {
             let downlevel = |line: &str| line.replacen(WIRE_VERSION, old, 1);
             prop_assert!(matches!(
