@@ -310,7 +310,7 @@ type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
 
 /// Snapshot-generation stamp of entries computed live in this process.
 /// Live entries always beat snapshot entries in newest-generation-wins
-/// collision resolution ([`CheckCache::merge_warm`]).
+/// collision resolution ([`CheckCache::store_warm`]).
 pub(crate) const GEN_LIVE: u64 = u64::MAX;
 
 /// One stored verdict plus its provenance: entries loaded from a
@@ -396,14 +396,18 @@ impl ShardMap {
         Some(entry)
     }
 
+    /// Inserts or replaces `key`'s entry with one map probe; a replaced
+    /// entry's record and bytes go with it.
     fn insert(&mut self, key: CacheKey, mut entry: Entry) {
-        self.remove(&key);
         let stamp = self.tick();
         entry.stamp = stamp;
         entry.filed = stamp;
         self.resident_bytes += entry_bytes(&key, &entry.value, &entry.preds);
-        self.by_stamp.insert(stamp, key.clone());
-        self.entries.insert(key, entry);
+        if let Some(old) = self.entries.insert(key.clone(), entry) {
+            self.by_stamp.remove(&old.filed);
+            self.resident_bytes -= entry_bytes(&key, &old.value, &old.preds);
+        }
+        self.by_stamp.insert(stamp, key);
     }
 
     /// Refreshes an entry's access stamp and returns its verdict and
@@ -464,7 +468,7 @@ struct Shard {
 pub struct CheckCache {
     shards: Vec<Shard>,
     shard_capacity: usize,
-    /// Highest snapshot generation ever absorbed (via load or merge).
+    /// Highest snapshot generation ever absorbed by a snapshot load.
     /// Saves stamp strictly above it, so a cache that folded in a
     /// future-stamped sibling (clock skew) still writes snapshots that
     /// win newest-generation collisions with it.
@@ -502,7 +506,7 @@ impl CheckCache {
     }
 
     /// Highest snapshot generation this cache has absorbed (0 when it
-    /// never loaded or merged a snapshot). [`crate::persist::save`]
+    /// never loaded a snapshot). [`crate::persist::save`]
     /// stamps new snapshots strictly above it.
     pub(crate) fn max_generation(&self) -> u64 {
         self.max_generation.load(Ordering::Relaxed)
@@ -512,11 +516,6 @@ impl CheckCache {
         if gen != GEN_LIVE {
             self.max_generation.fetch_max(gen, Ordering::Relaxed);
         }
-    }
-
-    /// The configured entry bound (total across shards).
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * SHARD_COUNT
     }
 
     /// Current counters, summed over every shard. Hit/miss totals are
@@ -577,10 +576,13 @@ impl CheckCache {
     }
 
     /// Inserts an entry loaded from a persisted snapshot; hits on it
-    /// are counted as warm starts ([`CacheStats::warm_hits`]). Warm
-    /// inserts never evict live entries: the entry is dropped when its
-    /// shard is at capacity. Returns whether the entry was actually
-    /// retained, so loaders can report the restored count honestly.
+    /// are counted as warm starts ([`CacheStats::warm_hits`]).
+    /// Collisions resolve newest-generation-wins: an existing entry with
+    /// a generation at least `gen` (including any live-computed entry)
+    /// is kept, an older one is replaced. Warm inserts never evict: a
+    /// new entry is dropped when its shard is at capacity. Returns
+    /// whether the entry was retained, so loaders can report the
+    /// restored count honestly.
     pub(crate) fn store_warm(
         &self,
         key: CacheKey,
@@ -591,36 +593,14 @@ impl CheckCache {
         self.note_generation(gen);
         let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().expect("cache lock");
-        if map.entries.len() >= self.shard_capacity && !map.entries.contains_key(&key) {
-            return false;
+        let retained = match map.entries.get(&key) {
+            Some(existing) => existing.gen < gen,
+            None => map.entries.len() < self.shard_capacity,
+        };
+        if retained {
+            map.insert(key, Entry::new(value, true, gen, preds));
         }
-        map.insert(key, Entry::new(value, true, gen, preds));
-        true
-    }
-
-    /// [`CheckCache::store_warm`] with newest-generation-wins collision
-    /// resolution, for folding sibling snapshots into a live cache: an
-    /// existing entry with a generation at least `gen` (including any
-    /// live-computed entry) is kept, an older one is replaced. Returns
-    /// whether the incoming entry was retained.
-    pub(crate) fn merge_warm(
-        &self,
-        key: CacheKey,
-        value: Option<CachedReduction>,
-        preds: &[Symbol],
-        gen: u64,
-    ) -> bool {
-        self.note_generation(gen);
-        let shard = &self.shards[key.shard()];
-        let mut map = shard.map.lock().expect("cache lock");
-        match map.entries.get(&key) {
-            Some(existing) if existing.gen >= gen => return false,
-            Some(_) => {}
-            None if map.entries.len() >= self.shard_capacity => return false,
-            None => {}
-        }
-        map.insert(key, Entry::new(value, true, gen, preds));
-        true
+        retained
     }
 
     /// Snapshots every stored entry whose scope carries `env_tag`, for

@@ -3,11 +3,11 @@
 //! The canonical keys of a [`CheckCache`] are stable across processes —
 //! they contain no raw addresses, interner ids, or hash seeds — so a
 //! cache populated by one run can warm the next. This module snapshots a
-//! cache to a versioned binary file ([`save`]), restores it ([`load`]),
-//! and folds sibling snapshots into an already-live cache ([`merge`]),
-//! turning corpus-scale workloads into incremental ones: the second
-//! process over the same predicate library starts with every previously
-//! established entailment already answered.
+//! cache to a versioned binary file ([`save`]) and folds a snapshot into
+//! a cache, fresh or live ([`load`]), turning corpus-scale workloads
+//! into incremental ones: the second process over the same predicate
+//! library starts with every previously established entailment already
+//! answered.
 //!
 //! # File format (version 3)
 //!
@@ -38,11 +38,11 @@
 //!   ([`PersistError::FingerprintMismatch`]); a *partial*
 //!   predicate-library change drops only the entries whose formulas
 //!   (transitively) touch a changed, removed, or renamed predicate —
-//!   the survivors are loaded and the drop is reported as
-//!   [`PersistError::PartialStale`].
+//!   the survivors are loaded and the drop is counted in
+//!   [`MergeStats::stale`].
 //!
-//! Entries restored by [`load`] or [`merge`] are marked *warm*: hits on
-//! them are reported in [`CacheStats::warm_hits`](crate::CacheStats::warm_hits)
+//! Entries restored by [`load`] are marked *warm*: hits on them are
+//! reported in [`CacheStats::warm_hits`](crate::CacheStats::warm_hits)
 //! so callers can observe how much a warm start actually saved.
 //!
 //! Saves are atomic (write to a sibling temp file, then rename), so a
@@ -53,17 +53,14 @@
 //! have sat untouched for at least a minute; in-flight saves — which
 //! hold their temp for milliseconds — are never affected).
 //!
-//! # Load vs merge
+//! # One fold
 //!
-//! [`load`] is the boot path: it assumes an empty (or expendable)
-//! cache, replaces colliding entries unconditionally, and surfaces
-//! partial staleness as a typed error so the caller can decide to
-//! rewrite the snapshot. [`merge`] is the fold path for long-lived
-//! processes absorbing sibling snapshots: collisions resolve
-//! newest-generation-wins (live-computed entries always win), capacity
-//! is enforced without evicting live entries, and the outcome is
-//! returned as counts ([`MergeStats`]) because a partially stale
-//! sibling is routine, not exceptional.
+//! [`load`] is the only way snapshot entries enter a cache, at boot and
+//! in a live process alike: a colliding entry is replaced only by a
+//! newer snapshot generation (entries computed live always stay), a new
+//! entry whose shard is full is dropped rather than evicting anything,
+//! and the outcome comes back as counts ([`MergeStats`]) because a
+//! partially stale snapshot is routine, not exceptional.
 //!
 //! # Examples
 //!
@@ -79,7 +76,7 @@
 //! persist::save(&cache, &profile, &path)?;
 //!
 //! let restored = CheckCache::new();
-//! assert_eq!(persist::load(&restored, &profile, &path)?, 0);
+//! assert_eq!(persist::load(&restored, &profile, &path)?.merged, 0);
 //!
 //! // A different *type* environment rejects the file wholesale.
 //! let mut other_types = TypeEnv::new();
@@ -124,8 +121,7 @@ const MAGIC: &[u8; 8] = b"SLNGCACH";
 /// snapshots can hold "no" verdicts it now answers "yes".
 const FORMAT_VERSION: u32 = 3;
 
-/// Why a snapshot file could not be loaded (or was loaded only
-/// partially).
+/// Why a snapshot file could not be loaded.
 #[derive(Debug)]
 pub enum PersistError {
     /// The file could not be read at all.
@@ -146,20 +142,6 @@ pub enum PersistError {
         /// The fingerprint recorded in the file.
         found: u64,
     },
-    /// The predicate library changed *partially* since the snapshot was
-    /// saved. The `kept` entries — those touching only unchanged
-    /// predicates — **were loaded** into the cache before this error
-    /// was returned; only the `dropped` entries, whose formulas touch a
-    /// changed, removed, or renamed predicate, were discarded. Callers
-    /// that treat the cache as an optimization count `kept` as the warm
-    /// size and may want to re-save to shed the stale portion.
-    PartialStale {
-        /// Entries restored (valid under the current environment).
-        kept: u64,
-        /// Entries discarded because a predicate they depend on
-        /// changed.
-        dropped: u64,
-    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -177,11 +159,6 @@ impl std::fmt::Display for PersistError {
                 f,
                 "cache snapshot was computed under a different type environment \
                  (expected fingerprint {expected:#018x}, file has {found:#018x})"
-            ),
-            PersistError::PartialStale { kept, dropped } => write!(
-                f,
-                "cache snapshot partially stale: {kept} entries restored, \
-                 {dropped} dropped for touching changed predicates"
             ),
         }
     }
@@ -202,7 +179,7 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// Outcome of folding one snapshot into a live cache with [`merge`].
+/// Outcome of folding one snapshot into a cache with [`load`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Entries inserted (or replacing an older-generation entry).
@@ -280,8 +257,8 @@ pub fn generation_stamp(floor: u64) -> u64 {
 /// clock plus a per-process monotonic sub-counter (so two saves within
 /// one millisecond still order deterministically), and never at or
 /// below the highest generation this cache has absorbed — so a process
-/// that merged a future-stamped sibling (cross-host clock skew) still
-/// writes snapshots that win newest-generation [`merge`] collisions
+/// that loaded a future-stamped sibling (cross-host clock skew) still
+/// writes snapshots that win newest-generation [`load`] collisions
 /// against it. Wall clocks remain the cross-host ordering, so skew
 /// between hosts that never exchange snapshots can still mis-order; a
 /// shared directory self-corrects after one merge-save cycle.
@@ -482,8 +459,8 @@ struct ParsedSnapshot {
 /// problems (corruption, truncation, version skew) and a changed type
 /// environment are errors; a partially changed predicate library drops
 /// the affected entries and reports them in
-/// [`ParsedSnapshot::dropped`]. The cache is untouched — callers insert
-/// the surviving entries with their own collision policy.
+/// [`ParsedSnapshot::dropped`]. The cache is untouched — [`load`]
+/// inserts the surviving entries once the whole file has parsed.
 fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, PersistError> {
     let mut r = Reader::new(bytes);
 
@@ -606,48 +583,23 @@ fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, 
     })
 }
 
-/// Loads the snapshot at `path` into `cache`, marking every restored
-/// entry warm, and returns how many entries were actually retained
-/// (less than the file's entry count when the target cache is near its
-/// capacity). The snapshot must have been saved under the same type
-/// environment; see [`PersistError`] for the rejection cases.
+/// Folds the snapshot at `path` into `cache`, marking every restored
+/// entry warm. A colliding entry is replaced only by a newer snapshot
+/// generation (entries computed live in this process always stay;
+/// between snapshots the later save wins), and a new entry whose shard
+/// is full is dropped rather than evicting anything. Entries touching
+/// predicates whose definitions changed since the save are dropped and
+/// counted in [`MergeStats::stale`]; callers may re-save to shed them.
 ///
-/// A *partial* predicate-library change is not a rejection: entries
-/// touching only unchanged predicates are loaded, the rest are dropped,
-/// and the split is reported as [`PersistError::PartialStale`] — the
-/// cache **does** hold the `kept` entries when that error is returned.
-/// Structurally invalid files leave the cache untouched.
-pub fn load(cache: &CheckCache, profile: &EnvProfile, path: &Path) -> Result<u64, PersistError> {
-    sweep_stale_temps(path);
-    let bytes = fs::read(path)?;
-    let parsed = parse_snapshot(&bytes, profile)?;
-    let mut loaded = 0;
-    for entry in parsed.entries {
-        if cache.store_warm(entry.key, entry.value, &entry.preds, parsed.generation) {
-            loaded += 1;
-        }
-    }
-    if parsed.dropped > 0 {
-        return Err(PersistError::PartialStale {
-            kept: loaded,
-            dropped: parsed.dropped,
-        });
-    }
-    Ok(loaded)
-}
-
-/// Folds the snapshot at `path` into an already-live `cache`:
-/// collisions resolve newest-generation-wins (entries computed live in
-/// this process always beat snapshot entries; between snapshots the
-/// later save wins), capacity is enforced without evicting live
-/// entries, and entries touching changed predicates are dropped. The
-/// counts come back as [`MergeStats`]; only structural problems and a
-/// changed type environment are errors.
-pub fn merge(
+/// The snapshot must have been saved under the same type environment;
+/// see [`PersistError`] for the rejection cases. A rejected file leaves
+/// the cache untouched.
+pub fn load(
     cache: &CheckCache,
     profile: &EnvProfile,
     path: &Path,
 ) -> Result<MergeStats, PersistError> {
+    sweep_stale_temps(path);
     let bytes = fs::read(path)?;
     let parsed = parse_snapshot(&bytes, profile)?;
     let mut stats = MergeStats {
@@ -655,7 +607,7 @@ pub fn merge(
         ..MergeStats::default()
     };
     for entry in parsed.entries {
-        if cache.merge_warm(entry.key, entry.value, &entry.preds, parsed.generation) {
+        if cache.store_warm(entry.key, entry.value, &entry.preds, parsed.generation) {
             stats.merged += 1;
         } else {
             stats.skipped += 1;
@@ -816,7 +768,7 @@ mod tests {
         // warm, bit-identically to an uncached search.
         let warm = CheckCache::new();
         let loaded = load(&warm, &profile, &path).unwrap();
-        assert_eq!(loaded, written);
+        assert_eq!(loaded.merged, written);
         assert_eq!(warm.stats().entries, saved_stats.entries);
 
         let warm_ctx = CheckCtx::with_cache(&types, &preds, Default::default(), &warm);
@@ -947,12 +899,8 @@ mod tests {
         assert_ne!(profile_v1.env_tag(), profile_v2.env_tag());
 
         let warm = CheckCache::new();
-        match load(&warm, &profile_v2, &path) {
-            Err(PersistError::PartialStale { kept, dropped }) => {
-                assert_eq!((kept, dropped), (1, 1));
-            }
-            other => panic!("expected PartialStale, got {other:?}"),
-        }
+        let stats = load(&warm, &profile_v2, &path).unwrap();
+        assert_eq!((stats.merged, stats.stale), (1, 1));
         assert_eq!(warm.stats().entries, 1, "the rcell entry survives");
 
         // The survivor answers rcell queries warm under the new env.
@@ -1018,13 +966,9 @@ mod tests {
         let v2 = mk(&src("emp & x == x"));
         let p2 = EnvProfile::new(&types, &v2);
         let warm = CheckCache::new();
-        match load(&warm, &p2, &path) {
-            Err(PersistError::PartialStale { kept, dropped }) => {
-                assert_eq!(kept, 0, "wrap depends on the changed inner");
-                assert!(dropped > 0);
-            }
-            other => panic!("expected PartialStale, got {other:?}"),
-        }
+        let stats = load(&warm, &p2, &path).unwrap();
+        assert_eq!(stats.merged, 0, "wrap depends on the changed inner");
+        assert!(stats.stale > 0);
         assert_eq!(warm.stats().entries, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -1089,7 +1033,7 @@ mod tests {
             let live = CheckCache::new();
             let mut totals = MergeStats::default();
             for p in order {
-                let stats = merge(&live, &profile, p).unwrap();
+                let stats = load(&live, &profile, p).unwrap();
                 totals.merged += stats.merged;
                 totals.skipped += stats.skipped;
             }
@@ -1166,7 +1110,7 @@ mod tests {
         for order in [[&p1, &p2], [&p2, &p1]] {
             let live = CheckCache::new();
             for p in order {
-                merge(&live, &profile, p).unwrap();
+                load(&live, &profile, p).unwrap();
             }
             let winner = live.lookup(&key("shared")).expect("shared key present");
             assert_eq!(
@@ -1211,7 +1155,7 @@ mod tests {
             }),
             &[],
         );
-        let stats = merge(&live, &profile, &path).unwrap();
+        let stats = load(&live, &profile, &path).unwrap();
         assert_eq!((stats.merged, stats.skipped), (0, 1));
         let kept = live.lookup(&key).expect("still present");
         assert_eq!(
@@ -1237,7 +1181,7 @@ mod tests {
         let written = save(&cache, &profile, &path).unwrap();
 
         let tiny = CheckCache::with_capacity(SHARD_COUNT); // one entry per shard
-        let stats = merge(&tiny, &profile, &path).unwrap();
+        let stats = load(&tiny, &profile, &path).unwrap();
         assert_eq!(stats.merged, tiny.stats().entries);
         assert!(stats.merged < written);
         assert_eq!(stats.merged + stats.skipped, written);
@@ -1274,13 +1218,16 @@ mod tests {
             Err(PersistError::Corrupted(_))
         ));
         assert_eq!(fresh.stats().entries, 0, "rejected load must not insert");
+        // Folding into a live cache is refused the same way, and leaves
+        // the live entries as they were.
+        let live_entries = cache.stats().entries;
         assert!(matches!(
-            merge(&fresh, &profile, &path),
+            load(&cache, &profile, &path),
             Err(PersistError::Corrupted(_))
         ));
 
-        // Truncations anywhere must error, never panic — through both
-        // entry points.
+        // Truncations anywhere must error, never panic — into a fresh
+        // cache and into a live one.
         for cut in [0, 3, 9, 13, 19, 27, 35, good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..cut]).unwrap();
             assert!(
@@ -1288,10 +1235,11 @@ mod tests {
                 "truncation at {cut} must be rejected"
             );
             assert!(
-                merge(&CheckCache::new(), &profile, &path).is_err(),
-                "merge truncation at {cut} must be rejected"
+                load(&cache, &profile, &path).is_err(),
+                "live-cache truncation at {cut} must be rejected"
             );
         }
+        assert_eq!(cache.stats().entries, live_entries);
 
         // Not a snapshot at all.
         std::fs::write(&path, b"definitely not a cache").unwrap();
@@ -1363,7 +1311,7 @@ mod tests {
 
         plant_stale();
         let restored = CheckCache::new();
-        assert!(load(&restored, &profile, &path).unwrap() > 0);
+        assert!(load(&restored, &profile, &path).unwrap().merged > 0);
         assert!(!stale.exists(), "load must sweep aged temps too");
         assert!(fresh.exists());
         assert!(own.exists());
@@ -1390,7 +1338,7 @@ mod tests {
         let written = save(&cache, &profile, &path).unwrap();
 
         let tiny = CheckCache::with_capacity(SHARD_COUNT); // one entry per shard
-        let loaded = load(&tiny, &profile, &path).unwrap();
+        let loaded = load(&tiny, &profile, &path).unwrap().merged;
         assert_eq!(loaded, tiny.stats().entries);
         assert!(
             loaded < written,
@@ -1420,7 +1368,7 @@ mod tests {
         let path = temp_path("filter");
         assert_eq!(save(&cache, &profile_a, &path).unwrap(), 1);
         let only_a = CheckCache::new();
-        assert_eq!(load(&only_a, &profile_a, &path).unwrap(), 1);
+        assert_eq!(load(&only_a, &profile_a, &path).unwrap().merged, 1);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -45,20 +45,21 @@
 //! # Cache lifecycle
 //!
 //! With [`EngineBuilder::cache_path`] the entailment cache outlives the
-//! process: `build()` warm-starts from the snapshot at that path when
-//! one exists (rejecting corrupt files, and — because snapshots carry
-//! one fingerprint *per predicate* — dropping only the entries that
-//! touch changed predicates when the library changed partially; see
-//! [`sling_checker::persist`]), and [`Engine::save_cache`] writes the
-//! cache back. [`CacheStats::warm_hits`] reports how many queries the
-//! restored entries answered.
+//! process: `build()` folds the snapshot at that path into the new
+//! engine's cache when one exists, and [`Engine::save_cache`] writes
+//! the cache back. [`Engine::absorb_snapshot`] folds sibling processes'
+//! snapshots into the live cache the same way — the scale-out story for
+//! fleets sharing a snapshot directory. Both go through one fold
+//! ([`sling_checker::persist::load`]): corrupt files are rejected,
+//! collisions resolve newest-generation-wins, and — because snapshots
+//! carry one fingerprint *per predicate* — only the entries that touch
+//! changed predicates are dropped when the library changed partially.
+//! [`CacheStats::warm_hits`] reports how many queries the restored
+//! entries answered.
 //!
 //! [`EngineBuilder::cache_capacity`] bounds the cache: past the bound,
 //! the least-recently-used entry of the landing shard is evicted
 //! ([`CacheStats::evictions`], [`CacheStats::resident_bytes`]).
-//! [`Engine::absorb_snapshot`] folds sibling processes' snapshots into
-//! the live cache, newest-generation-wins on collisions — the scale-out
-//! story for fleets sharing a snapshot directory.
 //!
 //! # Examples
 //!
@@ -217,6 +218,24 @@ pub enum AnalyzeError {
         /// gives none.
         shares: Option<(&'static str, usize)>,
     },
+    /// An input spec ([`InputSpec`](crate::InputSpec)) gives a different
+    /// number of arguments than the target function has parameters.
+    BadArity {
+        /// The request's target.
+        target: Symbol,
+        /// The target's parameter count.
+        params: usize,
+        /// The spec's argument count.
+        args: usize,
+    },
+    /// A random integer input ([`ValueSpec::IntIn`]) whose range is
+    /// empty: `lo` is above `hi`, so no value can be drawn.
+    EmptyIntRange {
+        /// The range's lower bound.
+        lo: i64,
+        /// The range's upper bound.
+        hi: i64,
+    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -275,6 +294,20 @@ impl fmt::Display for AnalyzeError {
                 "input layout of type `{ty}`: its `{role}` and `{other}` roles \
                  share field {index}"
             ),
+            AnalyzeError::BadArity {
+                target,
+                params,
+                args,
+            } => write!(
+                f,
+                "target `{target}` takes {params} argument(s), but an input spec gives {args}"
+            ),
+            AnalyzeError::EmptyIntRange { lo, hi } => {
+                write!(
+                    f,
+                    "random integer input in [{lo}, {hi}]: the range is empty"
+                )
+            }
         }
     }
 }
@@ -362,16 +395,19 @@ impl EngineBuilder {
     }
 
     /// Makes the entailment cache persistent: at `build()` the engine
-    /// warm-starts from the snapshot at `path` (if one exists and was
-    /// written under the same program types and predicate library), and
-    /// [`Engine::save_cache`] writes the cache back to the same path.
+    /// folds the snapshot at `path` into its cache with
+    /// [`Engine::absorb_snapshot`] (if one exists and was written under
+    /// the same program types), and [`Engine::save_cache`] writes the
+    /// cache back to the same path. When some entries were dropped for
+    /// touching changed predicates, the build re-saves the snapshot at
+    /// once, so the next boot loads clean.
     ///
     /// A missing file, a corrupted file, or a snapshot from a different
     /// environment never fails the build — the cache is an optimization,
     /// so the engine simply starts cold. [`Engine::warm_entries`]
     /// reports how many entries were actually restored; callers that
-    /// need the typed rejection reason use
-    /// [`sling_checker::persist::load`] directly.
+    /// need the typed rejection reason call [`Engine::absorb_snapshot`]
+    /// themselves.
     pub fn cache_path(mut self, path: impl Into<PathBuf>) -> EngineBuilder {
         self.cache_path = Some(path.into());
         self
@@ -468,26 +504,7 @@ impl EngineBuilder {
             (None, Some(capacity)) => Arc::new(CheckCache::with_capacity(capacity)),
             (None, None) => Arc::default(),
         };
-        // A partially stale snapshot still warms the engine with its
-        // surviving entries; only the stale subset re-runs cold.
-        let warm_entries = match &self.cache_path {
-            Some(path) if path.exists() => match persist::load(&cache, &profile, path) {
-                Ok(n) => n,
-                Err(PersistError::PartialStale { kept, .. }) => {
-                    // Re-save the surviving subset under the current
-                    // profile right away: the next boot then loads
-                    // clean instead of re-dropping the same stale
-                    // entries. Best-effort — the snapshot is an
-                    // optimization, so an unwritable path never fails
-                    // the build.
-                    let _ = persist::save(&cache, &profile, path);
-                    kept
-                }
-                Err(_) => 0,
-            },
-            _ => 0,
-        };
-        Ok(Engine {
+        let engine = Engine {
             program,
             compiled,
             compile_seconds,
@@ -496,11 +513,24 @@ impl EngineBuilder {
             config: self.config,
             cache,
             cache_path: self.cache_path,
-            warm_entries: AtomicU64::new(warm_entries),
+            warm_entries: AtomicU64::new(0),
             profile,
             parallelism: self.parallelism.unwrap_or_else(default_parallelism),
             analysis,
-        })
+        };
+        // The snapshot is an optimization: a missing, corrupt or foreign
+        // file leaves the engine cold and never fails the build.
+        if let Some(path) = &engine.cache_path {
+            if engine
+                .absorb_snapshot(path)
+                .is_ok_and(|stats| stats.stale > 0)
+            {
+                // Re-save without the stale entries, so the next boot
+                // does not drop them again. Best-effort, like the load.
+                let _ = engine.save_cache();
+            }
+        }
+        Ok(engine)
     }
 }
 
@@ -559,9 +589,9 @@ pub struct Engine {
     /// Where [`Engine::save_cache`] persists the cache (and where the
     /// build warm-started from), if configured.
     cache_path: Option<PathBuf>,
-    /// Entries restored from `cache_path` at build time plus any
-    /// absorbed later ([`Engine::absorb_snapshot`] adds to it, hence
-    /// atomic).
+    /// Entries folded in by [`Engine::absorb_snapshot`], the build's
+    /// `cache_path` load included (atomic: a live engine absorbs
+    /// through `&self`).
     warm_entries: AtomicU64,
     /// Environment fingerprints (overall tag, per-predicate table),
     /// computed once at build so per-request checker contexts don't
@@ -662,23 +692,25 @@ impl Engine {
         persist::save(&self.cache, &self.profile, path.as_ref())
     }
 
-    /// Folds a sibling process's snapshot into this engine's *live*
-    /// cache ([`sling_checker::persist::merge`]): key collisions
-    /// resolve newest-generation-wins (entries this engine computed
-    /// itself always win), capacity is respected without evicting live
+    /// Folds a snapshot into this engine's *live* cache
+    /// ([`sling_checker::persist::load`]): key collisions resolve
+    /// newest-generation-wins (entries this engine computed itself
+    /// always win), capacity is respected without evicting live
     /// entries, and entries touching predicates whose definitions
-    /// changed since the sibling saved are dropped. Merged entries are
-    /// warm — hits on them count in [`CacheStats::warm_hits`] — and
+    /// changed since the snapshot was saved are dropped and counted in
+    /// [`MergeStats::stale`](persist::MergeStats::stale). Merged entries
+    /// are warm — hits on them count in [`CacheStats::warm_hits`] — and
     /// [`Engine::warm_entries`] grows by the merged count.
     ///
-    /// Long-lived services use this at boot to fold every snapshot in a
-    /// cache directory instead of loading exactly one; see
-    /// `sling-serve`'s directory mode.
+    /// `build()` runs this on the [`EngineBuilder::cache_path`]
+    /// snapshot; long-lived services also run it at boot to fold every
+    /// snapshot in a cache directory; see `sling-serve`'s directory
+    /// mode.
     pub fn absorb_snapshot(
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<persist::MergeStats, PersistError> {
-        let stats = persist::merge(&self.cache, &self.profile, path.as_ref())?;
+        let stats = persist::load(&self.cache, &self.profile, path.as_ref())?;
         self.warm_entries.fetch_add(stats.merged, Ordering::Relaxed);
         Ok(stats)
     }
@@ -695,19 +727,28 @@ impl Engine {
     }
 
     /// Checks that a request fits the program: its target is a function,
-    /// every cell of an exact input shape and every list or tree layout
-    /// has a declared structure type with the declared number of fields,
-    /// and every layout role indexes one of those fields (input building
-    /// and trace collection index fields by the declaration), a field of
-    /// its own, and the shape has the roles it builds with.
+    /// every input spec gives one argument per parameter, every random
+    /// integer range is non-empty, every cell of an exact input shape and
+    /// every list or tree layout has a declared structure type with the
+    /// declared number of fields, and every layout role indexes one of
+    /// those fields (input building and trace collection index fields by
+    /// the declaration), a field of its own, and the shape has the roles
+    /// it builds with.
     fn validate(&self, request: &AnalysisRequest) -> Result<(), AnalyzeError> {
-        if self.program.func(request.target).is_none() {
+        let Some(func) = self.program.func(request.target) else {
             return Err(AnalyzeError::UnknownTarget(request.target));
-        }
+        };
         let specs = request.inputs.iter().filter_map(|input| match input {
             InputSource::Spec(spec) => Some(spec.arg_specs()),
             InputSource::Custom(_) => None,
         });
+        if let Some(args) = specs.clone().find(|args| args.len() != func.params.len()) {
+            return Err(AnalyzeError::BadArity {
+                target: request.target,
+                params: func.params.len(),
+                args: args.len(),
+            });
+        }
         for spec in specs.flatten() {
             match spec {
                 ValueSpec::Exact { cells } => {
@@ -746,6 +787,9 @@ impl Engine {
                         TreeKind::Random | TreeKind::Balanced => None,
                     },
                 )?,
+                &ValueSpec::IntIn(lo, hi) if lo > hi => {
+                    return Err(AnalyzeError::EmptyIntRange { lo, hi })
+                }
                 ValueSpec::Nil | ValueSpec::Int(_) | ValueSpec::IntIn(..) => {}
             }
         }
@@ -1177,8 +1221,15 @@ mod tests {
         let fresh = CheckCache::new();
         let profile = EnvProfile::new(v2.types(), v2.preds());
         assert!(
-            matches!(persist::load(&fresh, &profile, &path), Ok(1)),
-            "re-saved snapshot must load without PartialStale"
+            matches!(
+                persist::load(&fresh, &profile, &path),
+                Ok(persist::MergeStats {
+                    merged: 1,
+                    stale: 0,
+                    ..
+                })
+            ),
+            "re-saved snapshot must load with no stale entry"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1498,6 +1549,79 @@ mod tests {
                 shares: Some(("next", 0)),
             }
         );
+    }
+
+    #[test]
+    fn input_specs_need_one_argument_per_parameter() {
+        // Calling the target with the wrong argument count used to fail
+        // the interpreter's arity assertion.
+        let engine = Engine::builder()
+            .program_source(SRC)
+            .unwrap()
+            .build()
+            .unwrap();
+        let layout = ListLayout {
+            ty: Symbol::intern("TNode"),
+            nfields: 2,
+            next: 0,
+            prev: None,
+            data: Some(1),
+        };
+        let request = |spec: InputSpec| AnalysisRequest::new("id").input(spec);
+        let two = request(
+            InputSpec::seeded(1)
+                .arg(ValueSpec::sll(layout, 2))
+                .arg(ValueSpec::nil()),
+        );
+        let expected = AnalyzeError::BadArity {
+            target: Symbol::intern("id"),
+            params: 1,
+            args: 2,
+        };
+        assert_eq!(engine.analyze(&two).unwrap_err(), expected);
+        assert_eq!(engine.analyze_all([&two]).unwrap_err(), expected);
+        assert!(
+            expected
+                .to_string()
+                .contains("takes 1 argument(s), but an input spec gives 2"),
+            "{expected}"
+        );
+        assert_eq!(
+            engine.analyze(&request(InputSpec::seeded(1))).unwrap_err(),
+            AnalyzeError::BadArity {
+                target: Symbol::intern("id"),
+                params: 1,
+                args: 0,
+            }
+        );
+        let one = request(InputSpec::seeded(1).arg(ValueSpec::sll(layout, 2)));
+        assert!(engine.analyze(&one).is_ok());
+    }
+
+    #[test]
+    fn random_integer_ranges_must_not_be_empty() {
+        // Drawing from an empty range used to panic input building.
+        let engine = Engine::builder()
+            .program_source(
+                "struct KNode { next: KNode*; }
+                 fn keep(x: KNode*, k: int) -> KNode* { return x; }",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let request = |lo, hi| {
+            AnalysisRequest::new("keep").input(
+                InputSpec::seeded(1)
+                    .arg(ValueSpec::nil())
+                    .arg(ValueSpec::int_in(lo, hi)),
+            )
+        };
+        let err = engine.analyze(&request(5, 4)).unwrap_err();
+        assert_eq!(err, AnalyzeError::EmptyIntRange { lo: 5, hi: 4 });
+        assert_eq!(engine.analyze_all([&request(5, 4)]).unwrap_err(), err);
+        assert!(err.to_string().contains("[5, 4]"), "{err}");
+        // A one-value range is not empty.
+        assert!(engine.analyze(&request(4, 4)).is_ok());
     }
 
     #[test]

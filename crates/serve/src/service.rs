@@ -204,11 +204,6 @@ impl Service {
         self.shared().snapshots.load(Ordering::Relaxed)
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared().active.load(Ordering::SeqCst)
-    }
-
     /// Gracefully drains the service: stop accepting, let in-flight
     /// batches finish streaming, disconnect idle clients, snapshot the
     /// default engine's cache one last time (when it has a

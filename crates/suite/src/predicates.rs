@@ -351,17 +351,6 @@ pub fn gsnode_layout() -> ListLayout {
     }
 }
 
-/// `QNode { next, data }` layout.
-pub fn qnode_layout() -> ListLayout {
-    ListLayout {
-        ty: sym("QNode"),
-        nfields: 2,
-        next: 0,
-        prev: None,
-        data: Some(1),
-    }
-}
-
 /// `HNode { next, data }` layout (GRASShopper SLL/sorted).
 pub fn hnode_layout() -> ListLayout {
     ListLayout {
@@ -406,34 +395,10 @@ pub fn adnode_layout() -> ListLayout {
     }
 }
 
-/// `MRegion { next, prev, start, size }` layout.
-pub fn mregion_layout() -> ListLayout {
-    ListLayout {
-        ty: sym("MRegion"),
-        nfields: 4,
-        next: 0,
-        prev: Some(1),
-        data: Some(2),
-    }
-}
-
 /// `TNode { left, right, data }` layout.
 pub fn tnode_layout() -> TreeLayout {
     TreeLayout {
         ty: sym("TNode"),
-        nfields: 3,
-        left: 0,
-        right: 1,
-        parent: None,
-        data: Some(2),
-        color: None,
-    }
-}
-
-/// `PNode { left, right, data }` layout.
-pub fn pnode_layout() -> TreeLayout {
-    TreeLayout {
-        ty: sym("PNode"),
         nfields: 3,
         left: 0,
         right: 1,

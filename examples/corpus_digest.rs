@@ -10,6 +10,11 @@
 //! constants below; a change that alters output on purpose updates
 //! them and says why.
 //!
+//! The cache must not change a formula either, so the gate runs the
+//! corpus a second time with the cache off: each program gets a fresh
+//! cache of capacity 0, which stores nothing, so every checker query is
+//! a search. That pass must report 0 hits and the same three constants.
+//!
 //! Trace soundness is the paper's contract: every non-spurious invariant
 //! holds on every model it was inferred from. The gate re-collects each
 //! program's models with `collect_models`, selects them per location as
@@ -21,13 +26,16 @@
 //! cargo run --release -p sling-examples --example corpus_digest
 //! ```
 //!
-//! Exit status: 0 when all three match and no pair is rejected, 1
-//! otherwise.
+//! Exit status: 0 when both passes match, the cache-off pass has no
+//! hit, and no pair is rejected; 1 otherwise.
 
-use sling::{collect_models, select_models};
+use std::sync::Arc;
+
+use sling::{collect_models, select_models, CheckCache};
 use sling_checker::CheckCtx;
 use sling_logic::Symbol;
-use sling_suite::eval::{engine_for, run_corpus, BenchRun, EvalConfig};
+use sling_suite::corpus::all_benches;
+use sling_suite::eval::{engine_for, run_bench_cached, run_corpus, BenchRun, EvalConfig};
 
 /// Invariants the corpus run infers.
 const EXPECTED_INVARIANTS: usize = 1380;
@@ -70,13 +78,12 @@ fn trace_soundness(run: &BenchRun, config: &EvalConfig) -> (usize, Vec<String>) 
     (pairs, rejected)
 }
 
-fn main() {
-    let config = EvalConfig::default();
-    let runs = run_corpus(&config, None);
+/// The invariant count, the spurious count and the digest of `runs`.
+fn tally(runs: &[BenchRun]) -> (usize, usize, u64) {
     let (mut invariants, mut spurious) = (0usize, 0usize);
     // 64-bit FNV-1a.
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for run in &runs {
+    for run in runs {
         for loc in &run.report.locations {
             for inv in &loc.invariants {
                 invariants += 1;
@@ -91,12 +98,35 @@ fn main() {
             }
         }
     }
+    (invariants, spurious, digest)
+}
 
+fn main() {
+    let config = EvalConfig::default();
+    let expected = (EXPECTED_INVARIANTS, EXPECTED_SPURIOUS, EXPECTED_DIGEST);
+    let runs = run_corpus(&config, None);
+    let cached = tally(&runs);
+    let (invariants, spurious, hash) = cached;
     println!(
         "corpus digest: {} program(s), {invariants} invariant(s), {spurious} spurious, \
-         digest {digest:016x}",
+         digest {hash:016x}",
         runs.len()
     );
+
+    let off: Vec<BenchRun> = all_benches()
+        .iter()
+        .map(|bench| run_bench_cached(bench, &config, Some(Arc::new(CheckCache::with_capacity(0)))))
+        .collect();
+    let uncached = tally(&off);
+    let hits: u64 = off.iter().map(|run| run.report.cache.hits).sum();
+    let misses: u64 = off.iter().map(|run| run.report.cache.misses).sum();
+    let (invariants, spurious, hash) = uncached;
+    println!(
+        "cache off: {} program(s), {invariants} invariant(s), {spurious} spurious, \
+         digest {hash:016x}, {hits} hit(s), {misses} miss(es)",
+        off.len()
+    );
+
     let (mut pairs, mut rejected) = (0, Vec::new());
     for run in &runs {
         let (n, bad) = trace_soundness(run, &config);
@@ -109,11 +139,17 @@ fn main() {
     );
 
     let mut failed = false;
-    if (invariants, spurious, digest) != (EXPECTED_INVARIANTS, EXPECTED_SPURIOUS, EXPECTED_DIGEST) {
-        eprintln!(
-            "corpus output changed: expected {EXPECTED_INVARIANTS} invariant(s), \
-             {EXPECTED_SPURIOUS} spurious, digest {EXPECTED_DIGEST:016x}"
-        );
+    for (pass, got) in [("corpus", cached), ("cache-off", uncached)] {
+        if got != expected {
+            eprintln!(
+                "{pass} output changed: expected {EXPECTED_INVARIANTS} invariant(s), \
+                 {EXPECTED_SPURIOUS} spurious, digest {EXPECTED_DIGEST:016x}"
+            );
+            failed = true;
+        }
+    }
+    if hits != 0 {
+        eprintln!("the cache-off pass had {hits} cache hit(s)");
         failed = true;
     }
     for line in &rejected {

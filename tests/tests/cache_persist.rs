@@ -186,15 +186,12 @@ fn partial_predicate_change_keeps_untouched_entries_warm() {
     // file).
     let probed = mutated_engine(None);
     let profile = sling::EnvProfile::new(probed.types(), probed.preds());
-    let survivors = match sling::persist::load(&sling::CheckCache::new(), &profile, &path) {
-        Err(sling::PersistError::PartialStale { kept, dropped }) => {
-            assert!(kept > 0, "entries touching only sll must survive");
-            assert_eq!(kept + dropped, written);
-            assert!(dropped > 0, "entries touching lseg must be dropped");
-            kept
-        }
-        other => panic!("expected PartialStale, got {other:?}"),
-    };
+    let split = sling::persist::load(&sling::CheckCache::new(), &profile, &path)
+        .expect("a partially stale snapshot still loads");
+    assert!(split.merged > 0, "entries touching only sll must survive");
+    assert_eq!(split.merged + split.stale, written);
+    assert!(split.stale > 0, "entries touching lseg must be dropped");
+    let survivors = split.merged;
 
     let mutated = mutated_engine(Some(&path));
     let restored = mutated.warm_entries();
@@ -215,7 +212,7 @@ fn partial_predicate_change_keeps_untouched_entries_warm() {
     // so the next load under this library is clean — no stale entries
     // left to re-drop on every boot.
     match sling::persist::load(&sling::CheckCache::new(), &profile, &path) {
-        Ok(loaded) => assert_eq!(loaded, survivors),
+        Ok(reload) => assert_eq!((reload.merged, reload.stale), (survivors, 0)),
         other => panic!("expected a clean reload after the re-save, got {other:?}"),
     }
     std::fs::remove_file(&path).ok();

@@ -314,6 +314,50 @@ fn layouts_that_do_not_fit_get_an_error_frame_and_the_connection_survives() {
 }
 
 #[test]
+fn inputs_that_cannot_be_built_get_an_error_frame_and_the_connection_survives() {
+    let engine = Engine::builder()
+        .program_source(
+            "struct SrvKeyNode { next: SrvKeyNode*; }
+             fn keep(x: SrvKeyNode*, k: int) -> SrvKeyNode* { return x; }",
+        )
+        .expect("program parses")
+        .build()
+        .expect("engine builds");
+    let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
+    let mut client = Client::connect(service.local_addr()).expect("client connects");
+
+    let request =
+        |args: Vec<ValueSpec>| AnalysisRequest::new("keep").input(InputSpec::seeded(1).args(args));
+    // A missing argument failed the interpreter's arity assertion, and an
+    // empty integer range panicked input building; either took the
+    // handler thread down, and shutdown then panicked joining it.
+    let bad = [
+        (
+            request(vec![ValueSpec::nil()]),
+            "takes 2 argument(s), but an input spec gives 1",
+        ),
+        (
+            request(vec![ValueSpec::nil(), ValueSpec::int_in(5, 4)]),
+            "[5, 4]: the range is empty",
+        ),
+    ];
+    for (request, expected) in bad {
+        match client.analyze_all(&[request]) {
+            Err(ServeError::Remote(message)) => {
+                assert!(message.contains(expected), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+    // The same connection still serves a good batch.
+    let good = client
+        .analyze_all(&[request(vec![ValueSpec::nil(), ValueSpec::int_in(4, 4)])])
+        .expect("good batch after the errors");
+    assert_eq!(good.reports.len(), 1);
+    service.shutdown().expect("graceful drain");
+}
+
+#[test]
 fn tree_layouts_without_their_shape_get_an_error_frame_and_the_connection_survives() {
     let engine = Engine::builder()
         .program_source(
