@@ -1,5 +1,6 @@
 //! A deliberately scoped bi-abduction static analyzer — the stand-in for
-//! the S2 tool in the paper's Table 2 comparison (see DESIGN.md §1).
+//! the S2 tool in the paper's Table 2 comparison, because S2 analyzes C
+//! and cannot run on the MiniC corpus.
 //!
 //! The real S2 (Le et al., CAV'14) uses second-order bi-abduction over
 //! full C. This crate implements the same *kind* of analysis — forward

@@ -308,11 +308,6 @@ impl Hasher for FingerprintHasher {
 
 type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
 
-/// Snapshot-generation stamp of entries computed live in this process.
-/// Live entries always beat snapshot entries in newest-generation-wins
-/// collision resolution ([`CheckCache::store_warm`]).
-pub(crate) const GEN_LIVE: u64 = u64::MAX;
-
 /// One stored verdict plus its provenance: entries loaded from a
 /// persisted cache file are *warm* and counted separately on hits.
 #[derive(Debug, Clone)]
@@ -326,23 +321,15 @@ struct Entry {
     /// `stamp` as of its insert or its last re-filing, so at most
     /// `stamp`.
     filed: u64,
-    /// Snapshot generation this entry was restored from ([`GEN_LIVE`]
-    /// for entries computed in this process), for newest-wins merging.
-    gen: u64,
-    /// Predicates the entry's formula mentions directly — persistence
-    /// metadata, so a snapshot can invalidate per predicate.
-    preds: Box<[Symbol]>,
 }
 
 impl Entry {
-    fn new(value: Option<CachedReduction>, warm: bool, gen: u64, preds: &[Symbol]) -> Entry {
+    fn new(value: Option<CachedReduction>, warm: bool) -> Entry {
         Entry {
             value,
             warm,
             stamp: 0,
             filed: 0,
-            gen,
-            preds: preds.into(),
         }
     }
 }
@@ -354,7 +341,7 @@ const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<CacheKey>() + std::mem::size_of
 /// The approximate resident size of one entry: a function of parts that
 /// never change while the entry is stored, so insert and removal account
 /// it identically.
-fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>, preds: &[Symbol]) -> u64 {
+fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>) -> u64 {
     let payload = match value {
         None => 0,
         Some(red) => {
@@ -362,7 +349,7 @@ fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>, preds: &[Symbol]
                 + red.inst.len() * std::mem::size_of::<(CanonName, CanonVal)>()
         }
     };
-    ENTRY_OVERHEAD + key.text.len() as u64 + payload as u64 + std::mem::size_of_val(preds) as u64
+    ENTRY_OVERHEAD + key.text.len() as u64 + payload as u64
 }
 
 /// The mutable interior of one shard: the map, its access clock, the
@@ -392,7 +379,7 @@ impl ShardMap {
     fn remove(&mut self, key: &CacheKey) -> Option<Entry> {
         let entry = self.entries.remove(key)?;
         self.by_stamp.remove(&entry.filed);
-        self.resident_bytes -= entry_bytes(key, &entry.value, &entry.preds);
+        self.resident_bytes -= entry_bytes(key, &entry.value);
         Some(entry)
     }
 
@@ -402,10 +389,10 @@ impl ShardMap {
         let stamp = self.tick();
         entry.stamp = stamp;
         entry.filed = stamp;
-        self.resident_bytes += entry_bytes(&key, &entry.value, &entry.preds);
+        self.resident_bytes += entry_bytes(&key, &entry.value);
         if let Some(old) = self.entries.insert(key.clone(), entry) {
             self.by_stamp.remove(&old.filed);
-            self.resident_bytes -= entry_bytes(&key, &old.value, &old.preds);
+            self.resident_bytes -= entry_bytes(&key, &old.value);
         }
         self.by_stamp.insert(stamp, key);
     }
@@ -468,11 +455,6 @@ struct Shard {
 pub struct CheckCache {
     shards: Vec<Shard>,
     shard_capacity: usize,
-    /// Highest snapshot generation ever absorbed by a snapshot load.
-    /// Saves stamp strictly above it, so a cache that folded in a
-    /// future-stamped sibling (clock skew) still writes snapshots that
-    /// win newest-generation collisions with it.
-    max_generation: AtomicU64,
 }
 
 impl Default for CheckCache {
@@ -501,20 +483,6 @@ impl CheckCache {
         CheckCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             shard_capacity: capacity.div_ceil(SHARD_COUNT),
-            max_generation: AtomicU64::new(0),
-        }
-    }
-
-    /// Highest snapshot generation this cache has absorbed (0 when it
-    /// never loaded a snapshot). [`crate::persist::save`]
-    /// stamps new snapshots strictly above it.
-    pub(crate) fn max_generation(&self) -> u64 {
-        self.max_generation.load(Ordering::Relaxed)
-    }
-
-    fn note_generation(&self, gen: u64) {
-        if gen != GEN_LIVE {
-            self.max_generation.fetch_max(gen, Ordering::Relaxed);
         }
     }
 
@@ -560,10 +528,8 @@ impl CheckCache {
     }
 
     /// Stores a freshly computed verdict, evicting the shard's
-    /// least-recently-used entry first when the shard is full. `preds`
-    /// is the formula's direct predicate-mention set, kept so the entry
-    /// can be persisted with per-predicate invalidation metadata.
-    pub(crate) fn store(&self, key: CacheKey, value: Option<CachedReduction>, preds: &[Symbol]) {
+    /// least-recently-used entry first when the shard is full.
+    pub(crate) fn store(&self, key: CacheKey, value: Option<CachedReduction>) {
         let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().expect("cache lock");
         if map.entries.len() >= self.shard_capacity && !map.entries.contains_key(&key) {
@@ -572,65 +538,42 @@ impl CheckCache {
             }
             shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        map.insert(key, Entry::new(value, false, GEN_LIVE, preds));
+        map.insert(key, Entry::new(value, false));
     }
 
     /// Inserts an entry loaded from a persisted snapshot; hits on it
-    /// are counted as warm starts ([`CacheStats::warm_hits`]).
-    /// Collisions resolve newest-generation-wins: an existing entry with
-    /// a generation at least `gen` (including any live-computed entry)
-    /// is kept, an older one is replaced. Warm inserts never evict: a
-    /// new entry is dropped when its shard is at capacity. Returns
-    /// whether the entry was retained, so loaders can report the
-    /// restored count honestly.
-    pub(crate) fn store_warm(
-        &self,
-        key: CacheKey,
-        value: Option<CachedReduction>,
-        preds: &[Symbol],
-        gen: u64,
-    ) -> bool {
-        self.note_generation(gen);
+    /// are counted as warm starts ([`CacheStats::warm_hits`]). A key the
+    /// cache already holds keeps its entry, live or warm: one key is one
+    /// verdict. Warm inserts never evict: a new entry is dropped when
+    /// its shard is at capacity. Returns whether the entry was inserted,
+    /// so loaders count each restored entry once.
+    pub(crate) fn store_warm(&self, key: CacheKey, value: Option<CachedReduction>) -> bool {
         let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().expect("cache lock");
-        let retained = match map.entries.get(&key) {
-            Some(existing) => existing.gen < gen,
-            None => map.entries.len() < self.shard_capacity,
-        };
-        if retained {
-            map.insert(key, Entry::new(value, true, gen, preds));
+        let inserted = map.entries.len() < self.shard_capacity && !map.entries.contains_key(&key);
+        if inserted {
+            map.insert(key, Entry::new(value, true));
         }
-        retained
+        inserted
     }
 
-    /// Snapshots every stored entry whose scope carries `env_tag`, for
-    /// persistence. Shards are locked one at a time, so the snapshot is
+    /// Calls `f` on every stored entry whose scope carries `env_tag`,
+    /// for persistence. Shards are locked one at a time, so the visit is
     /// per-shard consistent (exact when no checker runs concurrently).
-    pub(crate) fn entries_for(&self, env_tag: u64) -> Vec<ExportedEntry> {
-        let mut out = Vec::new();
+    pub(crate) fn for_each_entry(
+        &self,
+        env_tag: u64,
+        mut f: impl FnMut(&CacheKey, &Option<CachedReduction>),
+    ) {
         for shard in &self.shards {
             let map = shard.map.lock().expect("cache lock");
-            for (key, entry) in map.entries.iter() {
+            for (key, entry) in &map.entries {
                 if key.scope.env_tag == env_tag {
-                    out.push(ExportedEntry {
-                        key: key.clone(),
-                        value: entry.value.clone(),
-                        preds: entry.preds.to_vec(),
-                    });
+                    f(key, &entry.value);
                 }
             }
         }
-        out
     }
-}
-
-/// One cache entry lifted out for persistence: the key, the verdict,
-/// and the predicate-mention metadata the snapshot needs for partial
-/// invalidation.
-pub(crate) struct ExportedEntry {
-    pub(crate) key: CacheKey,
-    pub(crate) value: Option<CachedReduction>,
-    pub(crate) preds: Vec<Symbol>,
 }
 
 /// A value in canonical space.
@@ -690,120 +633,28 @@ pub fn env_fingerprint(types: &sling_logic::TypeEnv, preds: &sling_logic::PredEn
     fnv1a(text.as_bytes())
 }
 
-/// Predicates a formula mentions directly (sorted, unique).
-pub(crate) fn formula_pred_mentions(f: &SymHeap) -> Vec<Symbol> {
-    let mut out: Vec<Symbol> = f
-        .spatial
-        .iter()
-        .filter_map(|atom| match atom {
-            sling_logic::SpatialAtom::Pred { name, .. } => Some(*name),
-            sling_logic::SpatialAtom::PointsTo { .. } => None,
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// A structured fingerprint of the checking environments: the overall
-/// tag ([`env_fingerprint`], mixed into every cache key), a tag of the
-/// type environment alone, and one fingerprint *per predicate
-/// definition* together with the predicates that definition references.
-///
-/// The per-predicate table is what lets snapshot loading invalidate
-/// partially: an entry's verdict depends only on the type environment
-/// and the definitions of the predicates its formula (transitively)
-/// mentions, so an entry survives a predicate-library edit whenever
-/// none of those definitions changed — see
-/// [`crate::persist::load`]. Long-lived engines build one profile at
+/// The environment tag snapshots carry: the [`env_fingerprint`] of a
+/// `(TypeEnv, PredEnv)` pair, mixed into every cache key computed under
+/// it. A snapshot answers only the tag it was saved under (see
+/// [`crate::persist::load`]). Long-lived engines build one profile at
 /// construction and pass it to every [`crate::persist`] call.
 #[derive(Debug, Clone)]
 pub struct EnvProfile {
     env_tag: u64,
-    types_tag: u64,
-    preds: BTreeMap<Symbol, PredInfo>,
-}
-
-#[derive(Debug, Clone)]
-struct PredInfo {
-    /// FNV-1a over the definition's `Debug` form (name, params, cases).
-    fingerprint: u64,
-    /// Other predicates the definition's cases mention (its direct
-    /// dependencies; self-recursion is implied and omitted).
-    deps: Vec<Symbol>,
 }
 
 impl EnvProfile {
     /// Profiles a `(TypeEnv, PredEnv)` pair.
     pub fn new(types: &sling_logic::TypeEnv, preds: &sling_logic::PredEnv) -> EnvProfile {
-        let mut table = BTreeMap::new();
-        for def in preds.iter() {
-            let fingerprint = fnv1a(format!("{def:?}").as_bytes());
-            let mut deps: Vec<Symbol> = def
-                .cases
-                .iter()
-                .flat_map(formula_pred_mentions)
-                .filter(|name| *name != def.name)
-                .collect();
-            deps.sort_unstable();
-            deps.dedup();
-            table.insert(def.name, PredInfo { fingerprint, deps });
-        }
         EnvProfile {
             env_tag: env_fingerprint(types, preds),
-            types_tag: fnv1a(format!("{types:?}").as_bytes()),
-            preds: table,
         }
     }
 
-    /// The overall environment tag ([`env_fingerprint`]) — the value
-    /// mixed into every cache key computed under this environment.
+    /// The environment tag ([`env_fingerprint`]): the value mixed into
+    /// every cache key computed under this environment.
     pub fn env_tag(&self) -> u64 {
         self.env_tag
-    }
-
-    /// Fingerprint of the type environment alone. Snapshots whose type
-    /// environments differ are rejected wholesale: struct layouts feed
-    /// every verdict.
-    pub fn types_tag(&self) -> u64 {
-        self.types_tag
-    }
-
-    /// The per-predicate fingerprint table in name order.
-    pub(crate) fn pred_table(&self) -> impl Iterator<Item = (Symbol, u64)> + '_ {
-        self.preds
-            .iter()
-            .map(|(name, info)| (*name, info.fingerprint))
-    }
-
-    /// Whether an entry that directly mentions `mentions` is still
-    /// valid when the saving environment recorded `old` fingerprints:
-    /// every predicate in the transitive dependency closure must exist
-    /// in *both* environments with the same fingerprint. (An unchanged
-    /// predicate has unchanged dependencies, so walking this profile's
-    /// dependency graph visits exactly the closure the entry was
-    /// computed under — or hits a changed predicate first and bails.)
-    pub(crate) fn closure_unchanged(
-        &self,
-        old: &BTreeMap<Symbol, u64>,
-        mentions: &[Symbol],
-    ) -> bool {
-        let mut stack: Vec<Symbol> = mentions.to_vec();
-        let mut seen: std::collections::BTreeSet<Symbol> = stack.iter().copied().collect();
-        while let Some(name) = stack.pop() {
-            let Some(info) = self.preds.get(&name) else {
-                return false; // predicate removed or renamed
-            };
-            if old.get(&name) != Some(&info.fingerprint) {
-                return false; // definition changed (or absent at save)
-            }
-            for dep in &info.deps {
-                if seen.insert(*dep) {
-                    stack.push(*dep);
-                }
-            }
-        }
-        true
     }
 }
 
@@ -1543,7 +1394,6 @@ mod tests {
                 inst: vec![(CanonName::Binder(0), CanonVal::Nil); i % 2],
             })
         };
-        let preds = [sym("clist")];
         let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); SHARD_COUNT];
         let mut evictions = 0u64;
         let mut rng = 0x5eed_u64;
@@ -1558,7 +1408,7 @@ mod tests {
             let lru = &mut model[keys[i].shard()];
             let pos = lru.iter().position(|k| *k == i);
             if z.is_multiple_of(2) {
-                cache.store(keys[i].clone(), value(i), &preds[..i % 2]);
+                cache.store(keys[i].clone(), value(i));
                 match pos {
                     Some(p) => {
                         lru.remove(p);
@@ -1590,7 +1440,7 @@ mod tests {
                 let bytes: u64 = map
                     .entries
                     .iter()
-                    .map(|(k, e)| entry_bytes(k, &e.value, &e.preds))
+                    .map(|(k, e)| entry_bytes(k, &e.value))
                     .sum();
                 assert_eq!(map.resident_bytes, bytes, "call {call}: shard {s}");
                 assert_eq!(map.by_stamp.len(), map.entries.len(), "call {call}");
@@ -1698,41 +1548,13 @@ mod tests {
         let profile = EnvProfile::new(&types, &preds);
         assert_eq!(profile.env_tag(), env_fingerprint(&types, &preds));
 
-        let old: BTreeMap<Symbol, u64> = profile.pred_table().collect();
-        assert!(profile.closure_unchanged(&old, &[sym("clist")]));
-        assert!(
-            profile.closure_unchanged(&old, &[]),
-            "pure formulas depend on no predicate"
-        );
-        assert!(
-            !profile.closure_unchanged(&old, &[sym("not_a_pred")]),
-            "unknown mentions are conservatively stale"
-        );
-
-        // Change the definition: same name, different fingerprint.
+        // Change the definition: same name, different tag.
         let mut changed = PredEnv::new();
         for d in parse_predicates("pred clist(x: CNode*) := emp & x == nil;").unwrap() {
             changed.define(d).unwrap();
         }
         let changed_profile = EnvProfile::new(&types, &changed);
         assert_ne!(changed_profile.env_tag(), profile.env_tag());
-        assert!(
-            !changed_profile.closure_unchanged(&old, &[sym("clist")]),
-            "a changed definition must invalidate"
-        );
-    }
-
-    #[test]
-    fn formula_mentions_are_sorted_unique_pred_names() {
-        let f = parse_formula("clist(x) * clist(y) * pseg2(y, x)").unwrap();
-        assert_eq!(
-            formula_pred_mentions(&f),
-            vec![sym("clist"), sym("pseg2")]
-                .into_iter()
-                .collect::<Vec<_>>()
-        );
-        let pure_only = parse_formula("emp & x == nil").unwrap();
-        assert!(formula_pred_mentions(&pure_only).is_empty());
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! least one cell (productivity, enforced by `sling_logic::check_pred_env`
 //! at engine build time; bounded unguarded wrapper hops are absorbed by
 //! `fuel_slack`) — so this crate performs a direct backtracking search
-//! instead (see DESIGN.md §1 for why this substitution is
-//! behaviour-preserving):
+//! instead:
 //!
 //! * points-to atoms consume one available cell and *bind* unbound
 //!   existentials occurring as their root or field values;
@@ -55,7 +54,7 @@ use sling_logic::{
 };
 use sling_models::{Heap, HeapCell, Loc, Stack, StackHeapModel, Val};
 
-use crate::cache::{formula_pred_mentions, CanonicalQuery, CheckCache, QueryScope};
+use crate::cache::{CanonicalQuery, CheckCache, QueryScope};
 use crate::inst::Instantiation;
 
 /// Tuning knobs for the search.
@@ -261,17 +260,16 @@ impl<'a> CheckCtx<'a> {
             return entry.map(|cached| query.decode(&cached));
         }
         let result = Search::run(*self, stack, cells, f);
-        let preds = formula_pred_mentions(f);
         match &result {
             Some(r) => {
                 // `encode` only declines when a value escapes the
                 // canonical frame; in that case skip storing rather than
                 // memoize something untranslatable.
                 if let Some(encoded) = query.encode(r) {
-                    cache.store(query.key, Some(encoded), &preds);
+                    cache.store(query.key, Some(encoded));
                 }
             }
-            None => cache.store(query.key, None, &preds),
+            None => cache.store(query.key, None),
         }
         result
     }

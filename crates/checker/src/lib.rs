@@ -6,8 +6,9 @@
 //! variables. The residue and instantiation are exactly the information
 //! SLING propagates between inference iterations (Algorithm 1).
 //!
-//! See the module docs of the `check` module source for the search strategy and
-//! DESIGN.md for why a direct search replaces the paper's Z3 encoding.
+//! See the module docs of the `check` module source for the search strategy.
+//! A direct search replaces the paper's Z3 encoding because bounded
+//! unfolding decides the judgment against one concrete, finite model.
 //!
 //! # Example
 //!

@@ -9,19 +9,15 @@
 //! library starts with every previously established entailment already
 //! answered.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
 //! A fixed header — magic `SLNGCACH`, format version, FNV-1a checksum of
 //! the body — followed by the body:
 //!
 //! ```text
-//! env_tag: u64            ; overall environment fingerprint
-//! types_tag: u64          ; fingerprint of the TypeEnv alone
-//! generation: u64         ; save stamp ([`generation_stamp`]), newest-wins merge order
-//! npreds: u64             ; per-predicate fingerprint table
-//!   (name: string, fingerprint: u64)*
+//! env_tag: u64            ; the environment every entry was computed under
 //! nentries: u64
-//!   entry*                ; scope, canonical text, pred-mention indices, verdict
+//!   entry*                ; node budget, fuel slack, canonical text, verdict
 //! ```
 //!
 //! Everything is little-endian. Safety properties:
@@ -32,14 +28,13 @@
 //! * **Checksummed**: torn writes and bit rot fail the body checksum and
 //!   are rejected with [`PersistError::Corrupted`] (every read is also
 //!   bounds-checked, so truncation cannot panic).
-//! * **Environment-keyed, per predicate**: the header records one
-//!   fingerprint per predicate definition (plus a whole-`TypeEnv` tag).
-//!   A changed type environment rejects the file wholesale
-//!   ([`PersistError::FingerprintMismatch`]); a *partial*
-//!   predicate-library change drops only the entries whose formulas
-//!   (transitively) touch a changed, removed, or renamed predicate —
-//!   the survivors are loaded and the drop is counted in
-//!   [`MergeStats::stale`].
+//! * **Environment-keyed**: a snapshot holds the verdicts of one
+//!   environment, the struct declarations and predicate library it was
+//!   saved under ([`EnvProfile::env_tag`]), and answers only that
+//!   environment. A file with any other tag is rejected as a whole
+//!   ([`PersistError::FingerprintMismatch`]), so after an edit to the
+//!   types or the library an engine starts cold, and its next save
+//!   replaces the file.
 //!
 //! Entries restored by [`load`] are marked *warm*: hits on them are
 //! reported in [`CacheStats::warm_hits`](crate::CacheStats::warm_hits)
@@ -56,15 +51,18 @@
 //! # One fold
 //!
 //! [`load`] is the only way snapshot entries enter a cache, at boot and
-//! in a live process alike: a colliding entry is replaced only by a
-//! newer snapshot generation (entries computed live always stay), a new
-//! entry whose shard is full is dropped rather than evicting anything,
-//! and the outcome comes back as counts ([`MergeStats`]) because a
-//! partially stale snapshot is routine, not exceptional.
+//! in a live process alike: a key the cache already holds keeps its
+//! entry, computed live or loaded earlier, and a new entry whose shard
+//! is full is dropped rather than evicting anything. The outcome comes
+//! back as counts ([`MergeStats`]), each restored entry counted once.
+//! Keeping the resident entry loses nothing: a key covers the
+//! environment, the search limits and the canonical query, and the
+//! search is deterministic, so two entries with one key hold one
+//! verdict.
 //!
 //! # Examples
 //!
-//! Round-trip an (empty) cache and observe the fingerprint guard:
+//! Round-trip an (empty) cache and observe the environment guard:
 //!
 //! ```
 //! use sling_checker::{persist, CheckCache, EnvProfile};
@@ -78,7 +76,7 @@
 //! let restored = CheckCache::new();
 //! assert_eq!(persist::load(&restored, &profile, &path)?.merged, 0);
 //!
-//! // A different *type* environment rejects the file wholesale.
+//! // A snapshot answers only the environment it was saved under.
 //! let mut other_types = TypeEnv::new();
 //! other_types.define(StructDef {
 //!     name: Symbol::intern("DocNode"),
@@ -98,7 +96,6 @@
 //! `Engine::absorb_snapshot(..)` in the `sling` crate; this module is
 //! the format layer underneath.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -116,10 +113,9 @@ const MAGIC: &[u8; 8] = b"SLNGCACH";
 /// Current format version; bump on any layout change, including a
 /// change to the canonical key text that `canonical_key_text_is_pinned`
 /// in the cache's tests holds, and on any search change that turns a
-/// stored "no" verdict into a "yes". Version 3: the search tries an
-/// unbound points-to before an all-unbound predicate, so version 2
-/// snapshots can hold "no" verdicts it now answers "yes".
-const FORMAT_VERSION: u32 = 3;
+/// stored "no" verdict into a "yes". Version 4: one environment tag per
+/// file, and no predicate mentions per entry.
+const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot file could not be loaded.
 #[derive(Debug)]
@@ -132,14 +128,14 @@ pub enum PersistError {
     /// The file is a snapshot, but written by an incompatible format
     /// version.
     UnsupportedVersion(u32),
-    /// The snapshot's *type environment* differs from the loading
-    /// engine's — struct layouts feed every verdict, so nothing in the
-    /// file can be reused.
+    /// The snapshot was saved under a different environment (struct
+    /// declarations or predicate library) than the loading one. Both
+    /// feed every verdict, so nothing in the file is reused.
     FingerprintMismatch {
-        /// The type-environment fingerprint the loading engine runs
-        /// under.
+        /// The environment tag ([`EnvProfile::env_tag`]) the loading
+        /// engine runs under.
         expected: u64,
-        /// The fingerprint recorded in the file.
+        /// The tag recorded in the file.
         found: u64,
     },
 }
@@ -157,8 +153,8 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::FingerprintMismatch { expected, found } => write!(
                 f,
-                "cache snapshot was computed under a different type environment \
-                 (expected fingerprint {expected:#018x}, file has {found:#018x})"
+                "cache snapshot was computed under a different environment \
+                 (expected tag {expected:#018x}, file has {found:#018x})"
             ),
         }
     }
@@ -182,69 +178,16 @@ impl From<io::Error> for PersistError {
 /// Outcome of folding one snapshot into a cache with [`load`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Entries inserted (or replacing an older-generation entry).
+    /// Entries inserted.
     pub merged: u64,
-    /// Entries skipped on collision (the resident entry was newer or
-    /// equal in generation) or because their shard was at capacity.
+    /// Entries skipped because the cache already held their key or
+    /// their shard was at capacity.
     pub skipped: u64,
-    /// Entries dropped for touching a predicate whose definition
-    /// changed since the snapshot was saved.
-    pub stale: u64,
 }
 
 impl std::fmt::Display for MergeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} merged, {} skipped, {} stale",
-            self.merged, self.skipped, self.stale
-        )
-    }
-}
-
-/// Milliseconds since the Unix epoch — the wall-clock component of
-/// [`generation_stamp`].
-fn now_millis() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Low bits of every [`generation_stamp`] reserved for the per-process
-/// monotonic sub-counter (4096 distinct stamps per millisecond before
-/// the counter borrows from future milliseconds — and even then stamps
-/// only ever move forward).
-const GENERATION_SUB_BITS: u32 = 12;
-
-/// A fresh generation stamp for newest-wins ordering: wall-clock
-/// milliseconds shifted left by `GENERATION_SUB_BITS`, forced
-/// *strictly* above both every stamp this process has already issued
-/// and `floor`.
-///
-/// The sub-counter is the same-millisecond tiebreak: two snapshots
-/// saved by one process within a single millisecond used to receive
-/// equal generations, and equal generations merge order-dependently
-/// (the colliding offer is skipped, so whichever snapshot merged first
-/// won). With the counter, stamps issued by a process are strictly
-/// increasing, so newest-wins is deterministic regardless of merge
-/// order. Cross-host, wall clocks remain the ordering, exactly as
-/// before; `floor` (callers pass the highest generation they have
-/// absorbed) keeps a process ahead of future-stamped siblings it has
-/// already merged.
-pub fn generation_stamp(floor: u64) -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static LAST: AtomicU64 = AtomicU64::new(0);
-    let wall = now_millis().saturating_mul(1 << GENERATION_SUB_BITS);
-    let mut prev = LAST.load(Ordering::Relaxed);
-    loop {
-        let next = wall
-            .max(prev.saturating_add(1))
-            .max(floor.saturating_add(1));
-        match LAST.compare_exchange_weak(prev, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return next,
-            Err(observed) => prev = observed,
-        }
+        write!(f, "{} merged, {} skipped", self.merged, self.skipped)
     }
 }
 
@@ -252,112 +195,58 @@ pub fn generation_stamp(floor: u64) -> u64 {
 /// environment to `path`, returning how many entries were written. The
 /// write is atomic: a sibling temp file is renamed over `path` only
 /// once fully written.
-///
-/// The snapshot's generation stamp is a [`generation_stamp`]: wall
-/// clock plus a per-process monotonic sub-counter (so two saves within
-/// one millisecond still order deterministically), and never at or
-/// below the highest generation this cache has absorbed — so a process
-/// that loaded a future-stamped sibling (cross-host clock skew) still
-/// writes snapshots that win newest-generation [`load`] collisions
-/// against it. Wall clocks remain the cross-host ordering, so skew
-/// between hosts that never exchange snapshots can still mis-order; a
-/// shared directory self-corrects after one merge-save cycle.
 pub fn save(cache: &CheckCache, profile: &EnvProfile, path: &Path) -> io::Result<u64> {
-    let generation = generation_stamp(cache.max_generation());
-    save_at(cache, profile, path, generation)
-}
-
-/// [`save`] with an explicit generation stamp (tests pin generations to
-/// make newest-wins merging deterministic).
-pub(crate) fn save_at(
-    cache: &CheckCache,
-    profile: &EnvProfile,
-    path: &Path,
-    generation: u64,
-) -> io::Result<u64> {
-    let entries = cache.entries_for(profile.env_tag());
-    let table: Vec<(Symbol, u64)> = profile.pred_table().collect();
-    let index_of: BTreeMap<Symbol, u32> = table
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| (*name, i as u32))
-        .collect();
-
-    let mut body = Vec::with_capacity(64 + 128 * entries.len());
+    let mut body = Vec::new();
     write_u64(&mut body, profile.env_tag());
-    write_u64(&mut body, profile.types_tag());
-    write_u64(&mut body, generation);
-    write_u64(&mut body, table.len() as u64);
-    for (name, fingerprint) in &table {
-        write_bytes(&mut body, name.as_str().as_bytes());
-        write_u64(&mut body, *fingerprint);
-    }
-    // Entries serialize into their own buffer first, so the count
-    // written is exactly the count serialized. An entry whose mention
-    // set escapes the profile's table cannot be expressed (and could
-    // not be validated on load); it is skipped — mentions always come
-    // from formulas checked under this environment, so in practice
-    // nothing is.
+    // The entry count, patched once the entries are written, so it is
+    // exactly the count serialized.
+    write_u64(&mut body, 0);
     let mut written = 0u64;
-    let mut entry_bytes = Vec::with_capacity(128 * entries.len());
-    for entry in &entries {
-        let Some(indices) = entry
-            .preds
-            .iter()
-            .map(|name| index_of.get(name).copied())
-            .collect::<Option<Vec<u32>>>()
-        else {
-            continue;
-        };
-        write_u64(&mut entry_bytes, entry.key.scope.node_budget);
-        write_u32(&mut entry_bytes, entry.key.scope.fuel_slack);
-        write_bytes(&mut entry_bytes, entry.key.text.as_bytes());
-        write_u32(&mut entry_bytes, indices.len() as u32);
-        for index in &indices {
-            write_u32(&mut entry_bytes, *index);
-        }
-        match &entry.value {
-            None => entry_bytes.push(0),
+    cache.for_each_entry(profile.env_tag(), |key, value| {
+        write_u64(&mut body, key.scope.node_budget);
+        write_u32(&mut body, key.scope.fuel_slack);
+        write_bytes(&mut body, key.text.as_bytes());
+        match value {
+            None => body.push(0),
             Some(red) => {
-                entry_bytes.push(1);
-                write_u32(&mut entry_bytes, red.residual.len() as u32);
+                body.push(1);
+                write_u32(&mut body, red.residual.len() as u32);
                 for id in &red.residual {
-                    write_u32(&mut entry_bytes, *id);
+                    write_u32(&mut body, *id);
                 }
-                write_u32(&mut entry_bytes, red.inst.len() as u32);
+                write_u32(&mut body, red.inst.len() as u32);
                 for (name, val) in &red.inst {
                     match name {
                         CanonName::Binder(i) => {
-                            entry_bytes.push(0);
-                            write_u32(&mut entry_bytes, *i);
+                            body.push(0);
+                            write_u32(&mut body, *i);
                         }
                         CanonName::Free(sym) => {
-                            entry_bytes.push(1);
-                            write_bytes(&mut entry_bytes, sym.as_str().as_bytes());
+                            body.push(1);
+                            write_bytes(&mut body, sym.as_str().as_bytes());
                         }
                     }
                     match val {
-                        CanonVal::Nil => entry_bytes.push(0),
+                        CanonVal::Nil => body.push(0),
                         CanonVal::Int(k) => {
-                            entry_bytes.push(1);
-                            write_u64(&mut entry_bytes, *k as u64);
+                            body.push(1);
+                            write_u64(&mut body, *k as u64);
                         }
                         CanonVal::InHeap(id) => {
-                            entry_bytes.push(2);
-                            write_u32(&mut entry_bytes, *id);
+                            body.push(2);
+                            write_u32(&mut body, *id);
                         }
                         CanonVal::Dangling(id) => {
-                            entry_bytes.push(3);
-                            write_u32(&mut entry_bytes, *id);
+                            body.push(3);
+                            write_u32(&mut body, *id);
                         }
                     }
                 }
             }
         }
         written += 1;
-    }
-    write_u64(&mut body, written);
-    body.extend_from_slice(&entry_bytes);
+    });
+    body[8..16].copy_from_slice(&written.to_le_bytes());
 
     let mut file = Vec::with_capacity(MAGIC.len() + 12 + body.len());
     file.extend_from_slice(MAGIC);
@@ -439,29 +328,14 @@ fn sweep_stale_temps(path: &Path) {
     }
 }
 
-/// One entry parsed out of a snapshot, already validated against the
-/// loading environment (stale entries are dropped during parsing).
-struct ParsedEntry {
-    key: CacheKey,
-    value: Option<CachedReduction>,
-    preds: Vec<Symbol>,
-}
-
-/// A fully parsed, environment-validated snapshot.
-struct ParsedSnapshot {
-    generation: u64,
-    entries: Vec<ParsedEntry>,
-    /// Entries discarded for touching changed predicates.
-    dropped: u64,
-}
-
-/// Parses and validates a snapshot against `profile`. Structural
-/// problems (corruption, truncation, version skew) and a changed type
-/// environment are errors; a partially changed predicate library drops
-/// the affected entries and reports them in
-/// [`ParsedSnapshot::dropped`]. The cache is untouched — [`load`]
-/// inserts the surviving entries once the whole file has parsed.
-fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, PersistError> {
+/// Parses a snapshot saved under `profile`'s environment into its
+/// entries. Structural problems (corruption, truncation, version skew)
+/// and a different environment tag are errors. The cache is untouched:
+/// [`load`] inserts the entries once the whole file has parsed.
+fn parse_snapshot(
+    bytes: &[u8],
+    profile: &EnvProfile,
+) -> Result<Vec<(CacheKey, Option<CachedReduction>)>, PersistError> {
     let mut r = Reader::new(bytes);
 
     let magic = r.take(MAGIC.len())?;
@@ -478,47 +352,25 @@ fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, 
         return Err(PersistError::Corrupted("checksum mismatch".into()));
     }
 
-    let file_env_tag = r.u64()?;
-    let file_types_tag = r.u64()?;
-    if file_types_tag != profile.types_tag() {
+    let env_tag = r.u64()?;
+    if env_tag != profile.env_tag() {
         return Err(PersistError::FingerprintMismatch {
-            expected: profile.types_tag(),
-            found: file_types_tag,
+            expected: profile.env_tag(),
+            found: env_tag,
         });
     }
-    let generation = r.u64()?;
-
-    let npreds = r.u64()? as usize;
-    let mut table_names: Vec<Symbol> = Vec::with_capacity(npreds.min(1 << 16));
-    let mut old_table: BTreeMap<Symbol, u64> = BTreeMap::new();
-    for _ in 0..npreds {
-        let name = Symbol::intern(&r.string()?);
-        let fingerprint = r.u64()?;
-        table_names.push(name);
-        old_table.insert(name, fingerprint);
-    }
-    // Same overall tag: the whole environment (types and every
-    // predicate) is unchanged, so per-entry validation is a no-op.
-    let env_unchanged = file_env_tag == profile.env_tag();
 
     let count = r.u64()?;
     // Parse fully before touching the cache, so a corrupted tail cannot
     // leave a half-loaded (but checksum-passing prefix) state behind.
-    let mut entries: Vec<ParsedEntry> = Vec::new();
-    let mut dropped = 0u64;
+    let mut entries = Vec::new();
     for _ in 0..count {
-        let node_budget = r.u64()?;
-        let fuel_slack = r.u32()?;
+        let scope = QueryScope {
+            env_tag,
+            node_budget: r.u64()?,
+            fuel_slack: r.u32()?,
+        };
         let text = r.string()?;
-        let nmentions = r.u32()? as usize;
-        let mut preds = Vec::with_capacity(nmentions.min(1 << 16));
-        for _ in 0..nmentions {
-            let index = r.u32()? as usize;
-            let name = table_names.get(index).copied().ok_or_else(|| {
-                PersistError::Corrupted(format!("pred index {index} out of range"))
-            })?;
-            preds.push(name);
-        }
         let value = match r.u8()? {
             0 => None,
             1 => {
@@ -552,46 +404,22 @@ fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, 
             }
             t => return Err(PersistError::Corrupted(format!("bad verdict tag {t}"))),
         };
-        if !env_unchanged && !profile.closure_unchanged(&old_table, &preds) {
-            dropped += 1;
-            continue;
-        }
-        // Entries are re-keyed under the *loading* environment's tag:
-        // their validated predicate closure is unchanged, so verdicts
-        // transfer, and re-keying is what lets them answer this
-        // process's queries.
-        let scope = QueryScope {
-            env_tag: profile.env_tag(),
-            node_budget,
-            fuel_slack,
-        };
-        entries.push(ParsedEntry {
-            key: CacheKey::new(scope, text),
-            value,
-            preds,
-        });
+        entries.push((CacheKey::new(scope, text), value));
     }
     if r.pos != bytes.len() {
         return Err(PersistError::Corrupted(
             "trailing bytes after entries".into(),
         ));
     }
-    Ok(ParsedSnapshot {
-        generation,
-        entries,
-        dropped,
-    })
+    Ok(entries)
 }
 
 /// Folds the snapshot at `path` into `cache`, marking every restored
-/// entry warm. A colliding entry is replaced only by a newer snapshot
-/// generation (entries computed live in this process always stay;
-/// between snapshots the later save wins), and a new entry whose shard
-/// is full is dropped rather than evicting anything. Entries touching
-/// predicates whose definitions changed since the save are dropped and
-/// counted in [`MergeStats::stale`]; callers may re-save to shed them.
+/// entry warm. A key the cache already holds keeps its entry (one key
+/// is one verdict), and a new entry whose shard is full is dropped
+/// rather than evicting anything; both count in [`MergeStats::skipped`].
 ///
-/// The snapshot must have been saved under the same type environment;
+/// The snapshot must have been saved under `profile`'s environment;
 /// see [`PersistError`] for the rejection cases. A rejected file leaves
 /// the cache untouched.
 pub fn load(
@@ -601,13 +429,9 @@ pub fn load(
 ) -> Result<MergeStats, PersistError> {
     sweep_stale_temps(path);
     let bytes = fs::read(path)?;
-    let parsed = parse_snapshot(&bytes, profile)?;
-    let mut stats = MergeStats {
-        stale: parsed.dropped,
-        ..MergeStats::default()
-    };
-    for entry in parsed.entries {
-        if cache.store_warm(entry.key, entry.value, &entry.preds, parsed.generation) {
+    let mut stats = MergeStats::default();
+    for (key, value) in parse_snapshot(&bytes, profile)? {
+        if cache.store_warm(key, value) {
             stats.merged += 1;
         } else {
             stats.skipped += 1;
@@ -810,7 +634,7 @@ mod tests {
         let path = temp_path("fingerprint");
         save(&cache, &profile, &path).unwrap();
 
-        // A different struct layout: the file is rejected wholesale.
+        // A different struct layout: the file is rejected as a whole.
         let mut other_types = TypeEnv::new();
         other_types
             .define(StructDef {
@@ -833,143 +657,19 @@ mod tests {
         assert!(!err.to_string().is_empty());
         match err {
             PersistError::FingerprintMismatch { expected, found } => {
-                assert_eq!(expected, other_profile.types_tag());
-                assert_eq!(found, profile.types_tag());
+                assert_eq!(expected, other_profile.env_tag());
+                assert_eq!(found, profile.env_tag());
             }
             unexpected => panic!("expected FingerprintMismatch, got {unexpected:?}"),
         }
         assert_eq!(other.stats().entries, 0, "rejected load must not insert");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn partial_predicate_change_drops_only_touching_entries() {
-        // Two independent predicates in one library; entries for each.
-        // Changing one drops exactly its entries and keeps the other's.
-        let node = sym("PartialNode");
-        let mut types = TypeEnv::new();
-        types
-            .define(StructDef {
-                name: node,
-                fields: vec![FieldDef {
-                    name: sym("next"),
-                    ty: FieldTy::Ptr(node),
-                }],
-            })
-            .unwrap();
-        let preds_src = |qlist_base: &str| {
-            format!(
-                "pred qlist(x: PartialNode*) := {qlist_base}
-                   | exists u. x -> PartialNode{{next: u}} * qlist(u);
-                 pred rcell(x: PartialNode*) := exists u. x -> PartialNode{{next: u}};"
-            )
-        };
-        let mk_preds = |src: &str| {
-            let mut env = PredEnv::new();
-            for d in parse_predicates(src).unwrap() {
-                env.define(d).unwrap();
-            }
-            env
-        };
-        let preds_v1 = mk_preds(&preds_src("emp & x == nil"));
-        let profile_v1 = EnvProfile::new(&types, &preds_v1);
-
-        let cache = CheckCache::new();
-        let ctx = CheckCtx::with_cache(&types, &preds_v1, Default::default(), &cache);
-        assert!(ctx
-            .check(
-                &list_model_of(node, 2, 1),
-                &parse_formula("qlist(x)").unwrap()
-            )
-            .is_some());
-        assert!(ctx
-            .check(
-                &list_model_of(node, 1, 9),
-                &parse_formula("rcell(x)").unwrap()
-            )
-            .is_some());
-        assert_eq!(cache.stats().entries, 2);
-
-        let path = temp_path("partial");
-        assert_eq!(save(&cache, &profile_v1, &path).unwrap(), 2);
-
-        // v2: qlist's base case changed; rcell is untouched.
-        let preds_v2 = mk_preds(&preds_src("emp & x == x"));
-        let profile_v2 = EnvProfile::new(&types, &preds_v2);
-        assert_ne!(profile_v1.env_tag(), profile_v2.env_tag());
-
-        let warm = CheckCache::new();
-        let stats = load(&warm, &profile_v2, &path).unwrap();
-        assert_eq!((stats.merged, stats.stale), (1, 1));
-        assert_eq!(warm.stats().entries, 1, "the rcell entry survives");
-
-        // The survivor answers rcell queries warm under the new env.
-        let warm_ctx = CheckCtx::with_cache(&types, &preds_v2, Default::default(), &warm);
-        assert!(warm_ctx
-            .check(
-                &list_model_of(node, 1, 40),
-                &parse_formula("rcell(x)").unwrap()
-            )
-            .is_some());
-        let stats = warm.stats();
-        assert_eq!(
-            (stats.hits, stats.warm_hits, stats.misses),
-            (1, 1, 0),
-            "{stats:?}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn partial_invalidation_follows_predicate_dependencies() {
-        // wrap calls through to inner; changing *inner* must drop
-        // entries whose formulas only mention wrap.
-        let node = sym("DepNode");
-        let mut types = TypeEnv::new();
-        types
-            .define(StructDef {
-                name: node,
-                fields: vec![FieldDef {
-                    name: sym("next"),
-                    ty: FieldTy::Ptr(node),
-                }],
-            })
-            .unwrap();
-        let src = |inner_base: &str| {
-            format!(
-                "pred inner(x: DepNode*) := {inner_base}
-                   | exists u. x -> DepNode{{next: u}} * inner(u);
-                 pred wrap(x: DepNode*) := inner(x);"
-            )
-        };
-        let mk = |s: &str| {
-            let mut env = PredEnv::new();
-            for d in parse_predicates(s).unwrap() {
-                env.define(d).unwrap();
-            }
-            env
-        };
-        let v1 = mk(&src("emp & x == nil"));
-        let p1 = EnvProfile::new(&types, &v1);
-        let cache = CheckCache::new();
-        let ctx = CheckCtx::with_cache(&types, &v1, Default::default(), &cache);
-        assert!(ctx
-            .check(
-                &list_model_of(node, 2, 1),
-                &parse_formula("wrap(x)").unwrap()
-            )
-            .is_some());
-
-        let path = temp_path("deps");
-        assert!(save(&cache, &p1, &path).unwrap() > 0);
-
-        let v2 = mk(&src("emp & x == x"));
-        let p2 = EnvProfile::new(&types, &v2);
-        let warm = CheckCache::new();
-        let stats = load(&warm, &p2, &path).unwrap();
-        assert_eq!(stats.merged, 0, "wrap depends on the changed inner");
-        assert!(stats.stale > 0);
-        assert_eq!(warm.stats().entries, 0);
+        // Folding into a live cache is refused the same way.
+        let live_entries = cache.stats().entries;
+        assert!(matches!(
+            load(&cache, &other_profile, &path),
+            Err(PersistError::FingerprintMismatch { .. })
+        ));
+        assert_eq!(cache.stats().entries, live_entries);
         std::fs::remove_file(&path).ok();
     }
 
@@ -995,87 +695,68 @@ mod tests {
     }
 
     #[test]
-    fn merge_overlapping_snapshots_is_newest_wins_union() {
-        // Two caches with one shared key holding *different* synthetic
-        // values (impossible via checking, handcrafted here) and one
-        // private key each: merging both must produce the three-key
-        // union with the newer generation winning the collision.
-        let (types, preds) = envs();
-        let profile = EnvProfile::new(&types, &preds);
-        let scope = QueryScope {
-            env_tag: profile.env_tag(),
-            node_budget: 7,
-            fuel_slack: 3,
-        };
-        let key = |text: &str| CacheKey::new(scope, text.to_string());
-        let red = |ids: &[u32]| {
-            Some(CachedReduction {
-                residual: ids.to_vec(),
-                inst: Vec::new(),
+    fn edited_predicate_library_is_rejected_whole() {
+        // Two independent predicates over one struct; the edit changes
+        // only qlist, and the types stay. The snapshot still answers
+        // only the library it was saved under, so nothing loads, the
+        // rcell entry included.
+        let node = sym("EditNode");
+        let mut types = TypeEnv::new();
+        types
+            .define(StructDef {
+                name: node,
+                fields: vec![FieldDef {
+                    name: sym("next"),
+                    ty: FieldTy::Ptr(node),
+                }],
             })
-        };
-
-        let older = CheckCache::new();
-        older.store(key("shared"), red(&[1]), &[]);
-        older.store(key("only-old"), red(&[2]), &[]);
-        let newer = CheckCache::new();
-        newer.store(key("shared"), red(&[9]), &[]);
-        newer.store(key("only-new"), red(&[3]), &[]);
-
-        let dir = std::env::temp_dir();
-        let old_path = dir.join(format!("sling-merge-old-{}.snap", std::process::id()));
-        let new_path = dir.join(format!("sling-merge-new-{}.snap", std::process::id()));
-        save_at(&older, &profile, &old_path, 100).unwrap();
-        save_at(&newer, &profile, &new_path, 200).unwrap();
-
-        // Merge in both orders: the result must be identical.
-        for order in [[&old_path, &new_path], [&new_path, &old_path]] {
-            let live = CheckCache::new();
-            let mut totals = MergeStats::default();
-            for p in order {
-                let stats = load(&live, &profile, p).unwrap();
-                totals.merged += stats.merged;
-                totals.skipped += stats.skipped;
-            }
-            assert_eq!(live.stats().entries, 3, "union of both key sets");
-            // 4 entries offered; every offer is accounted either way.
-            // Old-then-new replaces the shared key (counted merged);
-            // new-then-old skips the older shared offer.
-            assert_eq!(totals.merged + totals.skipped, 4);
-            assert!(totals.merged >= 3, "{totals:?}");
-            let winner = live.lookup(&key("shared")).expect("shared key present");
-            assert_eq!(
-                winner.expect("positive verdict").residual,
-                vec![9],
-                "the newer generation must win the collision"
+            .unwrap();
+        let library = |qlist_base: &str| {
+            let mut env = PredEnv::new();
+            let src = format!(
+                "pred qlist(x: EditNode*) := {qlist_base}
+                   | exists u. x -> EditNode{{next: u}} * qlist(u);
+                 pred rcell(x: EditNode*) := exists u. x -> EditNode{{next: u}};"
             );
+            for d in parse_predicates(&src).unwrap() {
+                env.define(d).unwrap();
+            }
+            env
+        };
+        let (v1, v2) = (library("emp & x == nil"), library("emp & x == x"));
+        let saved = EnvProfile::new(&types, &v1);
+        let cache = CheckCache::new();
+        let ctx = CheckCtx::with_cache(&types, &v1, Default::default(), &cache);
+        for (model, f) in [
+            (list_model_of(node, 2, 1), "qlist(x)"),
+            (list_model_of(node, 1, 9), "rcell(x)"),
+        ] {
+            assert!(ctx.check(&model, &parse_formula(f).unwrap()).is_some());
         }
-        std::fs::remove_file(&old_path).ok();
-        std::fs::remove_file(&new_path).ok();
+        let path = temp_path("edited-library");
+        assert_eq!(save(&cache, &saved, &path).unwrap(), 2);
+
+        let edited = EnvProfile::new(&types, &v2);
+        let warm = CheckCache::new();
+        match load(&warm, &edited, &path) {
+            Err(PersistError::FingerprintMismatch { expected, found }) => {
+                assert_eq!((expected, found), (edited.env_tag(), saved.env_tag()));
+            }
+            other => panic!("expected FingerprintMismatch, got {other:?}"),
+        }
+        assert_eq!(warm.stats().entries, 0, "rejected load must not insert");
+        // Under the library it was saved with, the file loads whole.
+        assert_eq!(load(&warm, &saved, &path).unwrap().merged, 2);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn generation_stamps_are_strictly_monotonic_and_respect_floors() {
-        let a = generation_stamp(0);
-        let b = generation_stamp(0);
-        assert!(b > a, "back-to-back stamps must order strictly");
-        // A floor from a future-stamped sibling: the stamp lands above
-        // it, and later stamps never rewind below the raised watermark.
-        let future = b + (1 << 20);
-        let c = generation_stamp(future);
-        assert!(c > future);
-        let d = generation_stamp(0);
-        assert!(d > c, "the counter never rewinds after a high floor");
-    }
-
-    #[test]
-    fn same_millisecond_snapshots_merge_deterministically() {
-        // Two snapshots stamped back-to-back — the same wall-clock
-        // millisecond in practice — used to receive equal generations,
-        // and equal generations merge order-dependently (the colliding
-        // offer is skipped, so whichever snapshot merged first won).
-        // The per-process sub-counter must break the tie: both merge
-        // orders agree that the later save wins.
+    fn merge_overlapping_snapshots_is_newest_wins_union() {
+        // Two snapshots with one shared key and one private key each.
+        // One key holds one verdict, so the shared key's value is the
+        // same in both. Folding both gives the three-key union in either
+        // order, and the shared key's second offer is skipped, so every
+        // entry counts once.
         let (types, preds) = envs();
         let profile = EnvProfile::new(&types, &preds);
         let scope = QueryScope {
@@ -1092,39 +773,42 @@ mod tests {
         };
 
         let first = CheckCache::new();
-        first.store(key("shared"), red(&[1]), &[]);
+        first.store(key("shared"), red(&[1]));
+        first.store(key("only-first"), red(&[2]));
         let second = CheckCache::new();
-        second.store(key("shared"), red(&[9]), &[]);
-
-        let g1 = generation_stamp(0);
-        let g2 = generation_stamp(0);
-        assert!(g2 > g1, "sub-counter must break the wall-clock tie");
-        assert_ne!(g1 >> GENERATION_SUB_BITS, 0, "wall component present");
+        second.store(key("shared"), red(&[1]));
+        second.store(key("only-second"), red(&[3]));
 
         let dir = std::env::temp_dir();
-        let p1 = dir.join(format!("sling-samems-1-{}.snap", std::process::id()));
-        let p2 = dir.join(format!("sling-samems-2-{}.snap", std::process::id()));
-        save_at(&first, &profile, &p1, g1).unwrap();
-        save_at(&second, &profile, &p2, g2).unwrap();
+        let first_path = dir.join(format!("sling-merge-first-{}.snap", std::process::id()));
+        let second_path = dir.join(format!("sling-merge-second-{}.snap", std::process::id()));
+        save(&first, &profile, &first_path).unwrap();
+        save(&second, &profile, &second_path).unwrap();
 
-        for order in [[&p1, &p2], [&p2, &p1]] {
+        for [earlier, later] in [[&first_path, &second_path], [&second_path, &first_path]] {
             let live = CheckCache::new();
-            for p in order {
-                load(&live, &profile, p).unwrap();
-            }
-            let winner = live.lookup(&key("shared")).expect("shared key present");
+            let earlier = load(&live, &profile, earlier).unwrap();
+            let later = load(&live, &profile, later).unwrap();
+            assert_eq!((earlier.merged, earlier.skipped), (2, 0));
             assert_eq!(
-                winner.expect("positive verdict").residual,
-                vec![9],
-                "the later save must win regardless of merge order"
+                (later.merged, later.skipped),
+                (1, 1),
+                "the shared key's second offer is skipped"
             );
+            assert_eq!(live.stats().entries, earlier.merged + later.merged);
+            for (text, residual) in [("shared", 1), ("only-first", 2), ("only-second", 3)] {
+                let value = live.lookup(&key(text)).expect("in the union");
+                assert_eq!(value.expect("positive").residual, vec![residual], "{text}");
+            }
         }
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
+        std::fs::remove_file(&first_path).ok();
+        std::fs::remove_file(&second_path).ok();
     }
 
     #[test]
     fn merge_never_replaces_live_entries() {
+        // Two values for one key cannot come out of checking; they are
+        // handcrafted here so the test can see which entry stays.
         let (types, preds) = envs();
         let profile = EnvProfile::new(&types, &preds);
         let scope = QueryScope {
@@ -1133,36 +817,29 @@ mod tests {
             fuel_slack: 1,
         };
         let key = CacheKey::new(scope, "live-vs-snapshot".to_string());
-        let snapshot_cache = CheckCache::new();
-        snapshot_cache.store(
-            key.clone(),
+        let red = |ids: &[u32]| {
             Some(CachedReduction {
-                residual: vec![5],
+                residual: ids.to_vec(),
                 inst: Vec::new(),
-            }),
-            &[],
-        );
+            })
+        };
+        let snapshot_cache = CheckCache::new();
+        snapshot_cache.store(key.clone(), red(&[5]));
         let path = temp_path("live-wins");
-        save_at(&snapshot_cache, &profile, &path, u64::MAX - 1).unwrap();
+        save(&snapshot_cache, &profile, &path).unwrap();
 
         // The live cache computed its own verdict for the same key.
         let live = CheckCache::new();
-        live.store(
-            key.clone(),
-            Some(CachedReduction {
-                residual: vec![8],
-                inst: Vec::new(),
-            }),
-            &[],
-        );
+        live.store(key.clone(), red(&[8]));
         let stats = load(&live, &profile, &path).unwrap();
         assert_eq!((stats.merged, stats.skipped), (0, 1));
         let kept = live.lookup(&key).expect("still present");
         assert_eq!(
             kept.expect("positive").residual,
             vec![8],
-            "a live-computed entry beats any snapshot generation"
+            "a resident entry keeps its key"
         );
+        assert_eq!(live.stats().warm_hits, 0, "and stays a live entry");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1249,7 +926,7 @@ mod tests {
         ));
 
         // A past or future format version is refused, not misparsed.
-        for v in [1u32, 2, 99] {
+        for v in [1u32, 2, 3, 99] {
             let mut versioned = good.clone();
             versioned[8..12].copy_from_slice(&v.to_le_bytes());
             std::fs::write(&path, &versioned).unwrap();

@@ -50,10 +50,10 @@
 //! the cache back. [`Engine::absorb_snapshot`] folds sibling processes'
 //! snapshots into the live cache the same way — the scale-out story for
 //! fleets sharing a snapshot directory. Both go through one fold
-//! ([`sling_checker::persist::load`]): corrupt files are rejected,
-//! collisions resolve newest-generation-wins, and — because snapshots
-//! carry one fingerprint *per predicate* — only the entries that touch
-//! changed predicates are dropped when the library changed partially.
+//! ([`sling_checker::persist::load`]): a snapshot answers only the
+//! environment (program types and predicate library) it was saved
+//! under, so a corrupt file or one from another environment is rejected
+//! as a whole, and a key the cache already holds keeps its entry.
 //! [`CacheStats::warm_hits`] reports how many queries the restored
 //! entries answered.
 //!
@@ -236,7 +236,21 @@ pub enum AnalyzeError {
         /// The range's upper bound.
         hi: i64,
     },
+    /// An input value spec would build more cells than one value may
+    /// have: a list's `len`, a tree's `size` or an exact shape's cell
+    /// count is above [`MAX_INPUT_CELLS`].
+    InputTooLarge {
+        /// The cells the spec would build.
+        cells: usize,
+    },
 }
+
+/// The most cells one input value spec may build: a list's `len`, a
+/// tree's `size` or an exact shape's cell count. Inference cost grows
+/// steeply with the heap, so a larger input would pin a worker, and a
+/// huge one would exhaust memory while it is built. The paper's inputs
+/// have 10 cells (§5.2).
+pub const MAX_INPUT_CELLS: usize = 256;
 
 impl fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -308,6 +322,11 @@ impl fmt::Display for AnalyzeError {
                     "random integer input in [{lo}, {hi}]: the range is empty"
                 )
             }
+            AnalyzeError::InputTooLarge { cells } => write!(
+                f,
+                "input value of {cells} cell(s): an input value has at most \
+                 {MAX_INPUT_CELLS} cells"
+            ),
         }
     }
 }
@@ -397,10 +416,10 @@ impl EngineBuilder {
     /// Makes the entailment cache persistent: at `build()` the engine
     /// folds the snapshot at `path` into its cache with
     /// [`Engine::absorb_snapshot`] (if one exists and was written under
-    /// the same program types), and [`Engine::save_cache`] writes the
-    /// cache back to the same path. When some entries were dropped for
-    /// touching changed predicates, the build re-saves the snapshot at
-    /// once, so the next boot loads clean.
+    /// the same program types and predicate library), and
+    /// [`Engine::save_cache`] writes the cache back to the same path.
+    /// After an edit to either, the engine starts cold, and its next
+    /// save replaces the file.
     ///
     /// A missing file, a corrupted file, or a snapshot from a different
     /// environment never fails the build — the cache is an optimization,
@@ -521,14 +540,7 @@ impl EngineBuilder {
         // The snapshot is an optimization: a missing, corrupt or foreign
         // file leaves the engine cold and never fails the build.
         if let Some(path) = &engine.cache_path {
-            if engine
-                .absorb_snapshot(path)
-                .is_ok_and(|stats| stats.stale > 0)
-            {
-                // Re-save without the stale entries, so the next boot
-                // does not drop them again. Best-effort, like the load.
-                let _ = engine.save_cache();
-            }
+            let _ = engine.absorb_snapshot(path);
         }
         Ok(engine)
     }
@@ -593,10 +605,8 @@ pub struct Engine {
     /// `cache_path` load included (atomic: a live engine absorbs
     /// through `&self`).
     warm_entries: AtomicU64,
-    /// Environment fingerprints (overall tag, per-predicate table),
-    /// computed once at build so per-request checker contexts don't
-    /// re-hash the environments and persistence can invalidate per
-    /// predicate.
+    /// The environment tag, computed once at build so per-request
+    /// checker contexts and snapshots don't re-hash the environments.
     profile: EnvProfile,
     parallelism: usize,
     /// The static-diagnostics result computed at build time, when the
@@ -693,14 +703,14 @@ impl Engine {
     }
 
     /// Folds a snapshot into this engine's *live* cache
-    /// ([`sling_checker::persist::load`]): key collisions resolve
-    /// newest-generation-wins (entries this engine computed itself
-    /// always win), capacity is respected without evicting live
-    /// entries, and entries touching predicates whose definitions
-    /// changed since the snapshot was saved are dropped and counted in
-    /// [`MergeStats::stale`](persist::MergeStats::stale). Merged entries
-    /// are warm — hits on them count in [`CacheStats::warm_hits`] — and
-    /// [`Engine::warm_entries`] grows by the merged count.
+    /// ([`sling_checker::persist::load`]): the snapshot must have been
+    /// saved under this engine's program types and predicate library
+    /// (any other is [`PersistError::FingerprintMismatch`]), a key the
+    /// cache already holds keeps its entry, and capacity is respected
+    /// without evicting live entries. Merged entries are warm — hits on
+    /// them count in [`CacheStats::warm_hits`] — and
+    /// [`Engine::warm_entries`] grows by the merged count, so it counts
+    /// each restored entry once.
     ///
     /// `build()` runs this on the [`EngineBuilder::cache_path`]
     /// snapshot; long-lived services also run it at boot to fold every
@@ -727,8 +737,9 @@ impl Engine {
     }
 
     /// Checks that a request fits the program: its target is a function,
-    /// every input spec gives one argument per parameter, every random
-    /// integer range is non-empty, every cell of an exact input shape and
+    /// every input spec gives one argument per parameter, no input value
+    /// builds more than [`MAX_INPUT_CELLS`] cells, every random integer
+    /// range is non-empty, every cell of an exact input shape and
     /// every list or tree layout has a declared structure type with the
     /// declared number of fields, and every layout role indexes one of
     /// those fields (input building and trace collection index fields by
@@ -750,6 +761,15 @@ impl Engine {
             });
         }
         for spec in specs.flatten() {
+            let cells = match spec {
+                ValueSpec::List { len, .. } => *len,
+                ValueSpec::Tree { size, .. } => *size,
+                ValueSpec::Exact { cells } => cells.len(),
+                ValueSpec::Nil | ValueSpec::Int(_) | ValueSpec::IntIn(..) => 0,
+            };
+            if cells > MAX_INPUT_CELLS {
+                return Err(AnalyzeError::InputTooLarge { cells });
+            }
             match spec {
                 ValueSpec::Exact { cells } => {
                     for cell in cells {
@@ -1203,34 +1223,38 @@ mod tests {
             .is_some());
         assert_eq!(v1.save_cache().unwrap(), 2);
 
-        // v2: pslist's base case changed, pscell untouched. The load is
-        // partially stale: the pscell entry survives, and the build must
-        // immediately re-save the survivor under the v2 profile.
-        let v2 = Engine::builder()
-            .program_source(src)
-            .unwrap()
-            .predicates_source(&preds("emp & x == x"))
-            .unwrap()
-            .cache_path(&path)
-            .build()
-            .unwrap();
-        assert_eq!(v2.warm_entries(), 1, "the pscell entry survives the load");
-
-        // A third boot over the v2 environment now loads clean — the
-        // stale entry is gone from the snapshot, not just from memory.
-        let fresh = CheckCache::new();
+        // v2: pslist's base case changed, pscell untouched. The snapshot
+        // answers only v1's library, so the build starts cold, without
+        // the pscell entry either, and leaves the file as it was.
+        let v2_engine = |cache: Option<&Arc<CheckCache>>| {
+            let mut builder = Engine::builder()
+                .program_source(src)
+                .unwrap()
+                .predicates_source(&preds("emp & x == x"))
+                .unwrap()
+                .cache_path(&path);
+            if let Some(cache) = cache {
+                builder = builder.shared_cache(Arc::clone(cache));
+            }
+            builder.build().unwrap()
+        };
+        let v2_cache = Arc::new(CheckCache::new());
+        let v2 = v2_engine(Some(&v2_cache));
+        assert_eq!(v2.warm_entries(), 0, "an edited library starts cold");
+        assert_eq!(v2.cache_stats().entries, 0);
         let profile = EnvProfile::new(v2.types(), v2.preds());
-        assert!(
-            matches!(
-                persist::load(&fresh, &profile, &path),
-                Ok(persist::MergeStats {
-                    merged: 1,
-                    stale: 0,
-                    ..
-                })
-            ),
-            "re-saved snapshot must load with no stale entry"
-        );
+        assert!(matches!(
+            persist::load(&CheckCache::new(), &profile, &path),
+            Err(PersistError::FingerprintMismatch { .. })
+        ));
+
+        // v2's own save replaces the file, so the next boot is warm.
+        let ctx = CheckCtx::with_cache(v2.types(), v2.preds(), Default::default(), &v2_cache);
+        assert!(ctx
+            .check(&list_model(1, 9), &parse_formula("pscell(x)").unwrap())
+            .is_some());
+        assert_eq!(v2.save_cache().unwrap(), 1);
+        assert_eq!(v2_engine(None).warm_entries(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1622,6 +1646,101 @@ mod tests {
         assert!(err.to_string().contains("[5, 4]"), "{err}");
         // A one-value range is not empty.
         assert!(engine.analyze(&request(4, 4)).is_ok());
+    }
+
+    /// `engine` validating `target` on one argument built from `value`.
+    fn validate_one(engine: &Engine, target: &str, value: ValueSpec) -> Result<(), AnalyzeError> {
+        engine.validate(&AnalysisRequest::new(target).input(InputSpec::seeded(1).arg(value)))
+    }
+
+    #[test]
+    fn list_inputs_have_at_most_the_cell_cap() {
+        // A huge `len` used to overflow the list's allocation and panic
+        // input building; a large one pinned a worker for minutes.
+        let engine = Engine::builder()
+            .program_source(SRC)
+            .unwrap()
+            .build()
+            .unwrap();
+        let layout = ListLayout {
+            ty: Symbol::intern("TNode"),
+            nfields: 2,
+            next: 0,
+            prev: None,
+            data: Some(1),
+        };
+        for len in [MAX_INPUT_CELLS + 1, 1 << 62] {
+            let err = validate_one(&engine, "id", ValueSpec::sll(layout, len)).unwrap_err();
+            assert_eq!(err, AnalyzeError::InputTooLarge { cells: len });
+        }
+        let request = AnalysisRequest::new("id")
+            .input(InputSpec::seeded(1).arg(ValueSpec::cyclic(layout, 1 << 62)));
+        let err = engine.analyze(&request).unwrap_err();
+        assert_eq!(err, AnalyzeError::InputTooLarge { cells: 1 << 62 });
+        assert_eq!(engine.analyze_all([&request]).unwrap_err(), err);
+        assert!(err.to_string().contains("at most 256 cells"), "{err}");
+        assert!(validate_one(&engine, "id", ValueSpec::sll(layout, MAX_INPUT_CELLS)).is_ok());
+    }
+
+    #[test]
+    fn tree_inputs_have_at_most_the_cell_cap() {
+        let engine = Engine::builder()
+            .program_source(
+                "struct CapTree { left: CapTree*; right: CapTree*; key: int; }
+                 fn root(t: CapTree*) -> CapTree* { return t; }",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let layout = TreeLayout {
+            ty: Symbol::intern("CapTree"),
+            nfields: 3,
+            left: 0,
+            right: 1,
+            parent: None,
+            data: Some(2),
+            color: None,
+        };
+        let tree = |size| ValueSpec::tree(layout, size, TreeKind::Bst);
+        assert_eq!(
+            validate_one(&engine, "root", tree(MAX_INPUT_CELLS + 1)),
+            Err(AnalyzeError::InputTooLarge {
+                cells: MAX_INPUT_CELLS + 1
+            })
+        );
+        assert!(validate_one(&engine, "root", tree(MAX_INPUT_CELLS)).is_ok());
+    }
+
+    #[test]
+    fn exact_inputs_have_at_most_the_cell_cap() {
+        let engine = Engine::builder()
+            .program_source(SRC)
+            .unwrap()
+            .build()
+            .unwrap();
+        // A chain of `n` cells, each pointing at the next.
+        let chain = |n: usize| ValueSpec::Exact {
+            cells: (0..n)
+                .map(|i| ExactCell {
+                    ty: Symbol::intern("TNode"),
+                    fields: vec![
+                        if i + 1 < n {
+                            ExactVal::Cell(i + 1)
+                        } else {
+                            ExactVal::Nil
+                        },
+                        ExactVal::Int(i as i64),
+                    ],
+                })
+                .collect(),
+        };
+        assert_eq!(
+            validate_one(&engine, "id", chain(MAX_INPUT_CELLS + 1)),
+            Err(AnalyzeError::InputTooLarge {
+                cells: MAX_INPUT_CELLS + 1
+            })
+        );
+        assert!(validate_one(&engine, "id", chain(MAX_INPUT_CELLS)).is_ok());
     }
 
     #[test]

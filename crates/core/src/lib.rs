@@ -138,7 +138,7 @@ mod validate;
 pub use collect::{collect_models, Collected, Executor, RunTrace};
 pub use engine::{
     default_parallelism, AnalyzeError, BuildError, DiscardReports, Engine, EngineBuilder,
-    ReportSink,
+    ReportSink, MAX_INPUT_CELLS,
 };
 pub use infer::{var_types, VarTy};
 pub use pipeline::{select_models, SlingConfig};

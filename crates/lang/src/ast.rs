@@ -1,7 +1,8 @@
 //! Abstract syntax of MiniC.
 //!
-//! MiniC is the C-like substrate the benchmark corpus is written in (see
-//! DESIGN.md: it replaces the C programs + LLDB of the paper). It has
+//! MiniC is the C-like substrate the benchmark corpus is written in. It
+//! replaces the paper's C programs and LLDB, so tracing needs no C
+//! toolchain or debugger. It has
 //! structures with pointer and integer fields, heap allocation and `free`,
 //! lexically scoped locals, conditionals, labelled loops, recursion, and
 //! breakpoint labels `@name;` at which the tracer snapshots stack-heap

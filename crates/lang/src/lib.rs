@@ -2,7 +2,8 @@
 //!
 //! The paper runs C benchmarks under LLDB to snapshot stack-heap states at
 //! breakpoints (§2.2, §5.2). This crate provides the equivalent substrate,
-//! built from scratch (see DESIGN.md §1):
+//! built from scratch so that tracing needs no C toolchain or debugger
+//! and replays deterministically:
 //!
 //! * a small C-like language — structs, pointers, `new`/`free`, lexically
 //!   scoped locals, labelled loops, recursion ([`parse_program`],

@@ -40,8 +40,9 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
   --cache FILE|DIR    persistent entailment-cache snapshot for the
                       default tenant: warm-loaded at boot, saved on the
                       snapshot interval and at exit. A directory merges
-                      every *.snap inside at boot (corrupt siblings are
-                      skipped with a warning) and saves to
+                      every *.snap inside at boot (corrupt siblings and
+                      those of another program or predicate library
+                      are skipped with a warning) and saves to
                       <DIR>/serve-<pid>.snap; a missing, extension-less
                       path is created as a directory. Needs a default
                       tenant (uploaded tenants are ephemeral)

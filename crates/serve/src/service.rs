@@ -484,13 +484,14 @@ fn send_error(writer: &Mutex<TcpStream>, id: u64, message: &str) -> bool {
 #[derive(Debug, Default)]
 pub struct DirMerge {
     /// Entries merged into the live cache across every readable
-    /// snapshot.
+    /// snapshot; a key offered by two snapshots counts once.
     pub merged: u64,
     /// Snapshot files visited (readable or not).
     pub files: u64,
-    /// Snapshots that could not be folded (corrupt, wrong version,
-    /// different type environment), with the reason. A skipped sibling
-    /// is a warning, never a boot failure.
+    /// Snapshots that could not be folded (corrupt, wrong version, or
+    /// saved under other program types or another predicate library),
+    /// with the reason. A skipped sibling is a warning, never a boot
+    /// failure.
     pub skipped: Vec<(std::path::PathBuf, sling::PersistError)>,
 }
 

@@ -7,7 +7,8 @@
 //!   ("ground truth") properties, and seeded bugs;
 //! * [`predicates`] — the per-category inductive predicate library;
 //! * [`matcher`] — the automated inferred-vs-documented property matcher
-//!   (the paper checked by hand; see DESIGN.md §4);
+//!   (the paper checked by hand; a matcher lets one command regenerate
+//!   the tables);
 //! * [`eval`] — the harness that runs SLING over the corpus and
 //!   regenerates Table 1 and Table 2 (against the `sling-biabduce`
 //!   baseline).

@@ -1,6 +1,6 @@
 //! AVL-tree programs (Table 1 row "AVL Tree", 4 programs). The shape
 //! predicates are height-free (`tree`/`bst`); exact height bookkeeping is
-//! outside the symbolic-heap fragment (DESIGN.md §6).
+//! outside the symbolic-heap fragment.
 
 use sling_lang::TreeKind;
 

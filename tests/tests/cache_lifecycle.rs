@@ -114,12 +114,17 @@ fn absorb_snapshot_folds_sibling_snapshots_into_a_live_engine() {
     assert_eq!(engine.warm_entries(), 0);
     let a_stats = engine.absorb_snapshot(&a_path).expect("A merges");
     let b_stats = engine.absorb_snapshot(&b_path).expect("B merges");
-    assert_eq!(a_stats.merged, a_written, "disjoint halves: no collisions");
+    assert_eq!(a_stats.merged, a_written, "the first snapshot lands whole");
     assert!(b_stats.merged > 0);
     assert_eq!(
         engine.warm_entries(),
         a_stats.merged + b_stats.merged,
         "warm_entries must track absorbed snapshots"
+    );
+    assert_eq!(
+        engine.warm_entries(),
+        engine.cache_stats().entries,
+        "each restored entry counts once, shared keys included"
     );
 
     for (half, cold, name) in [(half_a, &cold_a, "A"), (half_b, &cold_b, "B")] {
@@ -175,7 +180,7 @@ fn absorbing_the_same_snapshot_twice_adds_nothing() {
     assert_eq!(
         (second.merged, second.skipped),
         (0, written),
-        "same generation, same keys: everything skips"
+        "same keys: everything skips"
     );
     assert_eq!(engine.warm_entries(), written, "idempotent warm count");
 

@@ -146,9 +146,10 @@ fn stale_or_corrupt_snapshots_degrade_to_a_cold_start() {
 
 #[test]
 fn partial_predicate_change_keeps_untouched_entries_warm() {
-    // Mutate *one* predicate of the library: entries touching only the
-    // unchanged predicate must survive the reload (and answer queries
-    // warm), while entries touching the changed one are dropped.
+    // Mutate *one* predicate of the library. A snapshot answers only the
+    // library it was saved under, so the mutated engine starts cold,
+    // without the entries that touch only the unchanged sll either; its
+    // own save replaces the file, and the next boot is warm.
     let corpus = corpus();
     let path = temp_path("partial");
     std::fs::remove_file(&path).ok();
@@ -157,8 +158,7 @@ fn partial_predicate_change_keeps_untouched_entries_warm() {
     // Seed under the standard sll + lseg library.
     let seeder = engine_at(Some(&path));
     seeder.analyze_all(&requests).expect("corpus runs");
-    let written = seeder.save_cache().expect("snapshot writes");
-    assert!(written > 0);
+    assert!(seeder.save_cache().expect("snapshot writes") > 0);
 
     // Same program, same sll — but lseg's definition changed.
     let mutated_library = format!(
@@ -168,53 +168,36 @@ fn partial_predicate_change_keeps_untouched_entries_warm() {
            | exists u, d. x -> {n}{{next: u, data: d}} * lseg(u, y);",
         n = corpus.node()
     );
-    let mutated_engine = |cache: Option<&PathBuf>| {
-        let mut builder = Engine::builder()
+    let mutated_engine = || {
+        Engine::builder()
             .program_source(&corpus.program())
             .expect("program parses")
             .predicates_source(&mutated_library)
-            .expect("predicates parse");
-        if let Some(path) = cache {
-            builder = builder.cache_path(path);
-        }
-        builder.build().expect("program checks")
+            .expect("predicates parse")
+            .cache_path(&path)
+            .build()
+            .expect("program checks")
     };
 
-    // The typed split is observable at the persist layer: probe the
-    // still-untouched snapshot under the mutated profile (a snapshotless
-    // engine build derives the profile without loading or rewriting the
-    // file).
-    let probed = mutated_engine(None);
-    let profile = sling::EnvProfile::new(probed.types(), probed.preds());
-    let split = sling::persist::load(&sling::CheckCache::new(), &profile, &path)
-        .expect("a partially stale snapshot still loads");
-    assert!(split.merged > 0, "entries touching only sll must survive");
-    assert_eq!(split.merged + split.stale, written);
-    assert!(split.stale > 0, "entries touching lseg must be dropped");
-    let survivors = split.merged;
+    let mutated = mutated_engine();
+    assert_eq!(mutated.warm_entries(), 0, "an edited library starts cold");
+    let profile = sling::EnvProfile::new(mutated.types(), mutated.preds());
+    assert!(matches!(
+        sling::persist::load(&sling::CheckCache::new(), &profile, &path),
+        Err(sling::PersistError::FingerprintMismatch { .. })
+    ));
+    let cold = mutated.analyze_all(&requests).expect("corpus runs");
+    assert_eq!(cold.cache.warm_hits, 0, "{:?}", cold.cache);
+    let written = mutated.save_cache().expect("snapshot writes");
+    assert!(written > 0);
 
-    let mutated = mutated_engine(Some(&path));
-    let restored = mutated.warm_entries();
-    assert_eq!(
-        restored, survivors,
-        "the build warm-loads exactly the surviving entries"
-    );
-
-    // The survivors genuinely answer queries.
-    let batch = mutated.analyze_all(&requests).expect("corpus runs");
-    assert!(
-        batch.cache.warm_hits > 0,
-        "surviving sll entries must answer warm: {:?}",
-        batch.cache
-    );
-
-    // The partially-stale load re-saved the pruned snapshot in place,
-    // so the next load under this library is clean — no stale entries
-    // left to re-drop on every boot.
-    match sling::persist::load(&sling::CheckCache::new(), &profile, &path) {
-        Ok(reload) => assert_eq!((reload.merged, reload.stale), (survivors, 0)),
-        other => panic!("expected a clean reload after the re-save, got {other:?}"),
-    }
+    // The engine's own save replaced the seeder's file: the next boot
+    // under the mutated library restores it and runs without a search.
+    let rebooted = mutated_engine();
+    assert_eq!(rebooted.warm_entries(), written);
+    let warm = rebooted.analyze_all(&requests).expect("corpus runs");
+    assert!(warm.cache.warm_hits > 0, "{:?}", warm.cache);
+    assert_eq!(warm.cache.misses, 0, "{:?}", warm.cache);
     std::fs::remove_file(&path).ok();
 }
 

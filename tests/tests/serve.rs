@@ -9,8 +9,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sling::{
-    AnalysisRequest, Engine, ExactCell, InputSpec, ListLayout, Report, TreeKind, TreeLayout,
-    ValueSpec,
+    AnalysisRequest, Engine, ExactCell, ExactVal, InputSpec, ListLayout, Report, TreeKind,
+    TreeLayout, ValueSpec,
 };
 use sling_logic::Symbol;
 use sling_serve::proto::{
@@ -358,6 +358,80 @@ fn inputs_that_cannot_be_built_get_an_error_frame_and_the_connection_survives() 
 }
 
 #[test]
+fn oversized_inputs_get_an_error_frame_and_the_connection_survives() {
+    let engine = Engine::builder()
+        .program_source(
+            "struct SrvBigList { next: SrvBigList*; }
+             struct SrvBigTree { left: SrvBigTree*; right: SrvBigTree*; }
+             fn keep(x: SrvBigList*) -> SrvBigList* { return x; }
+             fn root(t: SrvBigTree*) -> SrvBigTree* { return t; }",
+        )
+        .expect("program parses")
+        .build()
+        .expect("engine builds");
+    let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
+    let mut client = Client::connect(service.local_addr()).expect("client connects");
+
+    let list = ListLayout {
+        ty: Symbol::intern("SrvBigList"),
+        nfields: 1,
+        next: 0,
+        prev: None,
+        data: None,
+    };
+    let tree = TreeLayout {
+        ty: Symbol::intern("SrvBigTree"),
+        nfields: 2,
+        left: 0,
+        right: 1,
+        parent: None,
+        data: None,
+        color: None,
+    };
+    let over = sling::MAX_INPUT_CELLS + 1;
+    let chain = ValueSpec::Exact {
+        cells: (0..over)
+            .map(|i| ExactCell {
+                ty: Symbol::intern("SrvBigList"),
+                fields: vec![if i + 1 < over {
+                    ExactVal::Cell(i + 1)
+                } else {
+                    ExactVal::Nil
+                }],
+            })
+            .collect(),
+    };
+    let request =
+        |target: &str, value| AnalysisRequest::new(target).input(InputSpec::seeded(1).arg(value));
+    // A list length of 2^62 overflowed the list's allocation and took
+    // the handler thread down; sizes just past the cap pinned a worker.
+    let bad = [
+        (request("keep", ValueSpec::sll(list, 1 << 62)), 1 << 62),
+        (request("keep", ValueSpec::sll(list, over)), over),
+        (
+            request("root", ValueSpec::tree(tree, over, TreeKind::Random)),
+            over,
+        ),
+        (request("keep", chain), over),
+    ];
+    for (request, cells) in bad {
+        match client.analyze_all(&[request]) {
+            Err(ServeError::Remote(message)) => {
+                let expected = format!("input value of {cells} cell(s)");
+                assert!(message.contains(&expected), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+    // The same connection still serves a good batch.
+    let good = client
+        .analyze_all(&[request("keep", ValueSpec::sll(list, 3))])
+        .expect("good batch after the errors");
+    assert_eq!(good.reports.len(), 1);
+    service.shutdown().expect("graceful drain");
+}
+
+#[test]
 fn tree_layouts_without_their_shape_get_an_error_frame_and_the_connection_survives() {
     let engine = Engine::builder()
         .program_source(
@@ -512,10 +586,10 @@ fn background_snapshotting_persists_the_cache_while_serving() {
 
 #[test]
 fn daemon_booted_from_a_snapshot_directory_is_warm_for_every_sibling() {
-    // Two sibling processes snapshot disjoint corpus halves into one
-    // directory (plus one corrupt file); a service booted on that
-    // directory advertises the combined warm count and answers both
-    // halves warm.
+    // Two sibling processes snapshot corpus halves into one directory
+    // (plus one corrupt file); a service booted on that directory
+    // advertises the combined warm count and answers both halves warm.
+    // The halves share some keys, and each restored entry counts once.
     let corpus = ListCorpus::new("ServeDirNode");
     let dir = std::env::temp_dir().join(format!("sling-serve-dir-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("snapshot dir");
@@ -547,16 +621,17 @@ fn daemon_booted_from_a_snapshot_directory_is_warm_for_every_sibling() {
     );
     assert_eq!(
         outcome.merged,
-        a_written + b_written,
-        "disjoint halves merge without loss"
+        engine.cache_stats().entries,
+        "each restored entry counts once"
     );
+    assert!(outcome.merged <= a_written + b_written);
     assert_eq!(engine.warm_entries(), outcome.merged);
 
     let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
     let mut client = Client::connect(service.local_addr()).expect("client connects");
     assert_eq!(
         client.warm_entries(),
-        a_written + b_written,
+        outcome.merged,
         "the hello banner advertises the combined warm count"
     );
 
