@@ -18,7 +18,13 @@
 //! * predicate atoms unfold case by case (cases with more spatial atoms
 //!   first, so the search is greedy toward large coverage);
 //! * pure atoms are deferred and discharged by fixpoint propagation once
-//!   the spatial goals of a branch are exhausted.
+//!   the spatial goals of a branch are exhausted;
+//! * a branch whose pending points-to goals outnumber the available cells
+//!   is cut before it costs a node. Each such goal must consume a cell of
+//!   its own, and no step narrows the gap (a match takes one goal and one
+//!   cell, an unfolding only adds goals), so the branch has no leaf.
+//!   Cutting it changes no answer of a search that finishes within its
+//!   budget: the leaves, and their order, stay the same.
 //!
 //! Among accepted carvings the search keeps the one with the smallest
 //! residue (maximal coverage) and stops early when the residue is empty.
@@ -39,7 +45,11 @@
 //!   is undone with a push and a swap;
 //! * pure atoms live in an append-only arena with discharge flags;
 //! * bindings and discharges go to undo logs that each node rewinds before
-//!   it returns.
+//!   it returns;
+//! * the number of pending points-to goals is kept beside the goal list
+//!   (a case adds its points-to atoms, a match takes one out, backtracking
+//!   restores it), so the cut compares two counters and no node rescans
+//!   the goals.
 //!
 //! Each predicate definition is compiled once per search, on its first
 //! unfolding, into case templates whose expressions refer to parameter and
@@ -62,7 +72,9 @@ use crate::inst::Instantiation;
 pub struct CheckConfig {
     /// Maximum number of search nodes explored per model before the search
     /// gives up and returns the best solution found so far (mirrors the
-    /// paper's Z3 timeouts on trace-heavy loop locations).
+    /// paper's Z3 timeouts on trace-heavy loop locations). A branch cut
+    /// because its points-to goals outnumber the available cells is not
+    /// counted.
     pub node_budget: u64,
     /// Extra unfolding depth allowed beyond the heap size.
     pub fuel_slack: u32,
@@ -160,12 +172,11 @@ impl<'a> CheckCtx<'a> {
         }
     }
 
-    /// Returns a copy of this context with different search limits.
-    ///
-    /// Used by the verification pass to run prover-initiated checks under
-    /// a tighter budget than trace checking; the budget is part of the
-    /// cache key, so re-limited contexts never exchange verdicts with the
-    /// full-budget ones.
+    /// Returns a copy of this context with different search limits, for
+    /// checks under limits other than the defaults, such as an uncached
+    /// re-check under an engine's configured limits or a budget sweep.
+    /// The limits are part of the cache key, so contexts with different
+    /// limits never exchange verdicts through a shared cache.
     pub fn with_config(mut self, config: CheckConfig) -> CheckCtx<'a> {
         self.config = config;
         self
@@ -457,6 +468,9 @@ struct Search<'a> {
     bound: Vec<Var>,
     /// The goal list, in the order goal selection scans it.
     pending: Vec<Goal>,
+    /// How many of `pending` are points-to goals; each needs an available
+    /// cell of its own.
+    pending_points_to: usize,
     terms: Vec<Term>,
     ops: Vec<Op>,
     pure: Vec<Pure>,
@@ -493,11 +507,14 @@ impl<'a> Search<'a> {
             pinned: 0,
             bound: Vec::new(),
             pending: Vec::new(),
+            pending_points_to: 0,
             terms: Vec::new(),
             ops: Vec::new(),
             pure: Vec::new(),
             discharged: Vec::new(),
-            fuel: 2 * cells.len() as u32 + ctx.config.fuel_slack,
+            fuel: u32::try_from(2 * cells.len())
+                .unwrap_or(u32::MAX)
+                .saturating_add(ctx.config.fuel_slack),
             nodes: 0,
             best: None,
             done: false,
@@ -532,7 +549,8 @@ impl<'a> Search<'a> {
     /// Depth-first exploration. Updates `self.best`; sets `self.done` when
     /// a full-coverage solution has been found (no better exists).
     fn explore(&mut self) {
-        if self.done {
+        // More points-to goals than cells: no leaf below (module doc).
+        if self.done || self.pending_points_to > self.avail_count {
             return;
         }
         self.nodes += 1;
@@ -551,7 +569,11 @@ impl<'a> Search<'a> {
                 let idx = self.pick_goal();
                 let goal = self.pending.swap_remove(idx);
                 match goal {
-                    Goal::PointsTo { shape, at } => self.expand_points_to(shape, at),
+                    Goal::PointsTo { shape, at } => {
+                        self.pending_points_to -= 1;
+                        self.expand_points_to(shape, at);
+                        self.pending_points_to += 1;
+                    }
                     Goal::Pred { pred, at, arity } => self.unfold(pred, at, arity),
                 }
                 self.pending.push(goal);
@@ -672,6 +694,7 @@ impl<'a> Search<'a> {
             self.ops.len(),
             self.pure.len(),
             self.vals.len(),
+            self.pending_points_to,
         );
         for case in cases.iter() {
             self.fuel -= 1;
@@ -679,6 +702,7 @@ impl<'a> Search<'a> {
             self.explore();
             self.fuel += 1;
             self.pending.truncate(marks.0);
+            self.pending_points_to = marks.5;
             self.terms.truncate(marks.1);
             self.ops.truncate(marks.2);
             self.pure.truncate(marks.3);
@@ -1017,6 +1041,7 @@ impl<'a> Search<'a> {
                 } => {
                     let root = self.instantiate(root, args, base);
                     self.terms.push(root);
+                    self.pending_points_to += 1;
                     (Goal::PointsTo { shape: *shape, at }, values)
                 }
                 AtomTmpl::Pred { pred, args: exprs } => (

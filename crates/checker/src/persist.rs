@@ -114,8 +114,11 @@ const MAGIC: &[u8; 8] = b"SLNGCACH";
 /// change to the canonical key text that `canonical_key_text_is_pinned`
 /// in the cache's tests holds, and on any search change that turns a
 /// stored "no" verdict into a "yes". Version 4: one environment tag per
-/// file, and no predicate mentions per entry.
-const FORMAT_VERSION: u32 = 4;
+/// file, and no predicate mentions per entry. Version 5: the same layout,
+/// but the search cuts branches with more points-to goals than cells
+/// without counting them against the node budget, so a query that ran
+/// out of budget (a stored "no") may now find a carving.
+const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot file could not be loaded.
 #[derive(Debug)]
@@ -926,7 +929,7 @@ mod tests {
         ));
 
         // A past or future format version is refused, not misparsed.
-        for v in [1u32, 2, 3, 99] {
+        for v in [1u32, 2, 3, 4, 99] {
             let mut versioned = good.clone();
             versioned[8..12].copy_from_slice(&v.to_le_bytes());
             std::fs::write(&path, &versioned).unwrap();

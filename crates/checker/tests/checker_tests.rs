@@ -433,7 +433,10 @@ fn circular_list_terminates() {
 /// every depth. A truncated search returns the best carving found so far,
 /// so the digest of every result pins the exploration order: which goal
 /// is attacked first, which candidate cells are tried in which order,
-/// which case of a predicate is unfolded first.
+/// which case of a predicate is unfolded first, and which branches are
+/// cut without costing a node. A larger budget explores a longer prefix
+/// of the same order, so once a check finds a carving, every larger
+/// budget finds one at least as large.
 #[test]
 fn budget_truncation_is_graceful() {
     let types = node_types();
@@ -449,12 +452,20 @@ fn budget_truncation_is_graceful() {
     ];
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for (model, formula) in &checks {
+        let mut found: Option<usize> = None;
         for node_budget in 1..=120 {
             let ctx = CheckCtx::new(&types, &preds).with_config(CheckConfig {
                 node_budget,
                 fuel_slack: 4,
             });
-            let line = match ctx.check(model, &parse_formula(formula).unwrap()) {
+            let red = ctx.check(model, &parse_formula(formula).unwrap());
+            let covered = red.as_ref().map(|r| r.covered);
+            assert!(
+                covered >= found,
+                "{formula}: budget {node_budget} covers {covered:?}, a smaller one {found:?}"
+            );
+            found = covered;
+            let line = match red {
                 None => format!("{node_budget} none\n"),
                 Some(r) => format!("{node_budget} {} {} {}\n", r.covered, r.residual, r.inst),
             };
@@ -463,7 +474,45 @@ fn budget_truncation_is_graceful() {
             }
         }
     }
-    assert_eq!(digest, 0xb203_22bb_adf5_6145, "digest {digest:016x}");
+    assert_eq!(digest, 0x3244_1ec8_fa2e_e136, "digest {digest:016x}");
+}
+
+/// A branch with more pending points-to goals than available cells is cut
+/// before it costs a node. Unfolding `dll(a, nil, b, nil)` with `a`
+/// unbound pushes one points-to goal per unfolding until fuel runs out;
+/// were those dead branches counted, no budget up to 120 would reach the
+/// carving.
+#[test]
+fn dead_branches_cost_no_budget() {
+    let types = node_types();
+    let preds = preds();
+    let ctx = CheckCtx::new(&types, &preds).with_config(CheckConfig {
+        node_budget: 120,
+        fuel_slack: 4,
+    });
+    let f = parse_formula("exists a, b, c, d. dll(a, nil, b, nil) * dll(c, nil, d, nil)").unwrap();
+    let red = ctx.check(&fig2a(), &f).expect("the heap is two lists");
+    assert_eq!(red.covered, 5);
+    assert!(red.residual.is_empty());
+    for (var, loc) in [("a", 1), ("b", 3), ("c", 4), ("d", 5)] {
+        assert_eq!(red.inst.get(sym(var)), Some(Val::Addr(l(loc))), "{var}");
+    }
+}
+
+/// `fuel_slack` is a public setting: any value, however large, bounds the
+/// unfolding depth without overflowing the fuel it is added to.
+#[test]
+fn huge_fuel_slack_saturates() {
+    let types = node_types();
+    let preds = preds();
+    let f = parse_formula("exists a, b. dll(a, nil, b, nil)").unwrap();
+    let expect = CheckCtx::new(&types, &preds).check(&fig2a(), &f);
+    assert_eq!(expect.as_ref().map(|r| r.covered), Some(3));
+    let huge = CheckCtx::new(&types, &preds).with_config(CheckConfig {
+        fuel_slack: u32::MAX,
+        ..CheckConfig::default()
+    });
+    assert_eq!(huge.check(&fig2a(), &f), expect);
 }
 
 #[test]
