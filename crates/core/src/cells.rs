@@ -123,7 +123,7 @@ impl<'s> CellIndex<'s> {
 }
 
 /// Per model of a [`CellIndex`], a set of that model's cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Masks {
     words: Vec<u64>,
 }

@@ -18,11 +18,26 @@
 //!    fresh existential instantiated per model.
 //! 3. **`emp`** — the fallback when nothing else matched: the whole
 //!    sub-heap becomes residue.
+//!
+//! A location asks the same question more than once: sibling partials of
+//! Algorithm 1's result set often leave the same residue, so their splits
+//! carve the same sub-heap with the same boundary. Steps 1 and 2, the
+//! candidate search, are the only part that asks the checker or draws
+//! fresh names, and the location's [`AtomMemo`] keeps what they accepted.
+//! A repeated question replays that answer instead of searching: each
+//! existential takes `fresh`'s next name, in the order the first search
+//! drew it, which is what a second search would have drawn. Step 3 and
+//! the selection of the strongest atoms run on every call, after the
+//! renaming, because their tie-break reads the printed formula.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use sling_checker::{CheckCtx, Instantiation};
-use sling_logic::{Expr, FieldAssign, FieldTy, FreshVars, PredDef, SpatialAtom, SymHeap, Symbol};
+use sling_logic::{
+    subst_symheap_bound, Expr, FieldAssign, FieldTy, FreshVars, PredDef, SpatialAtom, Subst,
+    SymHeap, Symbol,
+};
 use sling_models::{HeapCell, Loc, StackHeapModel, Val};
 
 use crate::cells::{CellIndex, Masks};
@@ -47,6 +62,11 @@ pub(crate) struct AtomResult {
     /// Total residue size across models (smaller = stronger).
     pub(crate) total_residue: usize,
 }
+
+/// The candidate searches run at one location: per root variable,
+/// sub-heap and boundary, the atoms the search accepted, in acceptance
+/// order and under the names it drew.
+pub(crate) type AtomMemo = HashMap<(Symbol, Masks, BTreeSet<BoundaryItem>), Vec<AtomResult>>;
 
 /// One model's sub-heap as the checker takes it: the cells in address
 /// order, and each one's position in the location's index.
@@ -110,7 +130,10 @@ pub fn var_types<'m>(
 ///
 /// `types` maps stack variables to their observed types (for the
 /// `type(ki) <: type(ti)` check); `fresh` supplies existential names
-/// shared across the whole location so `u1, u2, ...` never collide.
+/// shared across the whole location so `u1, u2, ...` never collide. A
+/// question `memo` already holds is answered from it, under the names
+/// `fresh` gives now; a new one is searched and recorded.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn infer_atom(
     ctx: &CheckCtx<'_>,
     v: Symbol,
@@ -119,6 +142,7 @@ pub(crate) fn infer_atom(
     boundary: &BTreeSet<BoundaryItem>,
     types: &BTreeMap<Symbol, VarTy>,
     fresh: &mut FreshVars,
+    memo: &mut AtomMemo,
 ) -> Vec<AtomResult> {
     assert!(
         !index.models.is_empty(),
@@ -130,6 +154,26 @@ pub(crate) fn infer_atom(
         return vec![emp_result(index, sub)];
     }
 
+    match memo.entry((v, sub.clone(), boundary.clone())) {
+        Entry::Occupied(first) => rank(v, index, sub, &replay(first.get(), fresh)),
+        Entry::Vacant(slot) => {
+            let found = slot.insert(search(ctx, v, index, sub, boundary, types, fresh));
+            rank(v, index, sub, found)
+        }
+    }
+}
+
+/// The candidate search: every inductive candidate and the singleton
+/// that hold on all sub-models, in acceptance order.
+fn search(
+    ctx: &CheckCtx<'_>,
+    v: Symbol,
+    index: &CellIndex<'_>,
+    sub: &Masks,
+    boundary: &BTreeSet<BoundaryItem>,
+    types: &BTreeMap<Symbol, VarTy>,
+    fresh: &mut FreshVars,
+) -> Vec<AtomResult> {
     let mut results: Vec<AtomResult> = Vec::new();
 
     // --- Inductive predicates -------------------------------------------
@@ -179,7 +223,41 @@ pub(crate) fn infer_atom(
     if let Some(single) = infer_singleton(ctx, v, index, sub, &roots, fresh) {
         results.push(single);
     }
+    results
+}
 
+/// The atoms of an earlier search under the names a new one would draw:
+/// each existential, atom by atom in the order the search drew them,
+/// takes `fresh`'s next name, in the formula and in every model's
+/// instantiation.
+fn replay(first: &[AtomResult], fresh: &mut FreshVars) -> Vec<AtomResult> {
+    first
+        .iter()
+        .map(|atom| {
+            let names: Subst = atom
+                .formula
+                .exists
+                .iter()
+                .map(|&u| (u, Expr::Var(fresh.next())))
+                .collect();
+            let rename = |u: Symbol| names.get(&u).and_then(Expr::as_var).unwrap_or(u);
+            AtomResult {
+                formula: subst_symheap_bound(&atom.formula, &names),
+                residues: atom.residues.clone(),
+                insts: atom
+                    .insts
+                    .iter()
+                    .map(|inst| inst.iter().map(|(u, val)| (rename(u), val)).collect())
+                    .collect(),
+                total_residue: atom.total_residue,
+            }
+        })
+        .collect()
+}
+
+/// The ranking: at most [`MAX_RESULTS_PER_VAR`] of the search's atoms,
+/// or `emp` when it accepted none.
+fn rank(v: Symbol, index: &CellIndex<'_>, sub: &Masks, results: &[AtomResult]) -> Vec<AtomResult> {
     // --- emp fallback -----------------------------------------------------
     if results.is_empty() {
         return vec![emp_result(index, sub)];
@@ -192,7 +270,7 @@ pub(crate) fn infer_atom(
     //    §2.3 keeps it even though its residue is larger than the
     //    tail-rooted alternative when back-pointers reach above `x`).
     // Half the slots go to each ranking; duplicates collapse.
-    let mut ranked = results.clone();
+    let mut ranked: Vec<&AtomResult> = results.iter().collect();
     ranked.sort_by_cached_key(|r| {
         (
             r.total_residue,
@@ -201,7 +279,8 @@ pub(crate) fn infer_atom(
             r.formula.to_string(),
         )
     });
-    results.sort_by_cached_key(|r| {
+    let mut rooted: Vec<&AtomResult> = results.iter().collect();
+    rooted.sort_by_cached_key(|r| {
         (
             root_position(&r.formula, v),
             r.total_residue,
@@ -214,13 +293,13 @@ pub(crate) fn infer_atom(
     for r in ranked
         .into_iter()
         .take(MAX_RESULTS_PER_VAR.div_ceil(2))
-        .chain(results)
+        .chain(rooted)
     {
         if keep.len() >= MAX_RESULTS_PER_VAR {
             break;
         }
         if seen.insert(r.formula.to_string()) {
-            keep.push(r);
+            keep.push(r.clone());
         }
     }
     keep
@@ -622,6 +701,7 @@ mod tests {
             &boundary(),
             &vt,
             &mut fresh,
+            &mut AtomMemo::new(),
         );
         assert!(!results.is_empty());
         // The strongest results must fully cover every sub-heap.
@@ -660,6 +740,7 @@ mod tests {
             &BTreeSet::new(),
             &vt,
             &mut fresh,
+            &mut AtomMemo::new(),
         );
         assert_eq!(results.len(), 1);
         assert!(results[0].formula.is_emp());
@@ -689,6 +770,7 @@ mod tests {
                 .collect(),
             &vt,
             &mut fresh,
+            &mut AtomMemo::new(),
         );
         let singleton = results
             .iter()
@@ -721,6 +803,7 @@ mod tests {
             &boundary(),
             &vt,
             &mut fresh,
+            &mut AtomMemo::new(),
         );
         // No accepted inductive formula may be a vacuous base-case match.
         for r in &results {
@@ -730,6 +813,52 @@ mod tests {
                 r.formula
             );
         }
+    }
+
+    #[test]
+    fn a_repeated_question_replays_what_a_search_would_find() {
+        let (types, preds) = envs();
+        let ctx = CheckCtx::new(&types, &preds);
+        let models = fig3_submodels();
+        let vt = var_types(&models);
+        let index = CellIndex::new(&models);
+        let (sub, boundary) = (index.full(), boundary());
+        let infer = |fresh: &mut FreshVars, memo: &mut AtomMemo| {
+            infer_atom(&ctx, sym("x"), &index, &sub, &boundary, &vt, fresh, memo)
+        };
+        let shown = |atoms: &[AtomResult]| -> Vec<(String, Masks, Vec<Instantiation>)> {
+            atoms
+                .iter()
+                .map(|a| (a.formula.to_string(), a.residues.clone(), a.insts.clone()))
+                .collect()
+        };
+        // The formulas without their names.
+        let shapes = |atoms: &[AtomResult]| -> Vec<String> {
+            atoms
+                .iter()
+                .map(|a| {
+                    a.formula
+                        .to_string()
+                        .replace(|c: char| c.is_ascii_digit(), "")
+                })
+                .collect()
+        };
+        let mut memo = AtomMemo::new();
+        let first = infer(&mut FreshVars::new("u"), &mut memo);
+        let drawn = || {
+            let mut fresh = FreshVars::new("u");
+            fresh.take(85);
+            fresh
+        };
+        let (mut replayed, mut searched) = (drawn(), drawn());
+        let replay = infer(&mut replayed, &mut memo);
+        let search = infer(&mut searched, &mut AtomMemo::new());
+        assert_eq!(memo.len(), 1);
+        // The names now cross `u99` -> `u100`, so the printed tie-break
+        // keeps the atoms in another order than the first call did.
+        assert_ne!(shapes(&first), shapes(&search));
+        assert_eq!(shown(&replay), shown(&search));
+        assert_eq!(replayed.next(), searched.next());
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! For each location: split the heap per pointer variable (ordered by the
 //! §2.3 reachability heuristic), infer atomic formulae for each sub-heap,
 //! conjoin them with `∗` while propagating residues and instantiations,
-//! then run pure inference and scope quantification. The driver
-//! ([`run_target`]) runs trace collection first and frame-rule validation
-//! (§4.4) last.
+//! then run pure inference and scope quantification. Each location keeps
+//! one [`AtomMemo`](crate::infer::AtomMemo): when a partial of the result
+//! set carves a sub-heap and boundary that a sibling already carved for
+//! the same variable, `InferAtom` replays that answer instead of asking
+//! the checker again. [`run_target`] runs trace collection first and
+//! frame-rule validation (§4.4) last.
 //!
 //! The public entry point is [`crate::Engine`].
 
@@ -20,7 +23,7 @@ use sling_models::StackHeapModel;
 
 use crate::cells::{CellIndex, Masks};
 use crate::collect::{collect_models, Executor};
-use crate::infer::{infer_atom, var_types, VarTy};
+use crate::infer::{infer_atom, var_types, AtomMemo, VarTy};
 use crate::pure::infer_pure;
 use crate::report::{
     Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,
@@ -348,6 +351,7 @@ pub(crate) fn infer_location(
     for m in &models {
         fresh.avoid_all(m.stack.vars());
     }
+    let mut memo = AtomMemo::new();
 
     // Algorithm 1 main loop.
     let mut set: Vec<Partial> = vec![Partial {
@@ -379,6 +383,7 @@ pub(crate) fn infer_location(
                 &split.boundary,
                 &vt,
                 &mut fresh,
+                &mut memo,
             );
             all_emp &= atoms.iter().all(|a| a.formula.is_emp()) && !split.sub.is_empty();
             for atom in atoms {

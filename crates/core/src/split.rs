@@ -16,7 +16,7 @@ use crate::cells::{CellIndex, Masks};
 
 /// An element of a sub-heap boundary: the `nil` pointer or a stack
 /// variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BoundaryItem {
     /// The null pointer (reachable from the root).
     Nil,

@@ -14,6 +14,9 @@
 //! corpus a second time with the cache off: each program gets a fresh
 //! cache of capacity 0, which stores nothing, so every checker query is
 //! a search. That pass must report 0 hits and the same three constants.
+//! Nor may the cache change which questions inference asks: the
+//! cache-off pass's searches must equal the cached pass's lookups, hits
+//! plus misses.
 //!
 //! Trace soundness is the paper's contract: every non-spurious invariant
 //! holds on every model it was inferred from. The gate re-collects each
@@ -26,8 +29,9 @@
 //! cargo run --release -p sling-examples --example corpus_digest
 //! ```
 //!
-//! Exit status: 0 when both passes match, the cache-off pass has no
-//! hit, and no pair is rejected; 1 otherwise.
+//! Exit status: 0 when both passes match, the cache-off pass has no hit
+//! and asks as many questions as the cached pass, and no pair is
+//! rejected; 1 otherwise.
 
 use std::sync::Arc;
 
@@ -106,10 +110,11 @@ fn main() {
     let expected = (EXPECTED_INVARIANTS, EXPECTED_SPURIOUS, EXPECTED_DIGEST);
     let runs = run_corpus(&config, None);
     let cached = tally(&runs);
+    let lookups: u64 = runs.iter().map(|run| run.report.cache.lookups()).sum();
     let (invariants, spurious, hash) = cached;
     println!(
         "corpus digest: {} program(s), {invariants} invariant(s), {spurious} spurious, \
-         digest {hash:016x}",
+         digest {hash:016x}, {lookups} lookup(s)",
         runs.len()
     );
 
@@ -150,6 +155,13 @@ fn main() {
     }
     if hits != 0 {
         eprintln!("the cache-off pass had {hits} cache hit(s)");
+        failed = true;
+    }
+    if misses != lookups {
+        eprintln!(
+            "the cache-off pass made {misses} search(es), the cached pass {lookups} \
+             lookup(s): the cache changed which questions inference asks"
+        );
         failed = true;
     }
     for line in &rejected {

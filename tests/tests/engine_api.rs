@@ -5,6 +5,9 @@ use sling::{AnalysisRequest, Engine, InputSource};
 use sling_lang::{Location, RtHeap};
 use sling_logic::Symbol;
 use sling_models::Val;
+use sling_suite::corpus::all_benches;
+use sling_suite::eval::{compile, EvalConfig};
+use sling_suite::predicates::pred_env;
 
 fn sym(s: &str) -> Symbol {
     Symbol::intern(s)
@@ -144,4 +147,39 @@ fn repeated_requests_run_almost_entirely_warm() {
             .collect::<Vec<_>>()
     };
     assert_eq!(fmt(&cold), fmt(&warm));
+}
+
+/// A cache answers questions; it must not change which ones inference
+/// asks. With no room to store anything every lookup is a search, so the
+/// uncached run's misses count the cached run's lookups.
+#[test]
+fn the_cache_never_changes_which_questions_are_asked() {
+    let bench = all_benches()
+        .into_iter()
+        .find(|b| b.name == "dll/concat")
+        .expect("dll/concat is in the corpus");
+    let seed = EvalConfig::default().seed;
+    let run = |capacity: Option<usize>| {
+        let mut builder = Engine::builder()
+            .program(compile(&bench))
+            .pred_env(pred_env(bench.category));
+        if let Some(capacity) = capacity {
+            builder = builder.cache_capacity(capacity);
+        }
+        let engine = builder.build().expect("the corpus program checks");
+        let request = AnalysisRequest::new(bench.target).inputs(bench.inputs(seed));
+        engine.analyze(&request).expect("the target exists")
+    };
+    let cached = run(None);
+    let uncached = run(Some(0));
+    let formulas = |r: &sling::Report| {
+        r.locations
+            .iter()
+            .flat_map(|l| l.invariants.iter().map(|i| i.formula.to_string()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(formulas(&cached), formulas(&uncached));
+    assert!(cached.cache.hits > 0, "{:?}", cached.cache);
+    assert_eq!(uncached.cache.hits, 0);
+    assert_eq!(uncached.cache.misses, cached.cache.lookups());
 }
