@@ -26,28 +26,42 @@
 //!   canonical ids in first-encounter order, preserving their equality
 //!   pattern without leaking raw addresses into the key.
 //!
+//! A key has two parts. The *formula part* is the formula through
+//! [`sling_logic::write_symheap`] (the printer behind `Display`) with
+//! binders spelled `$c<i>`, then `\n;`. The *model part* is the free
+//! variables' values, `\n;`, then the cells in canonical order; writing
+//! a cell assigns ids to the cells it points to, so the list of assigned
+//! cells is also the breadth-first queue. The formula part depends on
+//! the formula alone, and the model part on the heap and the formula's
+//! free-variable list alone. The printer never writes `\n`, so the two
+//! parts concatenate to one unambiguous text, which the unit test
+//! `canonical_key_text_is_pinned` holds byte for byte.
+//!
 //! Cached entries store the residual domain and existential
 //! instantiation in canonical space; a hit rehydrates them through the
 //! querying model's own renaming, setting the residual's bits over the
-//! queried cells (see [`crate::CheckCtx::check_cells`]).
+//! queried cells (see [`crate::CheckCtx::check_prepared`]).
 //!
-//! Every query pays for its key before it can hit, so the key is written
-//! in one pass into one `String`: the formula through
-//! [`sling_logic::write_symheap`] (the printer behind `Display`) with
-//! binders spelled `$c<i>`, then the free variables' values, then the
-//! cells in canonical order. Writing a cell assigns ids to the cells it
-//! points to, so the list of assigned cells is also the breadth-first
-//! queue. The text is what snapshot files store; the unit test
-//! `canonical_key_text_is_pinned` holds it byte for byte.
+//! `InferAtom` checks each candidate formula on every sub-model, and
+//! each sub-heap under many candidates, so a part is written once and
+//! shared: a [`PreparedFormula`] writes its part once for every heap it
+//! is checked on ([`crate::CheckCtx::check_prepared`]), and a
+//! [`ModelParts`] keeps the model parts one heap has written, one per
+//! free-variable list. Each part is an `Arc<str>` fingerprinted once, so
+//! a key is two shared parts and a fingerprint combined from theirs: a
+//! lookup allocates nothing, a store clones two pointers, and entries
+//! with a part in common hold one copy of its text. Snapshot files store
+//! each distinct part once too.
 //!
 //! # Concurrency
 //!
 //! The cache is sharded: entries are distributed over [`SHARD_COUNT`]
 //! independent `Mutex<HashMap>` shards selected by the key's precomputed
 //! fingerprint, so concurrent checker threads (a parallel engine batch)
-//! contend only when they touch the same shard. The fingerprint mixes the
-//! key a word at a time and ends in an avalanche step; it never leaves
-//! the process (snapshot loads recompute it). Hit/miss counters are
+//! contend only when they touch the same shard. A part's fingerprint
+//! mixes its text a word at a time, and a key's mixes the query scope
+//! and its parts' fingerprints; both end in an avalanche step and never
+//! leave the process (snapshot loads recompute them). Hit/miss counters are
 //! per-shard atomics; [`CheckCache::stats`] sums them, so totals stay
 //! exact under any interleaving.
 //!
@@ -107,10 +121,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use sling_logic::{SymHeap, Symbol};
 use sling_models::{HeapCell, Loc, Stack, Val};
@@ -132,8 +147,11 @@ pub struct CacheStats {
     pub entries: u64,
     /// Entries evicted to stay inside the configured capacity.
     pub evictions: u64,
-    /// Approximate bytes currently held by stored entries (key text,
-    /// cached reductions, and per-entry bookkeeping).
+    /// Approximate bytes held by stored entries: per entry, its
+    /// bookkeeping, its cached reduction and the text of both parts of
+    /// its key, counted as if the entry held them alone. Entries share
+    /// the parts they have in common, so for key text this is an upper
+    /// bound.
     pub resident_bytes: u64,
 }
 
@@ -221,27 +239,48 @@ pub(crate) struct QueryScope {
     pub(crate) fuel_slack: u32,
 }
 
-/// The cache key: the query scope plus the canonical form of the
-/// `(model, formula)` pair, with a fingerprint over both precomputed
-/// once at canonicalization. The fingerprint picks the shard and feeds
-/// the hash table directly (via a pass-through hasher), so the canonical
-/// text is never re-hashed on probes; equality still compares the full
-/// text, so fingerprint collisions cannot alias entries. The text is
-/// refcounted (`Arc<str>`), so cloning a key — the LRU stamp index holds
-/// one clone per entry — costs a pointer bump, not a copy.
+/// One part of a cache key as its writer or a snapshot load holds it:
+/// the text, shared by every key built from the part, and the text's
+/// fingerprint, computed once.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyPart {
+    fingerprint: u64,
+    pub(crate) text: Arc<str>,
+}
+
+impl KeyPart {
+    pub(crate) fn new(text: &str) -> KeyPart {
+        KeyPart {
+            fingerprint: text_fingerprint(text),
+            text: text.into(),
+        }
+    }
+}
+
+/// The cache key: the query scope plus the text of the two parts of the
+/// canonical form of the `(model, formula)` pair, with a fingerprint
+/// over all three mixed from the parts' own. The fingerprint picks the
+/// shard and feeds the hash table directly (via a pass-through hasher),
+/// so no text is hashed on probes; equality still compares the parts
+/// (one pointer compare when both keys share a part's text, which is
+/// refcounted), so fingerprint collisions cannot alias entries. Cloning
+/// a key — the LRU stamp index holds one clone per entry — costs two
+/// pointer bumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CacheKey {
-    pub(crate) scope: QueryScope,
     fingerprint: u64,
-    pub(crate) text: std::sync::Arc<str>,
+    pub(crate) scope: QueryScope,
+    pub(crate) formula: Arc<str>,
+    pub(crate) model: Arc<str>,
 }
 
 impl CacheKey {
-    pub(crate) fn new(scope: QueryScope, text: String) -> CacheKey {
+    pub(crate) fn new(scope: QueryScope, formula: &KeyPart, model: &KeyPart) -> CacheKey {
         CacheKey {
-            fingerprint: key_fingerprint(&scope, &text),
+            fingerprint: key_fingerprint(&scope, formula.fingerprint, model.fingerprint),
             scope,
-            text: text.into(),
+            formula: formula.text.clone(),
+            model: model.text.clone(),
         }
     }
 
@@ -252,15 +291,39 @@ impl CacheKey {
     }
 }
 
-/// Mixes the scope and the key text a 64-bit word at a time, then
-/// avalanches (the MurmurHash3 finalizer), so the high bits that pick the
-/// shard and the low bits that pick the bucket both depend on every input
-/// byte. The value lives only in memory: snapshots store the text and
-/// loads recompute it, so the function may change freely.
-fn key_fingerprint(scope: &QueryScope, text: &str) -> u64 {
-    let mix = |h: u64, word: u64| (h.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut h = mix(scope.env_tag, scope.node_budget);
-    h = mix(h, (u64::from(scope.fuel_slack) << 32) | text.len() as u64);
+#[cfg(test)]
+impl CacheKey {
+    /// A key whose parts hold the given text.
+    pub(crate) fn of(scope: QueryScope, formula: &str, model: &str) -> CacheKey {
+        CacheKey::new(scope, &KeyPart::new(formula), &KeyPart::new(model))
+    }
+
+    /// The key text: the formula part, then the model part.
+    pub(crate) fn text(&self) -> String {
+        format!("{}{}", self.formula, self.model)
+    }
+}
+
+/// One step of the fingerprint fold.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The MurmurHash3 finalizer, so the high bits that pick the shard and
+/// the low bits that pick the bucket both depend on every input bit.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Mixes a part's text a 64-bit word at a time, then avalanches. The
+/// value lives only in memory: snapshots store the text and loads
+/// recompute it, so the function may change freely.
+fn text_fingerprint(text: &str) -> u64 {
+    let mut h = mix(0, text.len() as u64);
     let mut words = text.as_bytes().chunks_exact(8);
     for word in &mut words {
         h = mix(
@@ -274,11 +337,14 @@ fn key_fingerprint(scope: &QueryScope, text: &str) -> u64 {
         word[..rest.len()].copy_from_slice(rest);
         h = mix(h, u64::from_le_bytes(word));
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+    avalanche(h)
+}
+
+/// Mixes the scope and the parts' fingerprints, then avalanches.
+fn key_fingerprint(scope: &QueryScope, formula: u64, model: u64) -> u64 {
+    let mut h = mix(scope.env_tag, scope.node_budget);
+    h = mix(h, u64::from(scope.fuel_slack));
+    avalanche(mix(mix(h, formula), model))
 }
 
 impl Hash for CacheKey {
@@ -338,9 +404,10 @@ impl Entry {
 /// accounting [`CacheStats::resident_bytes`].
 const ENTRY_OVERHEAD: u64 = (std::mem::size_of::<CacheKey>() + std::mem::size_of::<Entry>()) as u64;
 
-/// The approximate resident size of one entry: a function of parts that
-/// never change while the entry is stored, so insert and removal account
-/// it identically.
+/// The approximate resident size of one entry, counting both key parts
+/// in full as if the entry held them alone: a function of the entry,
+/// which never changes while it is stored, so insert and removal account
+/// it identically whatever other entries share its parts.
 fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>) -> u64 {
     let payload = match value {
         None => 0,
@@ -349,7 +416,7 @@ fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>) -> u64 {
                 + red.inst.len() * std::mem::size_of::<(CanonName, CanonVal)>()
         }
     };
-    ENTRY_OVERHEAD + key.text.len() as u64 + payload as u64
+    ENTRY_OVERHEAD + (key.formula.len() + key.model.len() + payload) as u64
 }
 
 /// The mutable interior of one shard: the map, its access clock, the
@@ -362,7 +429,7 @@ struct ShardMap {
     /// Stamps are unique (the clock only goes up), and an entry's stamp
     /// only grows, so the first record whose entry is untouched since
     /// filing names exactly the least recently used entry. Key clones
-    /// here are pointer bumps (`CacheKey.text` is `Arc<str>`).
+    /// here are pointer bumps (a key's parts are `Arc<str>`).
     by_stamp: BTreeMap<u64, CacheKey>,
     /// Monotonic per-shard access clock; every hit and insert stamps
     /// the touched entry, so LRU selection needs no global ordering.
@@ -605,21 +672,96 @@ pub(crate) struct CachedReduction {
     pub(crate) inst: Vec<(CanonName, CanonVal)>,
 }
 
-/// The canonical form of one `(model, formula)` query: the cache key
-/// plus the renamings needed to translate a stored verdict back into
-/// the model's concrete address space.
-pub(crate) struct CanonicalQuery<'q> {
-    /// The cache key.
-    pub(crate) key: CacheKey,
-    binders: &'q [Symbol],
-    /// The queried heap's cells, in address order.
-    cells: &'q [(Loc, &'q HeapCell)],
-    /// Canonical id → position in `cells`.
+/// The formula part of a query's key, and the formula's free variables,
+/// from whose values the model part is written.
+#[derive(Debug)]
+pub(crate) struct FormulaKey {
+    pub(crate) part: KeyPart,
+    /// The formula's free variables, sorted by name and deduplicated.
+    pub(crate) free: Arc<[Symbol]>,
+}
+
+impl FormulaKey {
+    /// Writes the formula with binders renamed positionally, then `\n;`.
+    pub(crate) fn new(f: &SymHeap) -> FormulaKey {
+        let mut text = String::with_capacity(128);
+        // `$` cannot occur in source identifiers, so binder names cannot
+        // clash with free ones.
+        let _ = sling_logic::write_symheap(&mut text, f, Some("$c"));
+        text.push_str("\n;");
+        FormulaKey {
+            part: KeyPart::new(&text),
+            free: free_vars(f).into(),
+        }
+    }
+}
+
+/// A formula prepared for checking on many heaps
+/// ([`crate::CheckCtx::check_prepared`]): it writes the formula part of
+/// its cache keys on its first cached check, once for every heap it is
+/// checked on, and never when no check is cached.
+#[derive(Debug)]
+pub struct PreparedFormula<'f> {
+    pub(crate) formula: &'f SymHeap,
+    pub(crate) key: OnceCell<FormulaKey>,
+}
+
+impl<'f> PreparedFormula<'f> {
+    /// Prepares `formula`; nothing is written yet.
+    pub fn new(formula: &'f SymHeap) -> PreparedFormula<'f> {
+        PreparedFormula {
+            formula,
+            key: OnceCell::new(),
+        }
+    }
+}
+
+/// The model part of a query's key, written against one heap for one
+/// free-variable list, with the renamings that translate a verdict
+/// between the heap's cells and canonical space.
+#[derive(Debug)]
+pub(crate) struct ModelKey {
+    /// The free-variable list the part was written for.
+    free: Arc<[Symbol]>,
+    pub(crate) part: KeyPart,
+    /// Canonical id → position in the heap's cells.
     id_slots: Vec<u32>,
-    /// Position in `cells` → canonical id.
+    /// Position in the heap's cells → canonical id.
     slot_ids: Vec<u32>,
     /// Dangling id → the address outside the heap.
     id_dangling: Vec<Loc>,
+}
+
+/// The model parts that checks on one heap have written, one per
+/// free-variable list: all a model part depends on besides the heap.
+/// Keep one per `(stack, cells)` pair and pass it to every
+/// [`crate::CheckCtx::check_prepared`] on that pair, so a formula whose
+/// free variables the heap has been keyed under before reuses that part.
+#[derive(Debug, Default)]
+pub struct ModelParts {
+    written: Vec<ModelKey>,
+}
+
+impl ModelParts {
+    /// The model part of the heap `stack` and `cells` for the list
+    /// `free`, written on first use.
+    pub(crate) fn get(
+        &mut self,
+        stack: &Stack,
+        cells: &[(Loc, &HeapCell)],
+        free: &Arc<[Symbol]>,
+    ) -> &ModelKey {
+        let at = match self.written.iter().position(|m| m.free == *free) {
+            Some(at) => at,
+            None => {
+                self.written.push(ModelKey::new(stack, cells, free.clone()));
+                self.written.len() - 1
+            }
+        };
+        let model = &self.written[at];
+        debug_assert_eq!(model.slot_ids.len(), cells.len(), "another heap's parts");
+        model
+    }
 }
 
 /// A stable fingerprint of the checking environments, mixed into cache
@@ -661,8 +803,8 @@ impl EnvProfile {
 /// Marks a heap cell that has no canonical id yet.
 const UNSEEN: u32 = u32::MAX;
 
-/// The state of one canonicalization pass: the key text written so far
-/// and the renamings it has fixed.
+/// The state of one model part's writing: the text written so far and
+/// the renamings it has fixed.
 struct KeyWriter<'m> {
     text: String,
     /// The heap's cells in address order.
@@ -763,38 +905,24 @@ fn free_vars(f: &SymHeap) -> Vec<Symbol> {
     out
 }
 
-impl<'q> CanonicalQuery<'q> {
-    /// Canonicalizes a query against the model whose stack is `stack` and
-    /// whose heap is `cells` (in address order). `scope` carries
-    /// everything outside the `(model, formula)` pair that the verdict
-    /// depends on (environment tag, search limits) and becomes part of
-    /// the key.
-    ///
-    /// The key is the formula with binders renamed positionally, the
-    /// free variables' values in name order, and the heap's cells in id
-    /// order: breadth-first from the free variables, then unreached cells
-    /// in address order. Ids are assigned as values are written, so
-    /// dangling ids follow first-write order too.
-    pub(crate) fn new(
-        stack: &Stack,
-        cells: &'q [(Loc, &'q HeapCell)],
-        f: &'q SymHeap,
-        scope: QueryScope,
-    ) -> CanonicalQuery<'q> {
+impl ModelKey {
+    /// Writes the model part of the heap `stack` and `cells` (in address
+    /// order) for the free-variable list `free`: each variable's value,
+    /// `\n;`, then the cells in id order, breadth-first from the
+    /// variables' values and then unreached cells in address order. Ids
+    /// are assigned as values are written, so dangling ids follow
+    /// first-write order too.
+    fn new(stack: &Stack, cells: &[(Loc, &HeapCell)], free: Arc<[Symbol]>) -> ModelKey {
         let mut w = KeyWriter {
-            text: String::with_capacity(128 + 32 * cells.len()),
+            text: String::with_capacity(16 * free.len() + 32 * cells.len() + 2),
             cells,
             slot_ids: vec![UNSEEN; cells.len()],
             id_slots: Vec::with_capacity(cells.len()),
             id_dangling: Vec::new(),
         };
-        // `$` cannot occur in source identifiers, so binder names cannot
-        // clash with free ones.
-        let _ = sling_logic::write_symheap(&mut w.text, f, Some("$c"));
-        w.text.push_str("\n;");
-        for v in free_vars(f) {
+        for v in free.iter() {
             w.text.push_str(v.as_str());
-            match stack.get(v) {
+            match stack.get(*v) {
                 Some(val) => {
                     w.text.push('=');
                     w.value(val);
@@ -818,37 +946,41 @@ impl<'q> CanonicalQuery<'q> {
         for id in next..w.id_slots.len() {
             w.cell(id);
         }
-        CanonicalQuery {
-            key: CacheKey::new(scope, w.text),
-            binders: &f.exists,
-            cells,
+        ModelKey {
+            free,
+            part: KeyPart::new(&w.text),
             id_slots: w.id_slots,
             slot_ids: w.slot_ids,
             id_dangling: w.id_dangling,
         }
     }
 
-    /// Translates a fresh reduction into canonical space for storage.
-    /// Returns `None` when a value falls outside the canonical frame
-    /// (cannot happen for reductions of the canonicalized query; guarded
-    /// anyway so a surprise degrades to "don't cache" instead of a wrong
-    /// entry).
-    pub(crate) fn encode(&self, r: &CellReduction) -> Option<CachedReduction> {
+    /// Translates a fresh reduction of a formula with existentials
+    /// `binders` on `cells` into canonical space for storage. Returns
+    /// `None` when a value falls outside the canonical frame (cannot
+    /// happen for reductions of the keyed query; guarded anyway so a
+    /// surprise degrades to "don't cache" instead of a wrong entry).
+    pub(crate) fn encode(
+        &self,
+        binders: &[Symbol],
+        cells: &[(Loc, &HeapCell)],
+        r: &CellReduction,
+    ) -> Option<CachedReduction> {
         // Residual ids in address order of their cells.
-        let residual: Vec<u32> = (0..self.cells.len())
+        let residual: Vec<u32> = (0..cells.len())
             .filter(|&slot| r.is_residual(slot))
             .map(|slot| self.slot_ids[slot])
             .collect();
         let mut inst = Vec::with_capacity(r.inst.len());
         for (sym, val) in r.inst.iter() {
-            let name = match self.binders.iter().position(|b| *b == sym) {
+            let name = match binders.iter().position(|b| *b == sym) {
                 Some(i) => CanonName::Binder(i as u32),
                 None => CanonName::Free(sym),
             };
             let cval = match val {
                 Val::Nil => CanonVal::Nil,
                 Val::Int(k) => CanonVal::Int(k),
-                Val::Addr(loc) => match self.cells.binary_search_by_key(&loc, |c| c.0) {
+                Val::Addr(loc) => match cells.binary_search_by_key(&loc, |c| c.0) {
                     Ok(slot) => CanonVal::InHeap(self.slot_ids[slot]),
                     Err(_) => {
                         CanonVal::Dangling(self.id_dangling.iter().position(|d| *d == loc)? as u32)
@@ -860,30 +992,34 @@ impl<'q> CanonicalQuery<'q> {
         Some(CachedReduction { residual, inst })
     }
 
-    /// Rehydrates a stored verdict against this query's cells.
-    pub(crate) fn decode(&self, c: &CachedReduction) -> CellReduction {
-        let mut residual = vec![0u64; self.cells.len().div_ceil(64)];
+    /// Rehydrates a stored verdict of a formula with existentials
+    /// `binders` against `cells`.
+    pub(crate) fn decode(
+        &self,
+        binders: &[Symbol],
+        cells: &[(Loc, &HeapCell)],
+        c: &CachedReduction,
+    ) -> CellReduction {
+        let mut residual = vec![0u64; cells.len().div_ceil(64)];
         for id in &c.residual {
             let slot = self.id_slots[*id as usize] as usize;
             residual[slot / 64] |= 1 << (slot % 64);
         }
         let inst = Instantiation::from_bindings(c.inst.iter().filter_map(|(name, cval)| {
             let sym = match name {
-                CanonName::Binder(i) => *self.binders.get(*i as usize)?,
+                CanonName::Binder(i) => *binders.get(*i as usize)?,
                 CanonName::Free(s) => *s,
             };
             let val = match cval {
                 CanonVal::Nil => Val::Nil,
                 CanonVal::Int(k) => Val::Int(*k),
-                CanonVal::InHeap(id) => {
-                    Val::Addr(self.cells[self.id_slots[*id as usize] as usize].0)
-                }
+                CanonVal::InHeap(id) => Val::Addr(cells[self.id_slots[*id as usize] as usize].0),
                 CanonVal::Dangling(id) => Val::Addr(self.id_dangling[*id as usize]),
             };
             Some((sym, val))
         }));
         CellReduction {
-            covered: self.cells.len() - c.residual.len(),
+            covered: cells.len() - c.residual.len(),
             residual,
             inst,
         }
@@ -935,7 +1071,19 @@ mod tests {
     /// The cache key of checking `f` against the whole of `m`.
     fn key_of(m: &StackHeapModel, f: &SymHeap, scope: QueryScope) -> CacheKey {
         let cells: Vec<(Loc, &HeapCell)> = m.heap.iter().collect();
-        CanonicalQuery::new(&m.stack, &cells, f, scope).key
+        slice_key(&m.stack, &cells, f, scope)
+    }
+
+    /// The cache key of checking `f` against the heap `cells`.
+    fn slice_key(
+        stack: &Stack,
+        cells: &[(Loc, &HeapCell)],
+        f: &SymHeap,
+        scope: QueryScope,
+    ) -> CacheKey {
+        let formula = FormulaKey::new(f);
+        let model = ModelKey::new(stack, cells, formula.free.clone());
+        CacheKey::new(scope, &formula.part, &model.part)
     }
 
     /// `x` heads an `n`-cell list whose addresses start at `base`.
@@ -979,16 +1127,15 @@ mod tests {
         assert_eq!(key_of(&m, &f1, scope), key_of(&m, &f2, scope));
     }
 
-    /// Pins the literal key text of queries that between them reach
-    /// every branch of the key writer and the formula printer. Snapshot
-    /// files store this text, so changing an expected string here changes
-    /// the snapshot format and needs a `FORMAT_VERSION` bump in
-    /// `persist.rs`.
+    /// Pins the literal key text, the formula part then the model part,
+    /// of queries that between them reach every branch of the part
+    /// writers and the formula printer. Snapshot files store the parts,
+    /// so changing an expected string here changes the snapshot format
+    /// and needs a `FORMAT_VERSION` bump in `persist.rs`.
     #[test]
     fn canonical_key_text_is_pinned() {
         use sling_logic::{PureAtom, SpatialAtom};
-        let key =
-            |m: &StackHeapModel, f: &SymHeap| key_of(m, f, QueryScope::default()).text.to_string();
+        let key = |m: &StackHeapModel, f: &SymHeap| key_of(m, f, QueryScope::default()).text();
 
         // Binders, one listed twice (each copy prints at its last
         // position), a points-to atom with fields, every `Expr` form and
@@ -1086,10 +1233,10 @@ mod tests {
             let materialized = StackHeapModel::new(model.stack.clone(), heap);
             for f in &formulas {
                 let scope = QueryScope::default();
-                let sliced = CanonicalQuery::new(&model.stack, &subset, f, scope).key;
+                let sliced = slice_key(&model.stack, &subset, f, scope);
                 assert_eq!(
-                    sliced.text,
-                    key_of(&materialized, f, scope).text,
+                    sliced.text(),
+                    key_of(&materialized, f, scope).text(),
                     "round {round}: {f}"
                 );
             }
@@ -1386,7 +1533,13 @@ mod tests {
         const CALLS: usize = 10_000;
         let cache = CheckCache::with_capacity(PER_SHARD * SHARD_COUNT);
         let keys: Vec<CacheKey> = (0..KEYS)
-            .map(|i| CacheKey::new(QueryScope::default(), format!("key {i}")))
+            .map(|i| {
+                CacheKey::of(
+                    QueryScope::default(),
+                    &format!("f{}", i % 7),
+                    &format!("m{i}"),
+                )
+            })
             .collect();
         let value = |i: usize| {
             (!i.is_multiple_of(3)).then(|| CachedReduction {
@@ -1432,8 +1585,8 @@ mod tests {
             assert_eq!(cache.stats().evictions, evictions, "call {call}");
             for (s, shard) in cache.shards.iter().enumerate() {
                 let map = shard.map.lock().unwrap();
-                let mut resident: Vec<&str> = map.entries.keys().map(|k| &*k.text).collect();
-                let mut expected: Vec<&str> = model[s].iter().map(|i| &*keys[*i].text).collect();
+                let mut resident: Vec<String> = map.entries.keys().map(CacheKey::text).collect();
+                let mut expected: Vec<String> = model[s].iter().map(|i| keys[*i].text()).collect();
                 resident.sort_unstable();
                 expected.sort_unstable();
                 assert_eq!(resident, expected, "call {call}: shard {s}");
@@ -1446,7 +1599,7 @@ mod tests {
                 assert_eq!(map.by_stamp.len(), map.entries.len(), "call {call}");
                 for key in map.entries.keys() {
                     let records = map.by_stamp.values().filter(|k| *k == key).count();
-                    assert_eq!(records, 1, "call {call}: {}", key.text);
+                    assert_eq!(records, 1, "call {call}: {}", key.text());
                 }
             }
         }

@@ -64,7 +64,7 @@ use sling_logic::{
 };
 use sling_models::{Heap, HeapCell, Loc, Stack, StackHeapModel, Val};
 
-use crate::cache::{CanonicalQuery, CheckCache, QueryScope};
+use crate::cache::{CacheKey, CheckCache, FormulaKey, ModelParts, PreparedFormula, QueryScope};
 use crate::inst::Instantiation;
 
 /// Tuning knobs for the search.
@@ -134,8 +134,8 @@ pub struct CheckCtx<'a> {
     pub preds: &'a PredEnv,
     /// Search limits.
     pub config: CheckConfig,
-    /// Entailment cache consulted by [`CheckCtx::check_cells`]; `None`
-    /// runs every query cold.
+    /// Entailment cache consulted by [`CheckCtx::check_prepared`];
+    /// `None` runs every query cold.
     pub cache: Option<&'a CheckCache>,
     /// Fingerprint of `(types, preds)` mixed into every cache key, so a
     /// [`CheckCache`] shared between contexts with *different*
@@ -242,22 +242,50 @@ impl<'a> CheckCtx<'a> {
     /// a caller that carves sub-heaps out of a larger heap never builds
     /// one.
     ///
-    /// This is the entry point every check goes through: the search runs
-    /// on the borrowed slice, and the cache keys the query and rehydrates
-    /// a stored verdict from it.
+    /// [`CheckCtx::check_prepared`] for one query: both parts of the
+    /// cache key are written for it alone.
     pub fn check_cells(
         &self,
         stack: &Stack,
         cells: &[(Loc, &HeapCell)],
         f: &SymHeap,
     ) -> Option<CellReduction> {
+        self.check_prepared(
+            stack,
+            cells,
+            &PreparedFormula::new(f),
+            &mut ModelParts::default(),
+        )
+    }
+
+    /// Checks a prepared formula against the model whose stack is `stack`
+    /// and whose heap is `cells`, as [`CheckCtx::check_cells`] does. A
+    /// prepared formula writes its part of the cache key on its first
+    /// cached check and reuses it on every later one. `parts` keeps the
+    /// model parts written on this heap: pass the same one with every
+    /// check on the same `(stack, cells)` pair, so each formula whose
+    /// free variables the heap has been keyed under before reuses that
+    /// part.
+    ///
+    /// This is the entry point every check goes through: the search runs
+    /// on the borrowed slice, and the cache keys the query and rehydrates
+    /// a stored verdict from it.
+    pub fn check_prepared(
+        &self,
+        stack: &Stack,
+        cells: &[(Loc, &HeapCell)],
+        f: &PreparedFormula<'_>,
+        parts: &mut ModelParts,
+    ) -> Option<CellReduction> {
         debug_assert!(
             cells.windows(2).all(|pair| pair[0].0 < pair[1].0),
             "cells must be in address order"
         );
         let Some(cache) = self.cache else {
-            return Search::run(*self, stack, cells, f);
+            return Search::run(*self, stack, cells, f.formula);
         };
+        let formula = f.key.get_or_init(|| FormulaKey::new(f.formula));
+        let model = parts.get(stack, cells, &formula.free);
         // The key must cover everything the verdict depends on: the
         // environments (tag) and the search limits (a budget-truncated
         // "no" must not answer a full-budget query).
@@ -266,21 +294,22 @@ impl<'a> CheckCtx<'a> {
             node_budget: self.config.node_budget,
             fuel_slack: self.config.fuel_slack,
         };
-        let query = CanonicalQuery::new(stack, cells, f, scope);
-        if let Some(entry) = cache.lookup(&query.key) {
-            return entry.map(|cached| query.decode(&cached));
+        let key = CacheKey::new(scope, &formula.part, &model.part);
+        let binders = &f.formula.exists;
+        if let Some(entry) = cache.lookup(&key) {
+            return entry.map(|cached| model.decode(binders, cells, &cached));
         }
-        let result = Search::run(*self, stack, cells, f);
+        let result = Search::run(*self, stack, cells, f.formula);
         match &result {
             Some(r) => {
                 // `encode` only declines when a value escapes the
                 // canonical frame; in that case skip storing rather than
                 // memoize something untranslatable.
-                if let Some(encoded) = query.encode(r) {
-                    cache.store(query.key, Some(encoded));
+                if let Some(encoded) = model.encode(binders, cells, r) {
+                    cache.store(key, Some(encoded));
                 }
             }
-            None => cache.store(query.key, None),
+            None => cache.store(key, None),
         }
         result
     }
@@ -1197,6 +1226,8 @@ mod tests {
     use sling_logic::{parse_formula, parse_predicates, FieldDef, FieldTy, StructDef};
     use sling_models::Stack;
 
+    use crate::{ModelParts, PreparedFormula};
+
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
     }
@@ -1326,6 +1357,74 @@ mod tests {
         }
         assert!(holds > 100, "too few satisfiable queries: {holds}");
         assert!(cache.stats().hits >= 400, "{}", cache.stats());
+    }
+
+    /// The text of every key `cache` holds under `ctx`'s environment,
+    /// sorted.
+    fn key_texts(cache: &CheckCache, ctx: &CheckCtx<'_>) -> Vec<String> {
+        let mut texts = Vec::new();
+        cache.for_each_entry(ctx.env_tag, |key, _| texts.push(key.text()));
+        texts.sort_unstable();
+        texts
+    }
+
+    #[test]
+    fn prepared_checks_equal_check_cells() {
+        // Several formulas checked on one heap through the prepared path,
+        // the heap's model parts reused from query to query, must answer
+        // and key exactly as a fresh `check_cells` per query. Three of
+        // the formulas have the free variables {x, y}, one {x} and one
+        // {y}, so a model part reused across lists changes the key.
+        let (types, preds) = list_envs();
+        let formulas: Vec<SymHeap> = [
+            "rseg(x, y)",
+            "exists e. rseg(x, e)",
+            "exists u, d. x -> RNode{next: u, val: d} * rseg(u, y)",
+            "exists e. rseg(y, e)",
+            "exists e, f. rseg(x, e) * rseg(y, f)",
+        ]
+        .iter()
+        .map(|f| parse_formula(f).unwrap())
+        .collect();
+        let plain = CheckCtx::new(&types, &preds);
+        let (prepared_cache, fresh_cache) = (CheckCache::new(), CheckCache::new());
+        let cached = CheckCtx::with_cache(&types, &preds, CheckConfig::default(), &prepared_cache);
+        let fresh = CheckCtx::with_cache(&types, &preds, CheckConfig::default(), &fresh_cache);
+        let prepared: Vec<PreparedFormula> = formulas.iter().map(PreparedFormula::new).collect();
+        let mut rng = StdRng::seed_from_u64(0x9a27);
+        for round in 0..150 {
+            let model = random_list_model(&mut rng);
+            let cells: Vec<(Loc, &HeapCell)> =
+                model.heap.iter().filter(|_| rng.gen_bool(0.8)).collect();
+            let mut parts = ModelParts::default();
+            // The second pass asks again, so the cached paths hit.
+            for pass in 0..2 {
+                for (i, f) in formulas.iter().enumerate() {
+                    let what = format!("round {round}, pass {pass}: {f}");
+                    let expect = plain.check_cells(&model.stack, &cells, f);
+                    let stack = &model.stack;
+                    assert_eq!(
+                        plain.check_prepared(stack, &cells, &prepared[i], &mut parts),
+                        expect,
+                        "uncached, {what}"
+                    );
+                    assert_eq!(fresh.check_cells(stack, &cells, f), expect, "fresh, {what}");
+                    assert_eq!(
+                        cached.check_prepared(stack, &cells, &prepared[i], &mut parts),
+                        expect,
+                        "prepared, {what}"
+                    );
+                    assert_eq!(prepared_cache.stats(), fresh_cache.stats(), "{what}");
+                }
+            }
+            assert_eq!(
+                key_texts(&prepared_cache, &cached),
+                key_texts(&fresh_cache, &fresh),
+                "round {round}"
+            );
+        }
+        let stats = prepared_cache.stats();
+        assert!(stats.hits >= 750 && stats.misses >= 300, "{stats}");
     }
 
     /// Checks the pure formula `f` on an empty heap whose stack binds

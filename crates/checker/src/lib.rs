@@ -66,7 +66,9 @@ mod inst;
 pub mod persist;
 pub mod verify;
 
-pub use cache::{env_fingerprint, CacheStats, CheckCache, EnvProfile, SHARD_COUNT};
+pub use cache::{
+    env_fingerprint, CacheStats, CheckCache, EnvProfile, ModelParts, PreparedFormula, SHARD_COUNT,
+};
 pub use check::{CellReduction, CheckConfig, CheckCtx, Reduction};
 pub use inst::Instantiation;
 pub use persist::{MergeStats, PersistError};

@@ -9,16 +9,26 @@
 //! library starts with every previously established entailment already
 //! answered.
 //!
-//! # File format (version 4)
+//! # File format (version 6)
 //!
 //! A fixed header — magic `SLNGCACH`, format version, FNV-1a checksum of
 //! the body — followed by the body:
 //!
 //! ```text
 //! env_tag: u64            ; the environment every entry was computed under
+//! nparts: u64
+//!   part*                 ; u32 length, then the UTF-8 text of one key part
 //! nentries: u64
-//!   entry*                ; node budget, fuel slack, canonical text, verdict
+//!   entry*                ; node budget, fuel slack, formula part index,
+//!                         ; model part index, verdict
 //! ```
+//!
+//! A cache key is a formula part and a model part (see [`crate::cache`]),
+//! and many entries share each: a formula is checked on many heaps, a
+//! heap under many formulas. The table lists each distinct part once,
+//! and an entry names its two parts by their positions in it, so loaded
+//! keys share their parts too. An index past the table's end is
+//! [`PersistError::Corrupted`].
 //!
 //! Everything is little-endian. Safety properties:
 //!
@@ -96,15 +106,18 @@
 //! `Engine::absorb_snapshot(..)` in the `sling` crate; this module is
 //! the format layer underneath.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sling_logic::Symbol;
 
 use crate::cache::{
-    fnv1a, CacheKey, CachedReduction, CanonName, CanonVal, CheckCache, EnvProfile, QueryScope,
+    fnv1a, CacheKey, CachedReduction, CanonName, CanonVal, CheckCache, EnvProfile, KeyPart,
+    QueryScope,
 };
 
 /// Leading bytes of every snapshot file.
@@ -117,8 +130,11 @@ const MAGIC: &[u8; 8] = b"SLNGCACH";
 /// file, and no predicate mentions per entry. Version 5: the same layout,
 /// but the search cuts branches with more points-to goals than cells
 /// without counting them against the node budget, so a query that ran
-/// out of budget (a stored "no") may now find a carving.
-const FORMAT_VERSION: u32 = 5;
+/// out of budget (a stored "no") may now find a carving. Version 6: a
+/// table of the distinct key parts precedes the entries, and an entry
+/// holds the indices of its formula part and model part instead of its
+/// key text (their concatenation, which did not change).
+const FORMAT_VERSION: u32 = 6;
 
 /// Why a snapshot file could not be loaded.
 #[derive(Debug)]
@@ -199,49 +215,60 @@ impl std::fmt::Display for MergeStats {
 /// write is atomic: a sibling temp file is renamed over `path` only
 /// once fully written.
 pub fn save(cache: &CheckCache, profile: &EnvProfile, path: &Path) -> io::Result<u64> {
-    let mut body = Vec::new();
-    write_u64(&mut body, profile.env_tag());
-    // The entry count, patched once the entries are written, so it is
-    // exactly the count serialized.
-    write_u64(&mut body, 0);
+    // The part table and the entries are written side by side, each
+    // part the first time an entry names it.
+    let mut table: HashMap<Arc<str>, u32> = HashMap::new();
+    let mut parts = Vec::new();
+    let mut entries = Vec::new();
     let mut written = 0u64;
     cache.for_each_entry(profile.env_tag(), |key, value| {
-        write_u64(&mut body, key.scope.node_budget);
-        write_u32(&mut body, key.scope.fuel_slack);
-        write_bytes(&mut body, key.text.as_bytes());
-        match value {
-            None => body.push(0),
-            Some(red) => {
-                body.push(1);
-                write_u32(&mut body, red.residual.len() as u32);
-                for id in &red.residual {
-                    write_u32(&mut body, *id);
+        write_u64(&mut entries, key.scope.node_budget);
+        write_u32(&mut entries, key.scope.fuel_slack);
+        for part in [&key.formula, &key.model] {
+            let at = match table.get(part) {
+                Some(at) => *at,
+                None => {
+                    let at = table.len() as u32;
+                    table.insert(part.clone(), at);
+                    write_bytes(&mut parts, part.as_bytes());
+                    at
                 }
-                write_u32(&mut body, red.inst.len() as u32);
+            };
+            write_u32(&mut entries, at);
+        }
+        match value {
+            None => entries.push(0),
+            Some(red) => {
+                entries.push(1);
+                write_u32(&mut entries, red.residual.len() as u32);
+                for id in &red.residual {
+                    write_u32(&mut entries, *id);
+                }
+                write_u32(&mut entries, red.inst.len() as u32);
                 for (name, val) in &red.inst {
                     match name {
                         CanonName::Binder(i) => {
-                            body.push(0);
-                            write_u32(&mut body, *i);
+                            entries.push(0);
+                            write_u32(&mut entries, *i);
                         }
                         CanonName::Free(sym) => {
-                            body.push(1);
-                            write_bytes(&mut body, sym.as_str().as_bytes());
+                            entries.push(1);
+                            write_bytes(&mut entries, sym.as_str().as_bytes());
                         }
                     }
                     match val {
-                        CanonVal::Nil => body.push(0),
+                        CanonVal::Nil => entries.push(0),
                         CanonVal::Int(k) => {
-                            body.push(1);
-                            write_u64(&mut body, *k as u64);
+                            entries.push(1);
+                            write_u64(&mut entries, *k as u64);
                         }
                         CanonVal::InHeap(id) => {
-                            body.push(2);
-                            write_u32(&mut body, *id);
+                            entries.push(2);
+                            write_u32(&mut entries, *id);
                         }
                         CanonVal::Dangling(id) => {
-                            body.push(3);
-                            write_u32(&mut body, *id);
+                            entries.push(3);
+                            write_u32(&mut entries, *id);
                         }
                     }
                 }
@@ -249,7 +276,12 @@ pub fn save(cache: &CheckCache, profile: &EnvProfile, path: &Path) -> io::Result
         }
         written += 1;
     });
-    body[8..16].copy_from_slice(&written.to_le_bytes());
+    let mut body = Vec::with_capacity(24 + parts.len() + entries.len());
+    write_u64(&mut body, profile.env_tag());
+    write_u64(&mut body, table.len() as u64);
+    body.extend_from_slice(&parts);
+    write_u64(&mut body, written);
+    body.extend_from_slice(&entries);
 
     let mut file = Vec::with_capacity(MAGIC.len() + 12 + body.len());
     file.extend_from_slice(MAGIC);
@@ -363,6 +395,11 @@ fn parse_snapshot(
         });
     }
 
+    let nparts = r.u64()?;
+    let mut parts = Vec::with_capacity(nparts.min(1 << 16) as usize);
+    for _ in 0..nparts {
+        parts.push(KeyPart::new(r.str()?));
+    }
     let count = r.u64()?;
     // Parse fully before touching the cache, so a corrupted tail cannot
     // leave a half-loaded (but checksum-passing prefix) state behind.
@@ -373,7 +410,8 @@ fn parse_snapshot(
             node_budget: r.u64()?,
             fuel_slack: r.u32()?,
         };
-        let text = r.string()?;
+        let formula = r.part(&parts)?;
+        let model = r.part(&parts)?;
         let value = match r.u8()? {
             0 => None,
             1 => {
@@ -387,7 +425,7 @@ fn parse_snapshot(
                 for _ in 0..n {
                     let name = match r.u8()? {
                         0 => CanonName::Binder(r.u32()?),
-                        1 => CanonName::Free(Symbol::intern(&r.string()?)),
+                        1 => CanonName::Free(Symbol::intern(r.str()?)),
                         t => {
                             return Err(PersistError::Corrupted(format!("bad name tag {t}")));
                         }
@@ -407,7 +445,7 @@ fn parse_snapshot(
             }
             t => return Err(PersistError::Corrupted(format!("bad verdict tag {t}"))),
         };
-        entries.push((CacheKey::new(scope, text), value));
+        entries.push((CacheKey::new(scope, formula, model), value));
     }
     if r.pos != bytes.len() {
         return Err(PersistError::Corrupted(
@@ -490,11 +528,21 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> Result<String, PersistError> {
+    fn str(&mut self) -> Result<&'a str, PersistError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| PersistError::Corrupted("invalid UTF-8 string".into()))
+    }
+
+    /// A key part named by its index in the file's part table.
+    fn part<'p>(&mut self, parts: &'p [KeyPart]) -> Result<&'p KeyPart, PersistError> {
+        let at = self.u32()?;
+        parts.get(at as usize).ok_or_else(|| {
+            PersistError::Corrupted(format!(
+                "key part {at} past the table's {} parts",
+                parts.len()
+            ))
+        })
     }
 }
 
@@ -767,7 +815,7 @@ mod tests {
             node_budget: 7,
             fuel_slack: 3,
         };
-        let key = |text: &str| CacheKey::new(scope, text.to_string());
+        let key = |text: &str| CacheKey::of(scope, text, "");
         let red = |ids: &[u32]| {
             Some(CachedReduction {
                 residual: ids.to_vec(),
@@ -819,7 +867,7 @@ mod tests {
             node_budget: 1,
             fuel_slack: 1,
         };
-        let key = CacheKey::new(scope, "live-vs-snapshot".to_string());
+        let key = CacheKey::of(scope, "live-vs", "snapshot");
         let red = |ids: &[u32]| {
             Some(CachedReduction {
                 residual: ids.to_vec(),
@@ -929,7 +977,7 @@ mod tests {
         ));
 
         // A past or future format version is refused, not misparsed.
-        for v in [1u32, 2, 3, 4, 99] {
+        for v in [1u32, 2, 3, 4, 5, 99] {
             let mut versioned = good.clone();
             versioned[8..12].copy_from_slice(&v.to_le_bytes());
             std::fs::write(&path, &versioned).unwrap();
@@ -945,6 +993,105 @@ mod tests {
             load(&CheckCache::new(), &profile, &path),
             Err(PersistError::Io(_))
         ));
+    }
+
+    /// Where a snapshot's body starts: after the magic, the format
+    /// version and the checksum.
+    const BODY: usize = MAGIC.len() + 4 + 8;
+
+    /// The part table of a snapshot file, in file order.
+    fn part_table(bytes: &[u8]) -> Vec<&str> {
+        let mut r = Reader::new(bytes);
+        r.pos = BODY + 8; // past the environment tag
+        let nparts = r.u64().unwrap();
+        (0..nparts).map(|_| r.str().unwrap()).collect()
+    }
+
+    #[test]
+    fn a_snapshot_lists_each_key_part_once() {
+        // Two formulas on four heaps: each formula part is shared by four
+        // entries, and each heap's model part by two (both formulas have
+        // the free variables {x}). Every check writes its own parts, so
+        // only the save can share them.
+        let (types, preds) = envs();
+        let profile = EnvProfile::new(&types, &preds);
+        let cache = CheckCache::new();
+        let ctx = CheckCtx::with_cache(&types, &preds, Default::default(), &cache);
+        for f in ["plist(x)", "exists u. x -> PersistNode{next: u} * plist(u)"] {
+            let f = parse_formula(f).unwrap();
+            for n in 0..4 {
+                let _ = ctx.check(&list_model(n, 1), &f);
+            }
+        }
+        let path = temp_path("parts");
+        assert_eq!(save(&cache, &profile, &path).unwrap(), 8);
+        let bytes = std::fs::read(&path).unwrap();
+        let table = part_table(&bytes);
+        let distinct: std::collections::BTreeSet<&str> = table.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            table.len(),
+            "a part listed twice: {table:?}"
+        );
+        assert_eq!(table.len(), 2 + 4, "{table:?}");
+
+        // Loaded keys share their parts: entries with one formula hold
+        // one allocation of its text, and so do entries on one heap.
+        let warm = CheckCache::new();
+        assert_eq!(load(&warm, &profile, &path).unwrap().merged, 8);
+        let mut shared: HashMap<String, Arc<str>> = HashMap::new();
+        warm.for_each_entry(profile.env_tag(), |key, _| {
+            for part in [&key.formula, &key.model] {
+                let first = shared.entry(part.to_string()).or_insert(part.clone());
+                assert!(Arc::ptr_eq(first, part), "{part}");
+            }
+        });
+        assert_eq!(shared.len(), 6);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_out_of_range_part_index_is_corrupt() {
+        // Three entries with negative verdicts, so each entry is 21 bytes:
+        // node budget, fuel slack, two part indices and the verdict tag.
+        let (types, preds) = envs();
+        let profile = EnvProfile::new(&types, &preds);
+        let scope = QueryScope {
+            env_tag: profile.env_tag(),
+            node_budget: 9,
+            fuel_slack: 2,
+        };
+        let cache = CheckCache::new();
+        for model in ["m0", "m1", "m2"] {
+            cache.store(CacheKey::of(scope, "f", model), None);
+        }
+        let path = temp_path("part-index");
+        save(&cache, &profile, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let nparts = part_table(&bytes).len() as u32;
+        assert_eq!(nparts, 4);
+
+        // Point the last entry's model part one past the table, and seal
+        // the checksum again so that the index is the only fault.
+        let at = bytes.len() - 5;
+        let mut write_index = |index: u32| {
+            bytes[at..at + 4].copy_from_slice(&index.to_le_bytes());
+            let checksum = fnv1a(&bytes[BODY..]);
+            bytes[BODY - 8..BODY].copy_from_slice(&checksum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        };
+        write_index(nparts);
+        let fresh = CheckCache::new();
+        assert!(matches!(
+            load(&fresh, &profile, &path),
+            Err(PersistError::Corrupted(why)) if why.contains("key part 4")
+        ));
+        assert_eq!(fresh.stats().entries, 0, "rejected load must not insert");
+        // The index was the only fault: the last part is the last entry's
+        // own model part (each entry's is new when the save reaches it).
+        write_index(nparts - 1);
+        assert_eq!(load(&fresh, &profile, &path).unwrap().merged, 3);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

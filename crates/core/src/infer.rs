@@ -28,12 +28,20 @@
 //! existential takes `fresh`'s next name, in the order the first search
 //! drew it, which is what a second search would have drawn. Step 3 and
 //! the selection of the strongest atoms run on every call, after the
-//! renaming, because their tie-break reads the printed formula.
+//! renaming, because their tie-break reads the printed formula; only the
+//! atoms the selection keeps have their residues and instantiations
+//! copied.
+//!
+//! A search checks each candidate on every sub-model, and each sub-model
+//! under every candidate, so neither half of a cache key is written per
+//! check: a candidate's formula part is written once for all sub-models
+//! ([`PreparedFormula`]), and each sub-heap keeps the model parts it has
+//! been keyed under, one per free-variable list ([`ModelParts`]).
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use sling_checker::{CheckCtx, Instantiation};
+use sling_checker::{CheckCtx, Instantiation, ModelParts, PreparedFormula};
 use sling_logic::{
     subst_symheap_bound, Expr, FieldAssign, FieldTy, FreshVars, PredDef, SpatialAtom, Subst,
     SymHeap, Symbol,
@@ -69,10 +77,12 @@ pub(crate) struct AtomResult {
 pub(crate) type AtomMemo = HashMap<(Symbol, Masks, BTreeSet<BoundaryItem>), Vec<AtomResult>>;
 
 /// One model's sub-heap as the checker takes it: the cells in address
-/// order, and each one's position in the location's index.
+/// order, each one's position in the location's index, and the model
+/// parts of the cache keys the search has written on it.
 struct SubHeap<'s> {
     cells: Vec<(Loc, &'s HeapCell)>,
     slots: Vec<usize>,
+    parts: ModelParts,
 }
 
 /// How a stack variable is typed, derived from observed values.
@@ -154,12 +164,20 @@ pub(crate) fn infer_atom(
         return vec![emp_result(index, sub)];
     }
 
-    match memo.entry((v, sub.clone(), boundary.clone())) {
-        Entry::Occupied(first) => rank(v, index, sub, &replay(first.get(), fresh)),
+    let kept = match memo.entry((v, sub.clone(), boundary.clone())) {
+        Entry::Occupied(first) => replay(v, first.get(), fresh),
         Entry::Vacant(slot) => {
             let found = slot.insert(search(ctx, v, index, sub, boundary, types, fresh));
-            rank(v, index, sub, found)
+            let formulas: Vec<&SymHeap> = found.iter().map(|atom| &atom.formula).collect();
+            let kept = rank(v, found, &formulas);
+            kept.into_iter().map(|i| found[i].clone()).collect()
         }
+    };
+    // --- emp fallback -----------------------------------------------------
+    if kept.is_empty() {
+        vec![emp_result(index, sub)]
+    } else {
+        kept
     }
 }
 
@@ -193,7 +211,7 @@ fn search(
         .find_map(|(m, root)| Some(m.cells[(*root)?].1.ty));
     if let Some(root_ty) = root_ty {
         let items: Vec<BoundaryItem> = boundary.iter().copied().collect();
-        let subs: Vec<SubHeap> = index
+        let mut subs: Vec<SubHeap> = index
             .models
             .iter()
             .map(|m| {
@@ -201,6 +219,7 @@ fn search(
                 SubHeap {
                     cells: slots.iter().map(|&i| m.cells[i]).collect(),
                     slots,
+                    parts: ModelParts::default(),
                 }
             })
             .collect();
@@ -209,7 +228,7 @@ fn search(
                 ctx,
                 v,
                 index,
-                &subs,
+                &mut subs,
                 &items,
                 types,
                 pred,
@@ -226,71 +245,69 @@ fn search(
     results
 }
 
-/// The atoms of an earlier search under the names a new one would draw:
-/// each existential, atom by atom in the order the search drew them,
-/// takes `fresh`'s next name, in the formula and in every model's
-/// instantiation.
-fn replay(first: &[AtomResult], fresh: &mut FreshVars) -> Vec<AtomResult> {
-    first
+/// The atoms of an earlier search that [`rank`] keeps, under the names a
+/// new search would draw: each existential, atom by atom in the order
+/// the search drew them, takes `fresh`'s next name. Every formula is
+/// renamed, because the ranking's tie-break reads the printed names;
+/// residues and instantiations are copied only for the kept atoms.
+fn replay(v: Symbol, first: &[AtomResult], fresh: &mut FreshVars) -> Vec<AtomResult> {
+    let names: Vec<Subst> = first
         .iter()
         .map(|atom| {
-            let names: Subst = atom
-                .formula
+            atom.formula
                 .exists
                 .iter()
                 .map(|&u| (u, Expr::Var(fresh.next())))
-                .collect();
-            let rename = |u: Symbol| names.get(&u).and_then(Expr::as_var).unwrap_or(u);
+                .collect()
+        })
+        .collect();
+    let mut formulas: Vec<SymHeap> = first
+        .iter()
+        .zip(&names)
+        .map(|(atom, names)| subst_symheap_bound(&atom.formula, names))
+        .collect();
+    let kept = rank(v, first, &formulas.iter().collect::<Vec<_>>());
+    kept.into_iter()
+        .map(|i| {
+            let rename = |u: Symbol| names[i].get(&u).and_then(Expr::as_var).unwrap_or(u);
             AtomResult {
-                formula: subst_symheap_bound(&atom.formula, &names),
-                residues: atom.residues.clone(),
-                insts: atom
+                formula: std::mem::take(&mut formulas[i]),
+                residues: first[i].residues.clone(),
+                insts: first[i]
                     .insts
                     .iter()
                     .map(|inst| inst.iter().map(|(u, val)| (rename(u), val)).collect())
                     .collect(),
-                total_residue: atom.total_residue,
+                total_residue: first[i].total_residue,
             }
         })
         .collect()
 }
 
-/// The ranking: at most [`MAX_RESULTS_PER_VAR`] of the search's atoms,
-/// or `emp` when it accepted none.
-fn rank(v: Symbol, index: &CellIndex<'_>, sub: &Masks, results: &[AtomResult]) -> Vec<AtomResult> {
-    // --- emp fallback -----------------------------------------------------
-    if results.is_empty() {
-        return vec![emp_result(index, sub)];
-    }
-
+/// The ranking: the positions of at most [`MAX_RESULTS_PER_VAR`] of
+/// `atoms`, in the order they are kept. `formulas` holds each atom's
+/// formula under the names it goes out with.
+fn rank(v: Symbol, atoms: &[AtomResult], formulas: &[&SymHeap]) -> Vec<usize> {
     // Keep a *diverse* strongest set. Two rankings matter:
     //  * smallest total residue (covers the most memory), and
     //  * the root variable in the earliest predicate position (the
     //    paper's head-rooted presentation, e.g. `dll(x, u1, u2, tmp)` —
     //    §2.3 keeps it even though its residue is larger than the
     //    tail-rooted alternative when back-pointers reach above `x`).
-    // Half the slots go to each ranking; duplicates collapse.
-    let mut ranked: Vec<&AtomResult> = results.iter().collect();
-    ranked.sort_by_cached_key(|r| {
-        (
-            r.total_residue,
-            root_position(&r.formula, v),
-            r.formula.exists.len(),
-            r.formula.to_string(),
-        )
-    });
-    let mut rooted: Vec<&AtomResult> = results.iter().collect();
-    rooted.sort_by_cached_key(|r| {
-        (
-            root_position(&r.formula, v),
-            r.total_residue,
-            r.formula.exists.len(),
-            r.formula.to_string(),
-        )
-    });
-    let mut keep: Vec<AtomResult> = Vec::with_capacity(MAX_RESULTS_PER_VAR);
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    for r in ranked
+    // Half the slots go to each ranking; duplicates collapse. Both
+    // tie-breaks and the duplicate check read the printed formula, so
+    // each is printed once.
+    let printed: Vec<String> = formulas.iter().map(|f| f.to_string()).collect();
+    let roots: Vec<usize> = formulas.iter().map(|f| root_position(f, v)).collect();
+    let residue = |i: usize| atoms[i].total_residue;
+    let tail = |i: usize| (formulas[i].exists.len(), &printed[i]);
+    let mut ranked: Vec<usize> = (0..atoms.len()).collect();
+    ranked.sort_by_key(|&i| (residue(i), roots[i], tail(i)));
+    let mut rooted: Vec<usize> = (0..atoms.len()).collect();
+    rooted.sort_by_key(|&i| (roots[i], residue(i), tail(i)));
+    let mut keep = Vec::with_capacity(MAX_RESULTS_PER_VAR);
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
+    for i in ranked
         .into_iter()
         .take(MAX_RESULTS_PER_VAR.div_ceil(2))
         .chain(rooted)
@@ -298,8 +315,8 @@ fn rank(v: Symbol, index: &CellIndex<'_>, sub: &Masks, results: &[AtomResult]) -
         if keep.len() >= MAX_RESULTS_PER_VAR {
             break;
         }
-        if seen.insert(r.formula.to_string()) {
-            keep.push(r.clone());
+        if seen.insert(&printed[i]) {
+            keep.push(i);
         }
     }
     keep
@@ -332,7 +349,7 @@ fn infer_inductive(
     ctx: &CheckCtx<'_>,
     root: Symbol,
     index: &CellIndex<'_>,
-    subs: &[SubHeap<'_>],
+    subs: &mut [SubHeap<'_>],
     boundary: &[BoundaryItem],
     types: &BTreeMap<Symbol, VarTy>,
     pred: &PredDef,
@@ -421,7 +438,7 @@ fn place_rec(
 fn try_candidate(
     ctx: &CheckCtx<'_>,
     index: &CellIndex<'_>,
-    subs: &[SubHeap<'_>],
+    subs: &mut [SubHeap<'_>],
     pred: &PredDef,
     placement: &[Option<BoundaryItem>],
     fresh: &mut FreshVars,
@@ -455,8 +472,9 @@ fn try_candidate(
     let mut insts = Vec::with_capacity(subs.len());
     let mut covered_any = false;
     let mut total_residue = 0;
+    let prepared = PreparedFormula::new(&formula);
     for (m, sub) in index.models.iter().zip(subs) {
-        let red = ctx.check_cells(&m.model.stack, &sub.cells, &formula)?;
+        let red = ctx.check_prepared(&m.model.stack, &sub.cells, &prepared, &mut sub.parts)?;
         covered_any |= red.covered > 0;
         total_residue += sub.cells.len() - red.covered;
         for (j, &slot) in sub.slots.iter().enumerate() {

@@ -32,7 +32,7 @@
 //! order, and every residue, sub-heap and rest is a bitset over that
 //! index. The checker takes a sub-heap as a slice of indexed cells and
 //! returns its residue as a bitset over the slice
-//! ([`CheckCtx::check_cells`](sling_checker::CheckCtx::check_cells)).
+//! ([`CheckCtx::check_prepared`](sling_checker::CheckCtx::check_prepared)).
 //! Heaps are built only for the reported [`Invariant::residues`].
 //! [`split_heap`] is the same split with heaps built, for callers that
 //! hold models.

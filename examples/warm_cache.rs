@@ -5,8 +5,9 @@
 //! engine restores the snapshot at build time and answers the corpus
 //! from it — `CacheStats::warm_hits` shows how many checker searches
 //! the warm start skipped. When a snapshot was actually restored, the
-//! example asserts that it carried load, so running it twice doubles as
-//! an end-to-end check of the persistence path:
+//! example asserts that it answered every query (no miss, every hit on a
+//! restored entry), so running it twice doubles as an end-to-end check
+//! that every key survives the persistence path:
 //!
 //! ```sh
 //! cargo run -p sling-examples --example warm_cache   # cold: writes the snapshot
@@ -55,10 +56,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if restored > 0 {
-        // A restored snapshot must have answered corpus queries.
+        // The run asks what the run that saved the snapshot asked, so a
+        // key that did not survive the save and load would miss.
         assert!(
             batch.cache.warm_hits > 0,
             "warm start restored {restored} entries but answered no queries"
+        );
+        assert_eq!(
+            batch.cache.misses, 0,
+            "warm start restored {restored} entries but missed: {}",
+            batch.cache
+        );
+        assert_eq!(
+            batch.cache.warm_hits, batch.cache.hits,
+            "every hit must be on a restored entry: {}",
+            batch.cache
         );
         println!(
             "warm start verified: {} of {} hits came from the snapshot",
