@@ -17,6 +17,11 @@
 //! A formula's answer is the largest number of cells that some sub-heap
 //! and some instantiation of its existentials cover exactly, which is the
 //! reduction with the smallest residue that the checker returns.
+//!
+//! The same reference vouches for the predicates' footprint summaries
+//! (`sling_logic::Footprints`): a single-atom formula whose known
+//! argument breaks a fact of its parameter on the model's heap must
+//! cover no cell.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -25,8 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sling_checker::CheckCtx;
 use sling_logic::{
-    parse_formula, parse_predicates, Expr, FieldDef, FieldTy, PredEnv, PureAtom, SpatialAtom,
-    StructDef, SymHeap, Symbol, TypeEnv,
+    parse_formula, parse_predicates, Expr, FieldDef, FieldTy, Footprints, ParamFacts, PredEnv,
+    PureAtom, SpatialAtom, StructDef, SymHeap, Symbol, TypeEnv,
 };
 use sling_models::{Heap, HeapCell, Loc, Stack, StackHeapModel, Val};
 
@@ -553,12 +558,12 @@ fn random_model(lib: &Library, rng: &mut StdRng) -> StackHeapModel {
     StackHeapModel::new(stack, heap)
 }
 
-/// One or two predicate atoms of the library, in random order, whose
+/// `atoms` predicate atoms of the library, in random order, whose
 /// arguments are stack variables, `nil` or one of three existentials.
-fn random_formula(preds: &PredEnv, rng: &mut StdRng) -> SymHeap {
+fn random_formula(preds: &PredEnv, atoms: usize, rng: &mut StdRng) -> SymHeap {
     let defs: Vec<_> = preds.iter().collect();
     let names = ["x", "y", "nil", "e1", "e2", "e3"];
-    let atoms: Vec<String> = (0..rng.gen_range(1..=2))
+    let atoms: Vec<String> = (0..atoms)
         .map(|_| {
             let def = defs[rng.gen_range(0..defs.len())];
             let args: Vec<&str> = (0..def.arity())
@@ -607,10 +612,93 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let model = random_model(lib, &mut rng);
         for _ in 0..3 {
-            agree(lib, &types, &preds, &model, &random_formula(&preds, &mut rng));
+            let atoms = rng.gen_range(1..=2);
+            agree(lib, &types, &preds, &model, &random_formula(&preds, atoms, &mut rng));
         }
     }
 }
+
+/// True if the single atom of `f` has a known argument (`nil`, or a
+/// variable `model`'s stack binds) that breaks a fact of its parameter
+/// in `footprints`: it is not a cell's address where `alloc` holds, or
+/// no cell of a `refs` fact's type holds it in that field. This states
+/// the facts over the whole heap, apart from the inference code that
+/// reads them.
+fn flagged(footprints: &Footprints, model: &StackHeapModel, f: &SymHeap) -> bool {
+    let [SpatialAtom::Pred { name, args }] = &f.spatial[..] else {
+        panic!("a single predicate atom: {f}");
+    };
+    let Some(facts) = footprints.covering(*name) else {
+        return true;
+    };
+    let breaks = |facts: &ParamFacts, val: Val| {
+        let allocated = matches!(val, Val::Addr(loc) if model.heap.get(loc).is_some());
+        let held = |ty: Symbol, field: usize| {
+            model
+                .heap
+                .iter()
+                .any(|(_, cell)| cell.ty == ty && cell.fields.get(field) == Some(&val))
+        };
+        (facts.alloc && !allocated) || facts.refs.iter().any(|r| !held(r.ty, r.field))
+    };
+    args.iter().zip(facts).any(|(arg, facts)| {
+        let known = match arg {
+            Expr::Nil => Some(Val::Nil),
+            Expr::Var(v) if !f.exists.contains(v) => model.stack.get(*v),
+            _ => None,
+        };
+        known.is_some_and(|val| breaks(facts, val))
+    })
+}
+
+/// A library whose two cases imply different facts (each parameter is
+/// allocated in one case and a `next` in the other, so neither fact
+/// holds of every instance): the corpus libraries' cases agree, and
+/// only this one shows whether facts are intersected over cases.
+const EITHER: Library = Library {
+    name: "either",
+    structs: "ENode { next: ENode*, data: int }",
+    preds: "pred either(x: ENode*, y: ENode*) := exists d. x -> ENode{next: y, data: d}
+              | exists d. y -> ENode{next: x, data: d};",
+};
+
+/// The footprint summaries are sound: every random single-atom formula
+/// they flag on a random model covers no cell there, in the reference
+/// and in the checker. The floor on flagged formulas keeps the test
+/// from passing on a summary that flags nothing.
+#[test]
+fn footprints_flag_only_formulas_that_cover_no_cell() {
+    let libraries: Vec<&Library> = LIBRARIES.iter().chain([&EITHER]).collect();
+    let (mut formulas, mut flagged_count) = (0, 0);
+    for seed in 0..2_000u64 {
+        let lib = libraries[seed as usize % libraries.len()];
+        let (types, preds) = lib.envs();
+        let footprints = Footprints::new(&types, &preds);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = random_model(lib, &mut rng);
+        for _ in 0..6 {
+            let f = random_formula(&preds, 1, &mut rng);
+            formulas += 1;
+            if !flagged(&footprints, &model, &f) {
+                continue;
+            }
+            flagged_count += 1;
+            let covered = agree(lib, &types, &preds, &model, &f);
+            assert!(
+                covered.unwrap_or(0) == 0,
+                "{}: flagged {f} covers {covered:?} cell(s) of {model}",
+                lib.name
+            );
+        }
+    }
+    assert!(
+        flagged_count >= FLAGGED_FLOOR,
+        "only {flagged_count} of {formulas} formulas flagged"
+    );
+}
+
+/// Formulas the test above must flag, of 12,000 (it flags 4,718).
+const FLAGGED_FLOOR: usize = 4_500;
 
 /// Requires both checkers to cover the whole heap `cells` (at addresses
 /// `1..`, with `x` on the first) with each of `formulas`.

@@ -109,12 +109,14 @@
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sling_analysis::{analyze_program, AnalysisSettings, Diagnostic, Diagnostics, ProgramAnalysis};
 use sling_checker::{persist, CacheStats, CheckCache, CheckCtx, EnvProfile, PersistError};
 use sling_lang::{check_program, parse_program, Location, Program, Snapshot, TreeKind};
-use sling_logic::{check_pred_env, parse_predicates, PredDef, PredEnv, Symbol, TypeEnv};
+use sling_logic::{
+    check_pred_env, parse_predicates, Footprints, PredDef, PredEnv, Symbol, TypeEnv,
+};
 
 use crate::collect::Executor;
 use crate::pipeline::{infer_location, run_target, SlingConfig};
@@ -534,6 +536,7 @@ impl EngineBuilder {
             cache_path: self.cache_path,
             warm_entries: AtomicU64::new(0),
             profile,
+            footprints: OnceLock::new(),
             parallelism: self.parallelism.unwrap_or_else(default_parallelism),
             analysis,
         };
@@ -608,6 +611,10 @@ pub struct Engine {
     /// The environment tag, computed once at build so per-request
     /// checker contexts and snapshots don't re-hash the environments.
     profile: EnvProfile,
+    /// The predicates' footprint summaries, computed on the first
+    /// request rather than at build: many engines are built that serve
+    /// few requests.
+    footprints: OnceLock<Footprints>,
     parallelism: usize,
     /// The static-diagnostics result computed at build time, when the
     /// builder opted in via [`EngineBuilder::static_analysis`]. By
@@ -734,6 +741,13 @@ impl Engine {
             cache: Some(&self.cache),
             env_tag: self.profile.env_tag(),
         }
+    }
+
+    /// The predicates' footprint summaries, which inference reads before
+    /// it asks the checker about a candidate.
+    fn footprints(&self) -> &Footprints {
+        self.footprints
+            .get_or_init(|| Footprints::new(&self.types, &self.preds))
     }
 
     /// Checks that a request fits the program: its target is a function,
@@ -865,6 +879,7 @@ impl Engine {
     fn run_request(&self, request: &AnalysisRequest, workers: usize) -> Report {
         let mut report = run_target(
             &self.check_ctx(),
+            self.footprints(),
             &self.program,
             &self.compiled,
             request.target,
@@ -1003,6 +1018,7 @@ impl Engine {
         let param_order: Vec<Symbol> = func.params.iter().map(|p| p.name).collect();
         Ok(infer_location(
             &self.check_ctx(),
+            self.footprints(),
             location,
             snaps,
             &param_order,

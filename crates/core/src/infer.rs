@@ -11,7 +11,12 @@
 //!    that are type-consistent (Algorithm 2, line 8). Each candidate
 //!    `∃u⃗. p(k1..kn)` is model-checked against every sub-model; accepted
 //!    candidates carry their per-model residual heaps and existential
-//!    instantiations.
+//!    instantiations. A candidate that covers no cell in any sub-model
+//!    is dropped, and most such are never checked: when `p`'s footprint
+//!    summary ([`Footprints`]) shows, on every sub-model, that a known
+//!    argument (`nil`, or a stack variable's value) breaks a fact of its
+//!    parameter, say `nil` for a parameter that must be allocated, no
+//!    instance can cover a cell, whatever the checker would answer.
 //! 2. **Singleton predicates** — when every sub-model is a single cell at
 //!    the root, a points-to atom is built; fields take the common stack
 //!    variable (or `nil`) when one exists in *all* models, otherwise a
@@ -43,8 +48,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use sling_checker::{CheckCtx, Instantiation, ModelParts, PreparedFormula};
 use sling_logic::{
-    subst_symheap_bound, Expr, FieldAssign, FieldTy, FreshVars, PredDef, SpatialAtom, Subst,
-    SymHeap, Symbol,
+    subst_symheap_bound, Expr, FieldAssign, FieldRef, FieldTy, Footprints, FreshVars, ParamFacts,
+    PredDef, SpatialAtom, Subst, SymHeap, Symbol,
 };
 use sling_models::{HeapCell, Loc, StackHeapModel, Val};
 
@@ -138,14 +143,16 @@ pub fn var_types<'m>(
 /// Runs `InferAtom` for the root variable `v` (Algorithm 2) on the
 /// sub-heaps `sub` selects from `index`.
 ///
-/// `types` maps stack variables to their observed types (for the
-/// `type(ki) <: type(ti)` check); `fresh` supplies existential names
-/// shared across the whole location so `u1, u2, ...` never collide. A
-/// question `memo` already holds is answered from it, under the names
-/// `fresh` gives now; a new one is searched and recorded.
+/// `footprints` summarizes `ctx.preds`; `types` maps stack variables to
+/// their observed types (for the `type(ki) <: type(ti)` check); `fresh`
+/// supplies existential names shared across the whole location so `u1,
+/// u2, ...` never collide. A question `memo` already holds is answered
+/// from it, under the names `fresh` gives now; a new one is searched and
+/// recorded.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn infer_atom(
     ctx: &CheckCtx<'_>,
+    footprints: &Footprints,
     v: Symbol,
     index: &CellIndex<'_>,
     sub: &Masks,
@@ -167,7 +174,9 @@ pub(crate) fn infer_atom(
     let kept = match memo.entry((v, sub.clone(), boundary.clone())) {
         Entry::Occupied(first) => replay(v, first.get(), fresh),
         Entry::Vacant(slot) => {
-            let found = slot.insert(search(ctx, v, index, sub, boundary, types, fresh));
+            let found = slot.insert(search(
+                ctx, footprints, v, index, sub, boundary, types, fresh,
+            ));
             let formulas: Vec<&SymHeap> = found.iter().map(|atom| &atom.formula).collect();
             let kept = rank(v, found, &formulas);
             kept.into_iter().map(|i| found[i].clone()).collect()
@@ -183,8 +192,10 @@ pub(crate) fn infer_atom(
 
 /// The candidate search: every inductive candidate and the singleton
 /// that hold on all sub-models, in acceptance order.
+#[allow(clippy::too_many_arguments)]
 fn search(
     ctx: &CheckCtx<'_>,
+    footprints: &Footprints,
     v: Symbol,
     index: &CellIndex<'_>,
     sub: &Masks,
@@ -211,21 +222,11 @@ fn search(
         .find_map(|(m, root)| Some(m.cells[(*root)?].1.ty));
     if let Some(root_ty) = root_ty {
         let items: Vec<BoundaryItem> = boundary.iter().copied().collect();
-        let mut subs: Vec<SubHeap> = index
-            .models
-            .iter()
-            .map(|m| {
-                let slots: Vec<usize> = m.slots(sub).collect();
-                SubHeap {
-                    cells: slots.iter().map(|&i| m.cells[i]).collect(),
-                    slots,
-                    parts: ModelParts::default(),
-                }
-            })
-            .collect();
+        let mut subs = sub_heaps(index, sub);
         for pred in ctx.preds.for_root_type(root_ty) {
             infer_inductive(
                 ctx,
+                footprints.covering(pred.name),
                 v,
                 index,
                 &mut subs,
@@ -243,6 +244,22 @@ fn search(
         results.push(single);
     }
     results
+}
+
+/// Each model's sub-heap `sub`, with no cache key written on it yet.
+fn sub_heaps<'s>(index: &CellIndex<'s>, sub: &Masks) -> Vec<SubHeap<'s>> {
+    index
+        .models
+        .iter()
+        .map(|m| {
+            let slots: Vec<usize> = m.slots(sub).collect();
+            SubHeap {
+                cells: slots.iter().map(|&i| m.cells[i]).collect(),
+                slots,
+                parts: ModelParts::default(),
+            }
+        })
+        .collect()
 }
 
 /// The atoms of an earlier search that [`rank`] keeps, under the names a
@@ -344,9 +361,12 @@ fn emp_result(index: &CellIndex<'_>, sub: &Masks) -> AtomResult {
     }
 }
 
+/// Tries `pred`'s candidates rooted at `root`; `facts` is `pred`'s
+/// footprint ([`Footprints::covering`]).
 #[allow(clippy::too_many_arguments)]
 fn infer_inductive(
     ctx: &CheckCtx<'_>,
+    facts: Option<&[ParamFacts]>,
     root: Symbol,
     index: &CellIndex<'_>,
     subs: &mut [SubHeap<'_>],
@@ -377,6 +397,9 @@ fn infer_inductive(
                 tried += 1;
                 if tried > MAX_CANDIDATES_PER_PRED {
                     return;
+                }
+                if covers_nothing(facts, index, subs, &placement) {
+                    continue;
                 }
                 results.extend(try_candidate(ctx, index, subs, pred, &placement, fresh));
             }
@@ -435,6 +458,52 @@ fn place_rec(
     }
 }
 
+/// True if a predicate's footprint `facts` shows that no instance with
+/// `placement`'s arguments covers a cell of any sub-model: on each, an
+/// argument whose value is known breaks a fact of its parameter.
+/// [`try_candidate`] would drop such a candidate whatever the checker
+/// answered, so it is not asked.
+///
+/// A known argument is `nil`, or a variable the model's stack binds;
+/// the existentials, and a variable the stack does not bind, which the
+/// checker takes as an existential, break nothing.
+fn covers_nothing(
+    facts: Option<&[ParamFacts]>,
+    index: &CellIndex<'_>,
+    subs: &[SubHeap<'_>],
+    placement: &[Option<BoundaryItem>],
+) -> bool {
+    let Some(facts) = facts else {
+        return true;
+    };
+    index.models.iter().zip(subs).all(|(m, sub)| {
+        placement.iter().zip(facts).any(|(slot, facts)| {
+            let known = match slot {
+                Some(BoundaryItem::Nil) => Some(Val::Nil),
+                Some(BoundaryItem::Var(w)) => m.model.stack.get(*w),
+                None => None,
+            };
+            known.is_some_and(|val| breaks(facts, val, &sub.cells))
+        })
+    })
+}
+
+/// True if an argument with value `val` breaks `facts` on the sub-heap
+/// `cells`: it is not the address of one of them where `alloc` holds,
+/// or no cell of a `refs` fact's type holds it in that field.
+fn breaks(facts: &ParamFacts, val: Val, cells: &[(Loc, &HeapCell)]) -> bool {
+    let allocated = || match val {
+        Val::Addr(loc) => cells.binary_search_by_key(&loc, |&(l, _)| l).is_ok(),
+        _ => false,
+    };
+    let held = |r: &FieldRef| {
+        cells
+            .iter()
+            .any(|(_, cell)| cell.ty == r.ty && cell.fields.get(r.field) == Some(&val))
+    };
+    (facts.alloc && !allocated()) || !facts.refs.iter().all(held)
+}
+
 fn try_candidate(
     ctx: &CheckCtx<'_>,
     index: &CellIndex<'_>,
@@ -485,7 +554,9 @@ fn try_candidate(
         insts.push(red.inst);
     }
     // A candidate that covers no cell in any model is a vacuously true
-    // base-case match: it conveys nothing beyond `emp`.
+    // base-case match: it conveys nothing beyond `emp`. Most of these
+    // never reach the checker (`covers_nothing`); the rest, whose
+    // footprint facts hold on some sub-model, are dropped here.
     if !covered_any {
         return None;
     }
@@ -707,12 +778,14 @@ mod tests {
     fn finds_paper_formula_fx() {
         let (types, preds) = envs();
         let ctx = CheckCtx::new(&types, &preds);
+        let footprints = Footprints::new(&types, &preds);
         let models = fig3_submodels();
         let mut fresh = FreshVars::new("u");
         let vt = var_types(&models);
         let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
+            &footprints,
             sym("x"),
             &index,
             &index.full(),
@@ -744,6 +817,7 @@ mod tests {
     fn empty_submodels_give_emp() {
         let (types, preds) = envs();
         let ctx = CheckCtx::new(&types, &preds);
+        let footprints = Footprints::new(&types, &preds);
         let mut stack = Stack::new();
         stack.bind(sym("res"), Val::Addr(l(1)));
         let models = vec![StackHeapModel::new(stack, Heap::new())];
@@ -752,6 +826,7 @@ mod tests {
         let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
+            &footprints,
             sym("res"),
             &index,
             &index.full(),
@@ -768,6 +843,7 @@ mod tests {
     fn singleton_inferred_for_one_cell() {
         let (types, preds) = envs();
         let ctx = CheckCtx::new(&types, &preds);
+        let footprints = Footprints::new(&types, &preds);
         // One cell whose next points to y's address and prev is nil.
         let mut heap = Heap::new();
         heap.insert(l(1), dcell(Val::Addr(l(9)), Val::Nil));
@@ -780,6 +856,7 @@ mod tests {
         let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
+            &footprints,
             sym("p"),
             &index,
             &index.full(),
@@ -809,12 +886,14 @@ mod tests {
     fn vacuous_candidates_are_rejected() {
         let (types, preds) = envs();
         let ctx = CheckCtx::new(&types, &preds);
+        let footprints = Footprints::new(&types, &preds);
         let models = fig3_submodels();
         let mut fresh = FreshVars::new("u");
         let vt = var_types(&models);
         let index = CellIndex::new(&models);
         let results = infer_atom(
             &ctx,
+            &footprints,
             sym("x"),
             &index,
             &index.full(),
@@ -837,12 +916,23 @@ mod tests {
     fn a_repeated_question_replays_what_a_search_would_find() {
         let (types, preds) = envs();
         let ctx = CheckCtx::new(&types, &preds);
+        let footprints = Footprints::new(&types, &preds);
         let models = fig3_submodels();
         let vt = var_types(&models);
         let index = CellIndex::new(&models);
         let (sub, boundary) = (index.full(), boundary());
         let infer = |fresh: &mut FreshVars, memo: &mut AtomMemo| {
-            infer_atom(&ctx, sym("x"), &index, &sub, &boundary, &vt, fresh, memo)
+            infer_atom(
+                &ctx,
+                &footprints,
+                sym("x"),
+                &index,
+                &sub,
+                &boundary,
+                &vt,
+                fresh,
+                memo,
+            )
         };
         let shown = |atoms: &[AtomResult]| -> Vec<(String, Masks, Vec<Instantiation>)> {
             atoms
@@ -877,6 +967,34 @@ mod tests {
         assert_ne!(shapes(&first), shapes(&search));
         assert_eq!(shown(&replay), shown(&search));
         assert_eq!(replayed.next(), searched.next());
+    }
+
+    /// The footprint of `dll` spares the checker the Figure 3
+    /// candidates that cannot cover a cell, and keeps the paper's `Fx`.
+    #[test]
+    fn footprints_skip_the_candidates_that_cover_no_cell() {
+        let (types, preds) = envs();
+        let footprints = Footprints::new(&types, &preds);
+        let facts = footprints.covering(sym("dll"));
+        let models = fig3_submodels();
+        let index = CellIndex::new(&models);
+        let subs = sub_heaps(&index, &index.full());
+        let var = |name: &str| Some(BoundaryItem::Var(sym(name)));
+        // ∃u1,u2. dll(tmp, x, u1, u2): `hd` is allocated, but `tmp`
+        // lies outside every sub-heap.
+        let head_outside = [var("tmp"), var("x"), None, None];
+        assert!(covers_nothing(facts, &index, &subs, &head_outside));
+        // ∃u1,u2. dll(x, u1, nil, u2): `tl` is allocated, never `nil`.
+        let nil_tail = [var("x"), None, Some(BoundaryItem::Nil), None];
+        assert!(covers_nothing(facts, &index, &subs, &nil_tail));
+        // The paper's ∃u1,u2. dll(x, u1, u2, tmp): `x` heads every
+        // sub-heap and `tmp` is its last cell's `next`.
+        let fx = [var("x"), None, None, var("tmp")];
+        assert!(!covers_nothing(facts, &index, &subs, &fx));
+        // A variable the stacks do not bind is unknown, as an
+        // existential is.
+        let unbound = [var("x"), None, None, var("nowhere")];
+        assert!(!covers_nothing(facts, &index, &subs, &unbound));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::Instant;
 use sling_checker::verify::prove;
 use sling_checker::{CheckConfig, CheckCtx, Instantiation, Verdict};
 use sling_lang::{Location, Program, Snapshot, TraceConfig, VmConfig};
-use sling_logic::{FreshVars, SymHeap, Symbol};
+use sling_logic::{Footprints, FreshVars, SymHeap, Symbol};
 use sling_models::StackHeapModel;
 
 use crate::cells::{CellIndex, Masks};
@@ -105,8 +105,10 @@ struct Partial {
 ///
 /// Panics if `target` is not a function of `program` (the engine
 /// validates targets before calling).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_target(
     ctx: &CheckCtx<'_>,
+    footprints: &Footprints,
     program: &Program,
     compiled: &sling_vm::CompiledProgram,
     target: Symbol,
@@ -115,7 +117,9 @@ pub(crate) fn run_target(
     workers: usize,
 ) -> Report {
     if !config.verify {
-        return run_target_once(ctx, program, compiled, target, inputs, config, workers);
+        return run_target_once(
+            ctx, footprints, program, compiled, target, inputs, config, workers,
+        );
     }
     let start = Instant::now();
     let func = program.func(target).expect("target exists");
@@ -124,6 +128,7 @@ pub(crate) fn run_target(
     let mut inputs: Vec<InputSource> = inputs.to_vec();
     let mut report = run_target_once(
         ctx,
+        footprints,
         program,
         compiled,
         target,
@@ -176,7 +181,9 @@ pub(crate) fn run_target(
             break;
         }
         inputs.extend(fresh.into_iter().map(InputSource::from));
-        report = run_target_once(ctx, program, compiled, target, &inputs, config, workers);
+        report = run_target_once(
+            ctx, footprints, program, compiled, target, &inputs, config, workers,
+        );
         collect_total += report.metrics.collect_seconds;
         rounds += 1;
     }
@@ -220,8 +227,10 @@ fn grade_location(ctx: &CheckCtx<'_>, analysis: &mut LocationAnalysis) -> Vec<St
 }
 
 /// The dynamic-only pipeline: collection, inference, frame validation.
+#[allow(clippy::too_many_arguments)]
 fn run_target_once(
     ctx: &CheckCtx<'_>,
+    footprints: &Footprints,
     program: &Program,
     compiled: &sling_vm::CompiledProgram,
     target: Symbol,
@@ -251,7 +260,7 @@ fn run_target_once(
     let workers = workers.max(1).min(by_loc.len().max(1));
     let mut locations: Vec<LocationAnalysis> = crate::fanout::fan_out(workers, by_loc.len(), |i| {
         let (loc, snaps) = &by_loc[i];
-        infer_location(ctx, *loc, snaps, &param_order, config)
+        infer_location(ctx, footprints, *loc, snaps, &param_order, config)
     });
 
     // Frame-rule validation: every exit invariant must preserve some
@@ -323,6 +332,7 @@ pub fn select_models<'s>(snaps: &[&'s Snapshot], config: &SlingConfig) -> Vec<&'
 /// heaps are built only for the reported invariants' residues.
 pub(crate) fn infer_location(
     ctx: &CheckCtx<'_>,
+    footprints: &Footprints,
     location: Location,
     snaps: &[&Snapshot],
     param_order: &[Symbol],
@@ -377,6 +387,7 @@ pub(crate) fn infer_location(
             let split = split_masks(&index, &partial.residues, *v);
             let atoms = infer_atom(
                 ctx,
+                footprints,
                 *v,
                 &index,
                 &split.sub,

@@ -5,7 +5,8 @@
 //! (Figure 4), a parser and pretty-printer for the concrete notation,
 //! inductive heap predicate definitions, structure (record) types, and the
 //! supporting machinery (interned symbols, spans, substitution,
-//! well-formedness).
+//! well-formedness, and the footprint summaries of predicates that
+//! inference reads before it asks the checker anything).
 //!
 //! The semantic side — stack-heap models and the model checker — lives in
 //! the `sling-models` and `sling-checker` crates.
@@ -36,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod ast;
+mod footprint;
 mod lexer;
 mod parser;
 mod pred;
@@ -47,6 +49,7 @@ mod types;
 mod wf;
 
 pub use ast::{Expr, FieldAssign, Formula, PureAtom, SpatialAtom, SymHeap};
+pub use footprint::{FieldRef, Footprints, ParamFacts};
 pub use lexer::{lex, LexError, Token};
 pub use parser::{parse_formula, parse_predicates, ParseError};
 pub use pred::{PredDef, PredEnv, PredEnvError, PredParam};

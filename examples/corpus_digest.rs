@@ -10,6 +10,12 @@
 //! constants below; a change that alters output on purpose updates
 //! them and says why.
 //!
+//! The questions inference asks are pinned too: the cached pass must
+//! make the recorded number of checker lookups. A change that asks the
+//! checker more (say, a weaker footprint summary, so that candidates
+//! that cannot cover a cell are checked again) or fewer questions
+//! updates the constant and says why.
+//!
 //! The cache must not change a formula either, so the gate runs the
 //! corpus a second time with the cache off: each program gets a fresh
 //! cache of capacity 0, which stores nothing, so every checker query is
@@ -29,9 +35,10 @@
 //! cargo run --release -p sling-examples --example corpus_digest
 //! ```
 //!
-//! Exit status: 0 when both passes match, the cache-off pass has no hit
-//! and asks as many questions as the cached pass, and no pair is
-//! rejected; 1 otherwise.
+//! Exit status: 0 when both passes match, the cached pass makes the
+//! recorded number of lookups, the cache-off pass has no hit and asks
+//! as many questions as the cached pass, and no pair is rejected; 1
+//! otherwise.
 
 use std::sync::Arc;
 
@@ -47,6 +54,8 @@ const EXPECTED_INVARIANTS: usize = 1380;
 const EXPECTED_SPURIOUS: usize = 213;
 /// FNV-1a (64-bit) over every invariant's line.
 const EXPECTED_DIGEST: u64 = 0xcfbb_7dfc_3205_398d;
+/// Checker lookups the cached pass makes, hits plus misses.
+const EXPECTED_LOOKUPS: u64 = 38_669;
 
 /// Checks every non-spurious invariant of a run against every model its
 /// location selected, re-collected; returns the pairs checked and a
@@ -152,6 +161,13 @@ fn main() {
             );
             failed = true;
         }
+    }
+    if lookups != EXPECTED_LOOKUPS {
+        eprintln!(
+            "the corpus pass made {lookups} lookup(s), expected {EXPECTED_LOOKUPS}: \
+             inference asks the checker other questions"
+        );
+        failed = true;
     }
     if hits != 0 {
         eprintln!("the cache-off pass had {hits} cache hit(s)");
