@@ -320,12 +320,6 @@ impl<'a> CheckCtx<'a> {
             .map(|r| r.residual.is_empty())
             .unwrap_or(false)
     }
-
-    /// True if the disjunction holds exactly on the model: some disjunct
-    /// has an empty residue.
-    pub fn holds_exact_disj(&self, model: &StackHeapModel, fs: &[SymHeap]) -> bool {
-        fs.iter().any(|f| self.holds_exact(model, f))
-    }
 }
 
 /// A search-local variable: an index into [`Search::vals`].
@@ -743,14 +737,14 @@ impl<'a> Search<'a> {
     }
 
     /// Chooses the index of the next goal to attack: a points-to with a
-    /// known root, then a predicate with any known argument, then any
-    /// points-to, then the first goal.
+    /// known root, then a predicate with any known argument, then the
+    /// first goal.
     ///
-    /// A points-to with an unbound root goes before a predicate whose
-    /// arguments are all unbound: trying it costs at most one branch per
-    /// cell and binds its root and fields, while unfolding the predicate
-    /// pushes more unbound goals and recurses until fuel runs out, so
-    /// the verdict would otherwise depend on the order of the atoms.
+    /// The first goal may be a predicate whose arguments are all
+    /// unbound. Unfolding it pushes more unbound goals, but each
+    /// points-to among them needs a cell of its own, so the dead-branch
+    /// cut (module doc) ends such a chain once they outnumber the free
+    /// cells, and the verdict does not depend on the order of the atoms.
     fn pick_goal(&self) -> usize {
         let known = |t: &Term| matches!(self.eval(*t), Evaled::Known(_));
         let points_to = self.pending.iter().position(|g| match *g {
@@ -765,12 +759,7 @@ impl<'a> Search<'a> {
                 Goal::PointsTo { .. } => false,
             })
         };
-        let any_points_to = || {
-            self.pending
-                .iter()
-                .position(|g| matches!(g, Goal::PointsTo { .. }))
-        };
-        points_to.or_else(pred).or_else(any_points_to).unwrap_or(0)
+        points_to.or_else(pred).unwrap_or(0)
     }
 
     /// Eager propagation used mid-search: binds variables via decidable

@@ -9,7 +9,7 @@
 //! library starts with every previously established entailment already
 //! answered.
 //!
-//! # File format (version 6)
+//! # File format (version 7)
 //!
 //! A fixed header — magic `SLNGCACH`, format version, FNV-1a checksum of
 //! the body — followed by the body:
@@ -133,8 +133,11 @@ const MAGIC: &[u8; 8] = b"SLNGCACH";
 /// out of budget (a stored "no") may now find a carving. Version 6: a
 /// table of the distinct key parts precedes the entries, and an entry
 /// holds the indices of its formula part and model part instead of its
-/// key text (their concatenation, which did not change).
-const FORMAT_VERSION: u32 = 6;
+/// key text (their concatenation, which did not change). Version 7: the
+/// same layout, but the search no longer tries a points-to goal with an
+/// unbound root before a predicate goal whose arguments are all
+/// unbound, so it can keep another carving of equal residue.
+const FORMAT_VERSION: u32 = 7;
 
 /// Why a snapshot file could not be loaded.
 #[derive(Debug)]
@@ -977,7 +980,7 @@ mod tests {
         ));
 
         // A past or future format version is refused, not misparsed.
-        for v in [1u32, 2, 3, 4, 5, 99] {
+        for v in [1u32, 2, 3, 4, 5, 6, 99] {
             let mut versioned = good.clone();
             versioned[8..12].copy_from_slice(&v.to_le_bytes());
             std::fs::write(&path, &versioned).unwrap();

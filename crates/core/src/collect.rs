@@ -28,7 +28,8 @@ pub enum Executor {
     #[default]
     Bytecode,
     /// The tree-walk interpreter (`sling_lang::Vm`) — the reference
-    /// oracle, selectable via [`crate::EngineBuilder::executor`] or
+    /// oracle, selectable via
+    /// [`SlingConfig::executor`](crate::SlingConfig::executor) or
     /// `sling-serve --executor treewalk`.
     Treewalk,
 }

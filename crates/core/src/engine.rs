@@ -14,33 +14,20 @@
 //! analyzing one function are reused by the next — the second request
 //! for a list-shaped argument typically starts warm.
 //!
-//! # Two levels of parallelism
+//! # Parallelism
 //!
 //! The worker budget ([`EngineBuilder::parallelism`], defaulting to the
-//! available cores) is spent at whichever level has the work:
-//!
-//! * **Across requests** — requests are `Send + Sync` (built from
-//!   declarative [`InputSpec`](crate::InputSpec)s or `Send + Sync`
-//!   closures), so [`Engine::analyze_all`] fans a batch out over a
-//!   scoped thread pool. Reports are always assembled in *request
-//!   order*, formula-for-formula identical to a sequential run; callers
-//!   that want results as they complete pass a streaming [`ReportSink`]
-//!   to [`Engine::analyze_all_with`].
-//! * **Across locations** — a single [`Engine::analyze`] (or a
-//!   one-request batch) fans its per-location inference out over the
-//!   same pool instead, so single-target workloads that cannot batch
-//!   still scale. [`RunMetrics::workers`](crate::RunMetrics) reports
-//!   the count actually used.
-//!
-//! The budget divides, never multiplies: with `r` requests in flight
-//! each request fans its locations out over its share of the budget —
-//! `parallelism / r`, with the remainder distributed one extra worker
-//! each to the first `parallelism % r` requests, so the whole budget is
-//! spent (a saturated batch runs locations sequentially, a one-request
-//! batch gets the whole budget inside the request) and total thread
-//! count stays bounded by the budget. The engine's entailment cache is
-//! sharded, so worker threads memoize concurrently without serializing
-//! on one lock.
+//! available cores) is spent at one level: across the locations of a
+//! request. The paper's Algorithm 1 infers each location on its own
+//! (its own models, fresh names and result set), so [`Engine::analyze`]
+//! fans a request's per-location inference out over a scoped thread
+//! pool, and [`RunMetrics::workers`](crate::RunMetrics) reports the
+//! count actually used. A batch ([`Engine::analyze_all`]) runs its
+//! requests in order, each over the whole budget, so every report
+//! carries its own cache delta; [`Engine::analyze_all_with`] hands each
+//! report to a sink as soon as it is done. The engine's entailment
+//! cache is sharded, so worker threads memoize concurrently without
+//! serializing on one lock.
 //!
 //! # Cache lifecycle
 //!
@@ -118,7 +105,6 @@ use sling_logic::{
     check_pred_env, parse_predicates, Footprints, PredDef, PredEnv, Symbol, TypeEnv,
 };
 
-use crate::collect::Executor;
 use crate::pipeline::{infer_location, run_target, SlingConfig};
 use crate::report::{BatchReport, LocationAnalysis, Report};
 use crate::request::AnalysisRequest;
@@ -388,22 +374,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the configuration every request of the engine runs under.
-    /// It replaces the whole config, so call it before
-    /// [`EngineBuilder::executor`] and [`EngineBuilder::verification`],
-    /// which write single fields of it.
+    /// Sets the configuration every request of the engine runs under:
+    /// among others the execution tier trace collection runs on
+    /// ([`SlingConfig::executor`]) and the static-verification post-pass
+    /// ([`SlingConfig::verify`]).
     pub fn config(mut self, config: SlingConfig) -> EngineBuilder {
         self.config = config;
-        self
-    }
-
-    /// Enables the static-verification post-pass: every reported
-    /// invariant is graded against its siblings by bounded unfolding
-    /// (see [`sling_checker::verify`]), and refutation witnesses drive
-    /// up to three counterexample-guided re-collection rounds. Off by
-    /// default.
-    pub fn verification(mut self) -> EngineBuilder {
-        self.config.verify = true;
         self
     }
 
@@ -449,22 +425,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the number of worker threads the engine may use — across
-    /// requests in [`Engine::analyze_all`], and across locations inside
-    /// a single [`Engine::analyze`] (clamped to at least 1; `1` means
-    /// strictly sequential). Defaults to the available CPU cores.
+    /// Sets the number of worker threads a request's per-location
+    /// inference may use (clamped to at least 1; `1` means strictly
+    /// sequential). Defaults to the available CPU cores.
     pub fn parallelism(mut self, workers: usize) -> EngineBuilder {
         self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Selects the execution tier trace collection runs on: the compiled
-    /// bytecode VM (default, the hot path) or the tree-walk interpreter
-    /// (the differential-testing oracle — both produce identical traces,
-    /// so this is a performance knob, not a semantics one). Writes the
-    /// config's [`SlingConfig::executor`].
-    pub fn executor(mut self, executor: Executor) -> EngineBuilder {
-        self.config.executor = executor;
         self
     }
 
@@ -557,32 +522,6 @@ pub fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Observer for streaming batch analysis ([`Engine::analyze_all_with`]):
-/// receives each [`Report`] as it completes, before the batch finishes.
-///
-/// `index` is the report's position in the request list. Under parallel
-/// execution reports arrive in *completion* order (not request order)
-/// and from worker threads, hence `Sync`. Any `Fn(usize, &Report) + Sync`
-/// closure is a sink.
-pub trait ReportSink: Sync {
-    /// Called exactly once per request, as its report completes.
-    fn report(&self, index: usize, report: &Report);
-}
-
-impl<F: Fn(usize, &Report) + Sync> ReportSink for F {
-    fn report(&self, index: usize, report: &Report) {
-        self(index, report)
-    }
-}
-
-/// The no-op sink behind [`Engine::analyze_all`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiscardReports;
-
-impl ReportSink for DiscardReports {
-    fn report(&self, _index: usize, _report: &Report) {}
-}
-
 /// A reusable SLING analysis session over one program and predicate
 /// environment.
 ///
@@ -649,7 +588,8 @@ impl Engine {
         &self.config
     }
 
-    /// The number of worker threads [`Engine::analyze_all`] may use.
+    /// The number of worker threads a request's per-location inference
+    /// may use.
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
@@ -873,10 +813,12 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs one (pre-validated) request with `workers` threads available
-    /// for its per-location inference fan-out; the report's cache delta
-    /// is left zeroed for the caller to fill in.
-    fn run_request(&self, request: &AnalysisRequest, workers: usize) -> Report {
+    /// Runs one validated request, its locations fanned out over the
+    /// whole worker budget, and stamps its report with the cache delta
+    /// since `mark`, which then moves to the end of the request. A batch
+    /// chains one mark through its requests, so its per-report deltas
+    /// add up to its batch delta.
+    fn run_request(&self, request: &AnalysisRequest, mark: &mut CacheStats) -> Report {
         let mut report = run_target(
             &self.check_ctx(),
             self.footprints(),
@@ -885,7 +827,7 @@ impl Engine {
             request.target,
             &request.inputs,
             &self.config,
-            workers,
+            self.parallelism,
         );
         report.metrics.compile_seconds = self.compile_seconds;
         if let Some(analysis) = &self.analysis {
@@ -902,6 +844,9 @@ impl Engine {
             report.metrics.static_warnings = report.static_warnings.len();
             report.unreachable_locations = analysis.unreachable_in(request.target).to_vec();
         }
+        let now = self.cache.stats();
+        report.cache = now.since(mark);
+        *mark = now;
         report
     }
 
@@ -910,95 +855,63 @@ impl Engine {
     /// validate entry/exit pairs with the frame rule.
     ///
     /// With [`Engine::parallelism`] `> 1` the per-location inference
-    /// loop fans out over a scoped thread pool (the whole worker budget
-    /// goes to this one request), so a single-target workload with many
-    /// locations scales like a batch does; output is identical to a
-    /// sequential run, and [`RunMetrics::workers`](crate::RunMetrics)
-    /// reports the worker count actually used.
+    /// loop fans out over a scoped thread pool, so a single-target
+    /// workload with many locations uses every worker; output is
+    /// identical to a sequential run, and
+    /// [`RunMetrics::workers`](crate::RunMetrics) reports the worker
+    /// count actually used.
     pub fn analyze(&self, request: &AnalysisRequest) -> Result<Report, AnalyzeError> {
         self.validate(request)?;
-        let before = self.cache.stats();
-        let mut report = self.run_request(request, self.parallelism);
-        report.cache = self.cache.stats().since(&before);
-        Ok(report)
+        Ok(self.run_request(request, &mut self.cache.stats()))
     }
 
     /// Serves a batch of requests against the shared predicate
-    /// environment and checker cache, fanning out over up to
-    /// [`Engine::parallelism`] worker threads. Targets are validated up
-    /// front, so either every request runs or none does.
+    /// environment and checker cache. Targets are validated up front, so
+    /// either every request runs or none does; then the requests run in
+    /// order, each as [`Engine::analyze`] runs it, with its locations
+    /// over the whole worker budget.
     ///
-    /// Reports come back in *request order* and are formula-for-formula
+    /// Reports come back in request order and are formula-for-formula
     /// identical to a sequential run regardless of the worker count
     /// (inference is deterministic per request, and cache hits return
-    /// the same reductions a cold search would). Per-report cache deltas
-    /// are exact when run sequentially (`parallelism(1)`); under
-    /// parallel execution concurrent requests interleave on the shared
-    /// cache, so per-report deltas are left zeroed and the batch-level
-    /// [`BatchReport::cache`] delta is the authoritative accounting.
+    /// the same reductions a cold search would). Each report carries
+    /// its own cache delta, and the deltas add up to the batch's
+    /// [`BatchReport::cache`].
     pub fn analyze_all<'r, I>(&self, requests: I) -> Result<BatchReport, AnalyzeError>
     where
         I: IntoIterator<Item = &'r AnalysisRequest>,
     {
-        self.analyze_all_with(requests, &DiscardReports)
+        self.analyze_all_with(requests, |_, _| {})
     }
 
     /// [`Engine::analyze_all`] with a streaming observer: `sink`
-    /// receives each report as it completes (in completion order), so
-    /// long batches can surface progressive results instead of blocking
-    /// on the slowest request.
-    pub fn analyze_all_with<'r, I, S>(
+    /// receives each report, with its index in `requests`, as soon as
+    /// the report is done, on the calling thread and in request order,
+    /// so long batches can surface results before the last request
+    /// finishes.
+    pub fn analyze_all_with<'r, I>(
         &self,
         requests: I,
-        sink: &S,
+        mut sink: impl FnMut(usize, &Report),
     ) -> Result<BatchReport, AnalyzeError>
     where
         I: IntoIterator<Item = &'r AnalysisRequest>,
-        S: ReportSink + ?Sized,
     {
         let requests: Vec<&AnalysisRequest> = requests.into_iter().collect();
         for request in &requests {
             self.validate(request)?;
         }
         let before = self.cache.stats();
-        let workers = self.parallelism.min(requests.len());
-        // Divide the worker budget between the two levels: `workers`
-        // requests in flight, each fanning its locations out over a
-        // share of what remains. A one-request "batch" on an 8-way
-        // engine gets all 8 workers inside the request; a 2-request
-        // batch gets 4 each. The division is exact, not truncating:
-        // the first `parallelism % workers` requests get one extra
-        // inner worker, so an 8-way engine spends all 8 threads on a
-        // 3-request batch (3 + 3 + 2) instead of stranding two. At most
-        // `workers` requests run concurrently and fewer than `workers`
-        // of them carry the +1, so concurrent thread count never
-        // exceeds the budget.
-        let base = self.parallelism / workers.max(1);
-        let extra = self.parallelism % workers.max(1);
-        let inner = |index: usize| if index < extra { base + 1 } else { base };
-        let reports = if workers <= 1 {
-            let mut reports = Vec::with_capacity(requests.len());
-            for (index, request) in requests.iter().enumerate() {
-                let at_start = self.cache.stats();
-                let mut report = self.run_request(request, inner(index));
-                report.cache = self.cache.stats().since(&at_start);
-                sink.report(index, &report);
-                reports.push(report);
-            }
-            reports
-        } else {
-            // The shared work-stealing scaffold: each finished report
-            // lands in its request-index slot, so assembly is
-            // deterministic no matter which worker ran what.
-            crate::fanout::fan_out(workers, requests.len(), |index| {
-                let report = self.run_request(requests[index], inner(index));
-                sink.report(index, &report);
-                report
-            })
-        };
+        let mut mark = before;
+        let mut reports = Vec::with_capacity(requests.len());
+        for (index, request) in requests.into_iter().enumerate() {
+            let report = self.run_request(request, &mut mark);
+            sink(index, &report);
+            reports.push(report);
+        }
         Ok(BatchReport {
             reports,
-            cache: self.cache.stats().since(&before),
+            cache: mark.since(&before),
         })
     }
 
@@ -1030,8 +943,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
+    use crate::collect::Executor;
     use crate::spec::{ExactCell, ExactVal, InputSpec};
     use sling_lang::{ListLayout, TreeKind, TreeLayout};
 
@@ -1823,12 +1736,15 @@ mod tests {
         // are always inspectable.
         assert!(engine.compiled().disassemble().contains("fn id"));
 
-        // The builder call writes the base config.
+        // The builder's config selects it.
         for wanted in [Executor::Treewalk, Executor::Bytecode] {
             let engine = Engine::builder()
                 .program_source(SRC)
                 .unwrap()
-                .executor(wanted)
+                .config(SlingConfig {
+                    executor: wanted,
+                    ..SlingConfig::default()
+                })
                 .build()
                 .unwrap();
             assert_eq!(engine.config().executor, wanted);
@@ -1898,18 +1814,17 @@ mod tests {
                 ))
             })
             .collect();
-        let seen = Mutex::new(Vec::new());
-        let sink = |index: usize, report: &Report| {
-            seen.lock().unwrap().push((index, report.target));
-        };
-        let batch = engine.analyze_all_with(&requests, &sink).unwrap();
+        let mut seen = Vec::new();
+        let batch = engine
+            .analyze_all_with(&requests, |index, report| {
+                seen.push((index, report.target));
+            })
+            .unwrap();
         assert_eq!(batch.reports.len(), 4);
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort();
         assert_eq!(
             seen.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![0, 1, 2, 3],
-            "sink must see each report exactly once"
+            "sink must see each report exactly once, in request order"
         );
     }
 }

@@ -1,8 +1,7 @@
-//! The work-stealing scaffold shared by both parallelism levels.
+//! The work-stealing scaffold behind per-location inference.
 //!
-//! [`Engine::analyze_all`](crate::Engine::analyze_all) (across
-//! requests) and `run_target` (across the locations of one request) run
-//! the same scheme: worker threads claim job indices from an atomic
+//! `run_target` fans the locations of one request out over the engine's
+//! worker budget: worker threads claim job indices from an atomic
 //! cursor and park each result in its index slot, so assembly is in job
 //! order — deterministic no matter which worker ran what.
 
@@ -12,8 +11,7 @@ use std::sync::Mutex;
 /// Runs `count` independent jobs over `workers` workers and returns the
 /// results in job order. The calling thread is one of the workers
 /// (`workers - 1` threads are spawned), so a `workers`-way fan-out
-/// occupies exactly `workers` threads — nested fan-outs stay within the
-/// budget their worker counts sum to. With `workers <= 1` (or a single
+/// occupies exactly `workers` threads. With `workers <= 1` (or a single
 /// job) the jobs run inline — no spawn, identical results.
 pub(crate) fn fan_out<T, F>(workers: usize, count: usize, job: F) -> Vec<T>
 where

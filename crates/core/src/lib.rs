@@ -25,7 +25,7 @@
 //!    verification post-pass — bounded-unfolding entailment checking
 //!    against the sibling invariants, with refutation witnesses driving
 //!    counterexample-guided re-collection rounds
-//!    ([`EngineBuilder::verification`], [`InvariantGrade`]).
+//!    ([`SlingConfig::verify`], [`InvariantGrade`]).
 //!
 //! Steps 2 and 3 never copy a heap: each location's selected models
 //! ([`select_models`]) are indexed once, with their cells in address
@@ -58,10 +58,10 @@
 //! * [`Engine::analyze`] serves one request as a [`Report`] — with its
 //!   per-location inference fanned out over the engine's worker pool,
 //!   so even a single-target request uses every core;
-//!   [`Engine::analyze_all`] serves a batch as a [`BatchReport`] —
-//!   fanned out over a scoped thread pool, assembled in request order —
-//!   and [`Engine::analyze_all_with`] additionally streams each report
-//!   to a [`ReportSink`] as it completes.
+//!   [`Engine::analyze_all`] serves a batch as a [`BatchReport`] by
+//!   running its requests in order, each over the whole pool, and
+//!   [`Engine::analyze_all_with`] additionally hands each report to a
+//!   sink as soon as it is done.
 //! * [`EngineBuilder::cache_path`] makes the entailment cache
 //!   persistent: the engine warm-starts from a snapshot saved by an
 //!   earlier process ([`Engine::save_cache`]), and
@@ -117,7 +117,7 @@
 //!
 //! The same engine serves further requests — other inputs, other target
 //! functions of the program — with the entailment cache already warm;
-//! see [`Engine::analyze_all`] for batches (parallel by default) and
+//! see [`Engine::analyze_all`] for batches and
 //! [`Engine::analyze_all_with`] for streaming consumption.
 
 #![warn(missing_docs)]
@@ -137,8 +137,7 @@ mod validate;
 
 pub use collect::{collect_models, Collected, Executor, RunTrace};
 pub use engine::{
-    default_parallelism, AnalyzeError, BuildError, DiscardReports, Engine, EngineBuilder,
-    ReportSink, MAX_INPUT_CELLS,
+    default_parallelism, AnalyzeError, BuildError, Engine, EngineBuilder, MAX_INPUT_CELLS,
 };
 pub use infer::{var_types, VarTy};
 pub use pipeline::{select_models, SlingConfig};

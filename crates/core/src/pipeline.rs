@@ -49,12 +49,16 @@ pub struct SlingConfig {
     pub vm: VmConfig,
     /// Tracer behaviour (freed-cell visibility).
     pub trace: TraceConfig,
-    /// Which execution tier collects traces (bytecode by default; the
-    /// tree-walk oracle via [`crate::EngineBuilder::executor`]).
+    /// Which execution tier collects traces: the compiled bytecode VM
+    /// (default, the hot path) or the tree-walk interpreter (the
+    /// differential-testing oracle; both produce identical traces, so
+    /// this is a performance knob, not a semantics one).
     pub executor: Executor,
-    /// Static verification + CEGIR refinement
-    /// ([`crate::EngineBuilder::verification`]); off leaves every
-    /// invariant [`InvariantGrade::Ungraded`].
+    /// Static verification + CEGIR refinement: every reported invariant
+    /// is graded against its siblings by bounded unfolding (see
+    /// [`sling_checker::verify`]), and refutation witnesses drive up to
+    /// three counterexample-guided re-collection rounds. Off by default,
+    /// which leaves every invariant [`InvariantGrade::Ungraded`].
     pub verify: bool,
 }
 
@@ -252,10 +256,10 @@ fn run_target_once(
     let func = program.func(target).expect("target exists");
     let param_order: Vec<Symbol> = func.params.iter().map(|p| p.name).collect();
 
-    // Intra-request fan-out: locations are independent (each has its
-    // own models, fresh-variable counter, and result set), so they run
-    // over the shared work-stealing scaffold with location-order slot
-    // assembly — the same scheme as the engine's request-level pool.
+    // The engine's one fan-out level: locations are independent (each
+    // has its own models, fresh-variable counter, and result set), so
+    // they run over the work-stealing scaffold with location-order slot
+    // assembly.
     let by_loc: Vec<(Location, Vec<&Snapshot>)> = collected.by_location().into_iter().collect();
     let workers = workers.max(1).min(by_loc.len().max(1));
     let mut locations: Vec<LocationAnalysis> = crate::fanout::fan_out(workers, by_loc.len(), |i| {

@@ -159,12 +159,10 @@ pub struct Report {
     /// Run accounting.
     pub metrics: RunMetrics,
     /// Checker-cache movement attributable to this request (hit/miss
-    /// deltas; `entries` is the cache's absolute size afterwards).
-    /// Exact for [`crate::Engine::analyze`] and for sequential batches
-    /// (`parallelism(1)`); under parallel [`crate::Engine::analyze_all`]
-    /// concurrent requests interleave on the shared cache, so this is
-    /// left zeroed and [`BatchReport::cache`] is the authoritative
-    /// accounting.
+    /// deltas; `entries` is the cache's absolute size afterwards). A
+    /// batch runs its requests one after another, so its reports'
+    /// deltas add up to [`BatchReport::cache`]. Lookups that concurrent
+    /// callers of the same engine make in the meantime count too.
     pub cache: CacheStats,
     /// Warning-level findings the static-diagnostics pass attributed to
     /// the target function. Empty unless the engine was built with
@@ -225,7 +223,8 @@ impl Report {
 pub struct BatchReport {
     /// One report per request, in request order.
     pub reports: Vec<Report>,
-    /// Checker-cache movement across the whole batch.
+    /// Checker-cache movement across the whole batch: the sum of its
+    /// reports' deltas.
     pub cache: CacheStats,
 }
 

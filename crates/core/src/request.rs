@@ -5,8 +5,8 @@
 //! case: plain data, loggable and replayable) or a [`custom
 //! closure`](InputSource::custom) for inputs a spec cannot express.
 //! Requests are `Send + Sync + Clone + Debug`, so one batch can be
-//! cloned, logged, and fanned out across the worker threads of
-//! [`Engine::analyze_all`](crate::Engine::analyze_all).
+//! cloned, logged, and shared across threads before
+//! [`Engine::analyze_all`](crate::Engine::analyze_all) serves it.
 
 use std::sync::Arc;
 

@@ -76,16 +76,6 @@ impl PredDef {
     pub fn mentions_ptr_type(&self, ty: Symbol) -> bool {
         self.params.iter().any(|p| p.ty == FieldTy::Ptr(ty))
     }
-
-    /// Total number of points-to atoms across all cases (complexity stat).
-    pub fn singleton_atoms(&self) -> usize {
-        self.cases.iter().map(|c| c.singleton_count()).sum()
-    }
-
-    /// Total number of predicate atoms across all cases (complexity stat).
-    pub fn inductive_atoms(&self) -> usize {
-        self.cases.iter().map(|c| c.pred_count()).sum()
-    }
 }
 
 impl fmt::Display for PredDef {
@@ -245,8 +235,6 @@ mod tests {
     #[test]
     fn complexity_stats() {
         let preds = parse_predicates(DLL).unwrap();
-        assert_eq!(preds[0].singleton_atoms(), 1);
-        assert_eq!(preds[0].inductive_atoms(), 1);
         assert_eq!(preds[0].arity(), 4);
     }
 }

@@ -19,22 +19,6 @@ pub enum FieldTy {
     Ptr(Symbol),
 }
 
-impl FieldTy {
-    /// True if `self` may be used where `other` is expected.
-    ///
-    /// Structure types are invariant, so subtyping is equality; the method
-    /// exists to mirror the `type(ki) <: type(ti)` check of Algorithm 2
-    /// line 8 and to leave room for widening later.
-    pub fn is_subtype_of(self, other: FieldTy) -> bool {
-        self == other
-    }
-
-    /// True for pointer types.
-    pub fn is_ptr(self) -> bool {
-        matches!(self, FieldTy::Ptr(_))
-    }
-}
-
 impl fmt::Display for FieldTy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -71,16 +55,6 @@ impl StructDef {
     /// The declared type of the field named `name`, if any.
     pub fn field_ty(&self, name: Symbol) -> Option<FieldTy> {
         self.fields.iter().find(|f| f.name == name).map(|f| f.ty)
-    }
-
-    /// Indices of the pointer-typed fields (used by heap traversal).
-    pub fn ptr_field_indices(&self) -> Vec<usize> {
-        self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.ty.is_ptr())
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -245,20 +219,5 @@ mod tests {
             ],
         };
         assert!(env.define(def).is_err());
-    }
-
-    #[test]
-    fn ptr_field_indices() {
-        let def = node_def();
-        assert_eq!(def.ptr_field_indices(), vec![0]);
-    }
-
-    #[test]
-    fn subtyping_is_equality() {
-        let n = FieldTy::Ptr(Symbol::intern("Node"));
-        let m = FieldTy::Ptr(Symbol::intern("Tree"));
-        assert!(n.is_subtype_of(n));
-        assert!(!n.is_subtype_of(m));
-        assert!(!FieldTy::Int.is_subtype_of(n));
     }
 }

@@ -40,14 +40,6 @@ impl Stack {
         self.vars.keys().copied()
     }
 
-    /// All variables whose value equals `val` (aliases).
-    pub fn aliases_of(&self, val: Val) -> Vec<Symbol> {
-        self.iter()
-            .filter(|(_, v)| *v == val)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.vars.len()
@@ -83,7 +75,6 @@ impl fmt::Display for Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Loc;
 
     #[test]
     fn bind_and_get() {
@@ -93,17 +84,6 @@ mod tests {
         assert_eq!(s.get(x), Some(Val::Int(3)));
         assert_eq!(s.bind(x, Val::Nil), Some(Val::Int(3)));
         assert_eq!(s.get(x), Some(Val::Nil));
-    }
-
-    #[test]
-    fn aliases() {
-        let mut s = Stack::new();
-        let a = Val::Addr(Loc::new(9));
-        s.bind(Symbol::intern("x"), a);
-        s.bind(Symbol::intern("y"), a);
-        s.bind(Symbol::intern("z"), Val::Nil);
-        let names: Vec<_> = s.aliases_of(a).iter().map(|s| s.as_str()).collect();
-        assert_eq!(names, vec!["x", "y"]);
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl Client {
     }
 
     /// [`Client::analyze_all`] with a streaming observer: `sink` sees
-    /// each report as its frame arrives (completion order), before the
+    /// each report as its frame arrives (request order), before the
     /// batch finishes — the wire mirror of
     /// [`sling::Engine::analyze_all_with`].
     pub fn analyze_all_with(

@@ -27,7 +27,8 @@
 //!   over handler threads, resolves each batch's tenant, answers it
 //!   through
 //!   [`Engine::analyze_all_with`](sling::Engine::analyze_all_with) so
-//!   reports stream in completion order, drains gracefully.
+//!   reports stream in request order as each is done, drains
+//!   gracefully.
 //! * [`Client`] — the blocking helper: connect, read the warm-boot
 //!   banner, [`Client::analyze_all`] /
 //!   [`Client::analyze_all_uploaded`] as the wire mirrors of the

@@ -225,9 +225,15 @@ fn build_engine(
             std::fs::read_to_string(args.predicates.as_ref().expect("validated"))?,
         ),
     };
+    let config = SlingConfig {
+        executor: args.executor.unwrap_or_default(),
+        verify: args.verify,
+        ..SlingConfig::default()
+    };
     let mut builder = Engine::builder()
         .program_source(&program)?
-        .predicates_source(&predicates)?;
+        .predicates_source(&predicates)?
+        .config(config);
     if let Some(path) = cache_path {
         builder = builder.cache_path(path);
     }
@@ -236,12 +242,6 @@ fn build_engine(
     }
     if let Some(workers) = args.parallelism {
         builder = builder.parallelism(workers);
-    }
-    if let Some(executor) = args.executor {
-        builder = builder.executor(executor);
-    }
-    if args.verify {
-        builder = builder.verification();
     }
     Ok(builder.build()?)
 }

@@ -21,7 +21,7 @@
 //! server → client   hello warm_entries:u64 parallelism:u64 poolstats ; on connect
 //! server → client   busy active:u64 max:u64                          ; on connect, saturated
 //! server → client   pong
-//! server → client   report id:u64 index:u64 report                   ; completion order
+//! server → client   report id:u64 index:u64 report                   ; request order
 //! server → client   done id:u64 nreports:u64 cache verifytotals poolstats
 //! server → client   rejected id:u64 n:u64 diagnostic*                ; upload failed the gate
 //! server → client   error id:u64 message:string                      ; id 0 = unattributable
@@ -75,9 +75,10 @@
 //!
 //! `id` is a client-chosen correlation number echoed on every frame of
 //! the batch's response, so one connection can distinguish interleaved
-//! responses. Reports stream in *completion* order; the `index` token is
-//! the request's position in the batch, which is how the client
-//! reassembles request order.
+//! responses. Reports stream in request order, each as soon as it is
+//! done; the `index` token is the request's position in the batch, and
+//! the client files each report under it. Each report carries its own
+//! cache delta, and the deltas add up to the `done` frame's.
 //!
 //! The `tenant` slot is what makes the daemon multi-tenant: an `upload`
 //! carries MiniC program and predicate-library source, and the server
@@ -388,7 +389,7 @@ pub enum ServerFrame {
     },
     /// Answer to `ping`.
     Pong,
-    /// One completed report of batch `id` (streamed, completion order).
+    /// One completed report of batch `id` (streamed, request order).
     Report {
         /// Correlation id of the batch.
         id: u64,

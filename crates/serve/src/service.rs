@@ -92,9 +92,10 @@ impl Shared {
 /// newline-delimited frame protocol of [`crate::proto`]: each `analyze`
 /// frame first resolves its tenant slot against the pool — the default
 /// engine, or an uploaded program built on miss and reused on hit —
-/// then fans out over that engine ([`Engine::analyze_all_with`]),
-/// streaming every [`Report`] back the moment it completes and closing
-/// the batch with a `done` frame that carries the batch's cache delta,
+/// then runs the batch on that engine ([`Engine::analyze_all_with`]),
+/// streaming every [`Report`] back in request order as soon as it is
+/// done and closing the batch with a `done` frame that carries the
+/// batch's cache delta (the sum of the reports' deltas),
 /// the batch's summed grade totals
 /// ([`VerifyTotals`](crate::proto::VerifyTotals)), and the pool's
 /// movement counters. Engines — and with them warm entailment caches —
@@ -324,14 +325,10 @@ fn snapshot_loop(shared: &Shared, interval: Duration) {
 
 /// The per-connection server loop: banner, then frame-by-frame service
 /// until the client hangs up or the drain begins.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     stream.set_nodelay(true).ok();
     // Reads wake periodically so an idle connection notices the drain.
     stream.set_read_timeout(Some(DRAIN_POLL)).ok();
-    let writer = Mutex::new(match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    });
     let hello = ServerFrame::Hello {
         warm_entries: shared
             .pool
@@ -340,22 +337,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         parallelism: shared.pool.parallelism() as u64,
         pool: shared.pool.stats(),
     };
-    if send(&writer, &hello).is_err() {
+    if send(&stream, &hello).is_err() {
         return;
     }
 
-    let mut reader = stream;
     let mut frames = FrameBuffer::with_limit(shared.max_frame_bytes);
     loop {
         while let Some(line) = frames.pop_line() {
-            if !serve_frame(&line, shared, &writer) {
+            if !serve_frame(&line, shared, &stream) {
                 return;
             }
         }
         if shared.draining.load(Ordering::SeqCst) {
             return; // between frames: in-flight work already finished
         }
-        match frames.fill(&mut reader) {
+        match frames.fill(&mut stream) {
             Ok(true) => {}
             Ok(false) => return, // clean EOF
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
@@ -367,8 +363,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     .get_ref()
                     .and_then(|inner| inner.downcast_ref::<FrameTooLarge>())
                 {
-                    send_error(&writer, 0, &too_large.to_string());
-                    drain_peer(&mut reader);
+                    send_error(&stream, 0, &too_large.to_string());
+                    drain_peer(&mut stream);
                 }
                 return;
             }
@@ -400,7 +396,7 @@ fn drain_peer(stream: &mut TcpStream) {
 }
 
 /// Serves one decoded frame; `false` ends the connection.
-fn serve_frame(line: &str, shared: &Shared, writer: &Mutex<TcpStream>) -> bool {
+fn serve_frame(line: &str, shared: &Shared, writer: &TcpStream) -> bool {
     if line.trim().is_empty() {
         return true;
     }
@@ -424,21 +420,20 @@ fn serve_frame(line: &str, shared: &Shared, writer: &Mutex<TcpStream>) -> bool {
                 }
                 Err(e) => return send_error(writer, id, &e.to_string()),
             };
-            // Stream each report the moment its request completes; the
-            // sink runs on the engine's worker threads, so the write
-            // end is mutex-shared and failures flip a flag instead of
-            // unwinding across the pool.
-            let broken = AtomicBool::new(false);
+            // Stream each report as soon as it is done. The sink runs on
+            // this thread between requests; after a failed write the
+            // batch still finishes, but sends nothing more.
+            let mut broken = false;
             let sink = |index: usize, report: &Report| {
-                // Encoded straight from the borrow: cloning a Report
-                // (residue heaps and all) per streamed frame would be
-                // pure overhead on the worker threads.
-                let line = crate::proto::encode_report_frame(id, index as u64, report);
-                if send_line(writer, line).is_err() {
-                    broken.store(true, Ordering::Relaxed);
+                if !broken {
+                    // Encoded straight from the borrow: cloning a Report
+                    // (residue heaps and all) per streamed frame would be
+                    // pure overhead.
+                    let line = crate::proto::encode_report_frame(id, index as u64, report);
+                    broken = send_line(writer, line).is_err();
                 }
             };
-            match engine.analyze_all_with(&requests, &sink) {
+            match engine.analyze_all_with(&requests, sink) {
                 Ok(batch) => {
                     let done = ServerFrame::Done {
                         id,
@@ -447,7 +442,7 @@ fn serve_frame(line: &str, shared: &Shared, writer: &Mutex<TcpStream>) -> bool {
                         cache: batch.cache,
                         pool: shared.pool.stats(),
                     };
-                    !broken.load(Ordering::Relaxed) && send(writer, &done).is_ok()
+                    !broken && send(writer, &done).is_ok()
                 }
                 Err(e) => send_error(writer, id, &e.to_string()),
             }
@@ -456,19 +451,18 @@ fn serve_frame(line: &str, shared: &Shared, writer: &Mutex<TcpStream>) -> bool {
     }
 }
 
-fn send(writer: &Mutex<TcpStream>, frame: &ServerFrame) -> io::Result<()> {
+fn send(writer: &TcpStream, frame: &ServerFrame) -> io::Result<()> {
     send_line(writer, frame.encode())
 }
 
-fn send_line(writer: &Mutex<TcpStream>, mut line: String) -> io::Result<()> {
+fn send_line(mut writer: &TcpStream, mut line: String) -> io::Result<()> {
     line.push('\n');
-    let mut guard = writer.lock().expect("connection writer");
-    guard.write_all(line.as_bytes())
+    writer.write_all(line.as_bytes())
 }
 
 /// Reports a failure to the client; the connection stays usable (a bad
 /// frame must not take down a long-lived client session).
-fn send_error(writer: &Mutex<TcpStream>, id: u64, message: &str) -> bool {
+fn send_error(writer: &TcpStream, id: u64, message: &str) -> bool {
     send(
         writer,
         &ServerFrame::Error {

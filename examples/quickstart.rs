@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run SLING. The same engine can keep serving requests — further
     //    inputs, other functions — with its entailment cache warm, and
-    //    `analyze_all` fans whole batches out across worker threads.
+    //    `analyze_all` serves whole batches, each request's locations
+    //    over every worker thread.
     let report = engine.analyze(&request)?;
 
     println!(

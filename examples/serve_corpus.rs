@@ -17,11 +17,13 @@
 //! ```
 //!
 //! Exits nonzero when any served formula differs from its in-process
-//! counterpart.
+//! counterpart, or when the reports' cache deltas (hits, warm hits,
+//! misses) of either batch do not add up to its batch delta; served,
+//! those travel in the `report` and `done` frames.
 
 use std::time::Duration;
 
-use sling::{Engine, Report};
+use sling::{BatchReport, CacheStats, Engine, Report};
 use sling_serve::{Client, Service};
 use sling_suite::fixtures::ListCorpus;
 
@@ -37,6 +39,17 @@ fn fingerprint(report: &Report) -> String {
         }
     }
     out
+}
+
+/// Whether the reports' cache deltas of `batch` add up to its batch
+/// delta, counter by counter.
+fn deltas_add_up(batch: &BatchReport) -> bool {
+    let sum = |counter: fn(&CacheStats) -> u64| -> u64 {
+        batch.reports.iter().map(|r| counter(&r.cache)).sum()
+    };
+    sum(|c| c.hits) == batch.cache.hits
+        && sum(|c| c.warm_hits) == batch.cache.warm_hits
+        && sum(|c| c.misses) == batch.cache.misses
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -110,6 +123,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if mismatches > 0 {
         return Err(format!("{mismatches} served reports diverged").into());
+    }
+    for (side, batch) in [("in-process", &reference), ("served", &served)] {
+        if !deltas_add_up(batch) {
+            return Err(format!(
+                "the {side} reports' cache deltas do not add up to the batch delta ({})",
+                batch.cache
+            )
+            .into());
+        }
     }
     println!(
         "served output identical to in-process analyze_all: {} targets, {} invariants, cache {}",

@@ -175,9 +175,11 @@ fn whole_corpus_reports_impl() {
         let engine = sling::Engine::builder()
             .program(sling_suite::eval::compile(bench))
             .pred_env(sling_suite::predicates::pred_env(bench.category))
-            .config(config.sling)
+            .config(sling::SlingConfig {
+                executor,
+                ..config.sling
+            })
             .shared_cache(cache.clone())
-            .executor(executor)
             .parallelism(workers)
             .build()
             .unwrap_or_else(|e| panic!("{}: engine build error: {e}", bench.name));

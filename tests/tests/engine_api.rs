@@ -66,8 +66,8 @@ fn traverse_input(n: usize) -> InputSource {
     InputSource::custom(move |heap: &mut RtHeap| vec![mk_dll(heap, n)])
 }
 
-/// A strictly sequential engine, so per-request cache deltas are exact
-/// (parallel batches only guarantee the batch-level delta).
+/// A strictly sequential engine, so per-request hit and miss counts do
+/// not vary between runs (two workers can miss one key at once).
 fn engine() -> Engine {
     Engine::builder()
         .program_source(PROGRAM)

@@ -1,9 +1,10 @@
-//! Intra-request parallelism: a single `analyze` call fans its
-//! per-location inference out over the engine's worker pool, produces
-//! output formula-for-formula identical to a sequential run, and reports
-//! the worker count it actually used in `RunMetrics::workers`.
+//! Intra-request parallelism: a single `analyze` call, and each request
+//! of a batch, fans its per-location inference out over the engine's
+//! worker pool, produces output formula-for-formula identical to a
+//! sequential run, and reports the worker count it actually used in
+//! `RunMetrics::workers`.
 
-use sling::{AnalysisRequest, Engine, InputSpec, ListLayout, Report, ValueSpec};
+use sling::{AnalysisRequest, CacheStats, Engine, InputSpec, ListLayout, Report, ValueSpec};
 use sling_logic::Symbol;
 
 /// One function, many locations: two labels, a loop head, an entry and
@@ -135,81 +136,25 @@ fn workers_are_capped_by_reached_locations() {
 }
 
 #[test]
-fn the_worker_budget_divides_between_batch_and_request_levels() {
-    let request = request();
-    let engine = engine(4);
-
-    // A single-request batch cannot parallelize across requests, so the
-    // whole budget moves inside the request...
-    let solo = engine.analyze_all([&request]).expect("target exists");
-    assert!(
-        solo.reports[0].metrics.workers >= 2,
-        "one-request batch should fan out per location: {:?}",
-        solo.reports[0].metrics
-    );
-
-    // ...a half-full batch splits it (4 workers / 2 requests = 2 each,
-    // never more than the budget in total)...
-    let pair = vec![request.clone(), request.clone()];
-    let batch = engine.analyze_all(&pair).expect("targets exist");
-    for report in &batch.reports {
-        assert_eq!(
-            report.metrics.workers, 2,
-            "2 requests on a 4-way engine get 2 inner workers each: {:?}",
-            report.metrics
-        );
-    }
-
-    // ...and a saturated batch runs each request's locations
-    // sequentially (no oversubscription).
-    let requests = vec![request.clone(), request.clone(), request.clone(), request];
-    let batch = engine.analyze_all(&requests).expect("targets exist");
-    for report in &batch.reports {
-        assert_eq!(
-            report.metrics.workers, 1,
-            "a saturated batch must not nest location fan-out"
-        );
-    }
-}
-
-#[test]
-fn uneven_splits_spend_the_whole_budget() {
-    // 8 workers over 3 requests used to truncate to 2 inner workers
-    // each (6 of 8 threads); the remainder must be distributed instead:
-    // the first 8 % 3 = 2 requests get one extra inner worker, so the
-    // per-request counts are exactly [3, 3, 2] and the total equals the
-    // budget. The span program reaches 6 locations, so no request's
-    // count is clamped below its share.
+fn batch_requests_get_the_whole_budget_and_exact_cache_deltas() {
+    // A batch runs its requests one after another, each as `analyze`
+    // runs it: its locations over the whole worker budget, and its own
+    // cache delta, so the reports' deltas add up to the batch's.
     let requests = vec![request(), request(), request()];
-    let batch = engine(8).analyze_all(&requests).expect("targets exist");
-    let workers: Vec<usize> = batch
-        .reports
-        .iter()
-        .map(|report| report.metrics.workers)
-        .collect();
-    assert_eq!(
-        workers,
-        vec![3, 3, 2],
-        "remainder goes to the first parallelism % requests requests"
-    );
-    assert_eq!(
-        workers.iter().sum::<usize>(),
-        8,
-        "total thread usage must equal the budget"
-    );
-
-    // The uneven split must not change the analysis itself.
-    let sequential = engine(1).analyze_all(&requests).expect("targets exist");
-    for (s, p) in sequential.reports.iter().zip(&batch.reports) {
-        assert_eq!(fingerprint(s), fingerprint(p));
+    let engine = engine(4);
+    let batch = engine.analyze_all(&requests).expect("targets exist");
+    for (request, report) in requests.iter().zip(&batch.reports) {
+        let alone = engine.analyze(request).expect("target exists");
+        assert_eq!(
+            report.metrics.workers, alone.metrics.workers,
+            "a batch request gets the workers `analyze` gives it"
+        );
     }
-
-    // An indivisible budget with more requests than workers: 5 workers
-    // over 7 requests run one request per worker with no headroom for
-    // nesting — every request must stay sequential inside.
-    let seven: Vec<_> = (0..7).map(|_| request()).collect();
-    let batch = engine(5).analyze_all(&seven).expect("targets exist");
-    for report in &batch.reports {
-        assert_eq!(report.metrics.workers, 1);
-    }
+    assert!(batch.cache.lookups() > 0);
+    let sum = |counter: fn(&CacheStats) -> u64| -> u64 {
+        batch.reports.iter().map(|r| counter(&r.cache)).sum()
+    };
+    assert_eq!(sum(|c| c.hits), batch.cache.hits);
+    assert_eq!(sum(|c| c.warm_hits), batch.cache.warm_hits);
+    assert_eq!(sum(|c| c.misses), batch.cache.misses);
 }

@@ -1,9 +1,7 @@
 //! Parallel batch execution: `analyze_all` with several worker threads
 //! must produce reports formula-for-formula identical to a sequential
-//! run, in request order, while streaming each report to the sink as it
-//! completes.
-
-use std::sync::Mutex;
+//! run, in request order, while streaming each report to the sink as
+//! soon as it is done.
 
 use sling::{AnalysisRequest, Engine, Report};
 use sling_suite::fixtures::ListCorpus;
@@ -108,21 +106,16 @@ fn parallel_reports_match_sequential_byte_for_byte() {
 fn streaming_sink_runs_while_the_batch_is_in_flight() {
     let requests = batch();
     let engine = engine(4);
-    let seen: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let sink = |index: usize, report: &Report| {
-        seen.lock()
-            .unwrap()
-            .push((index, report.target.to_string()));
-    };
+    let mut seen: Vec<(usize, String)> = Vec::new();
     let batch_report = engine
-        .analyze_all_with(&requests, &sink)
+        .analyze_all_with(&requests, |index, report| {
+            seen.push((index, report.target.to_string()));
+        })
         .expect("targets exist");
 
-    let mut seen = seen.into_inner().unwrap();
     assert_eq!(seen.len(), requests.len(), "one sink call per request");
-    seen.sort();
     for (i, (index, target)) in seen.iter().enumerate() {
-        assert_eq!(*index, i, "every request index reported exactly once");
+        assert_eq!(*index, i, "the sink sees the requests in order");
         assert_eq!(target, requests[i].target.as_str());
     }
     // The assembled batch still has them in request order.

@@ -9,8 +9,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sling::{
-    AnalysisRequest, Engine, ExactCell, ExactVal, InputSpec, ListLayout, Report, TreeKind,
-    TreeLayout, ValueSpec,
+    AnalysisRequest, Engine, ExactCell, ExactVal, InputSpec, ListLayout, Report, SlingConfig,
+    TreeKind, TreeLayout, ValueSpec,
 };
 use sling_logic::Symbol;
 use sling_serve::proto::{
@@ -706,7 +706,10 @@ fn verification_totals_ride_the_done_epilogue() {
     // into the batch's `done` frame.
     let corpus = ListCorpus::new("ServeVfyNode");
     let engine = corpus_engine(&corpus)
-        .verification()
+        .config(SlingConfig {
+            verify: true,
+            ..SlingConfig::default()
+        })
         .build()
         .expect("engine builds");
     let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");

@@ -10,22 +10,22 @@
 //! when nothing is refuted, the graded formulas are identical to a
 //! dynamic-only run.
 
-use sling::{AnalysisRequest, Engine, InvariantGrade, Report};
+use sling::{AnalysisRequest, Engine, InvariantGrade, Report, SlingConfig};
 use sling_lang::Location;
 use sling_suite::fixtures::ListCorpus;
 
 fn engine_for(corpus: &ListCorpus, verify: bool) -> Engine {
-    let builder = Engine::builder()
+    Engine::builder()
         .program_source(&corpus.program())
         .unwrap()
         .predicates_source(&corpus.predicates())
-        .unwrap();
-    let builder = if verify {
-        builder.verification()
-    } else {
-        builder
-    };
-    builder.build().unwrap()
+        .unwrap()
+        .config(SlingConfig {
+            verify,
+            ..SlingConfig::default()
+        })
+        .build()
+        .unwrap()
 }
 
 /// `(location, formula, grade)` for every invariant, in report order.
