@@ -545,8 +545,12 @@ impl<'a> Search<'a> {
         // Free variables of the formula that are not on the stack behave
         // like existentials: they can be bound by matching. This lets
         // callers check open formulae. An existential shadows a stack
-        // variable of the same name.
-        for v in f.all_vars() {
+        // variable of the same name. The variables are numbered in order
+        // of first occurrence, binders first, and told apart by id.
+        for v in f.var_occurrences() {
+            if search.names.iter().any(|(name, _)| *name == v) {
+                continue;
+            }
             let reported = f.exists.contains(&v) || stack.get(v).is_none();
             search.names.push((v, search.vals.len() as Var));
             search.reported.push(reported);

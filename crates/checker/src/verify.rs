@@ -215,7 +215,7 @@ fn freshen(case: SymHeap, fresh: &mut u32) -> SymHeap {
             (*v, Expr::Var(Symbol::intern(&format!("$w{fresh}"))))
         })
         .collect();
-    sling_logic::subst_symheap_bound(&case, &map)
+    sling_logic::map_vars(&case, |v| map.get(&v).cloned())
 }
 
 /// A variable's resolved concrete value during concretization.

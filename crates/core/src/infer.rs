@@ -44,12 +44,12 @@
 //! been keyed under, one per free-variable list ([`ModelParts`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use sling_checker::{CheckCtx, Instantiation, ModelParts, PreparedFormula};
 use sling_logic::{
-    subst_symheap_bound, Expr, FieldAssign, FieldRef, FieldTy, Footprints, FreshVars, ParamFacts,
-    PredDef, SpatialAtom, Subst, SymHeap, Symbol,
+    map_vars, Expr, FieldAssign, FieldRef, FieldTy, Footprints, FreshVars, ParamFacts, PredDef,
+    SpatialAtom, SymHeap, Symbol,
 };
 use sling_models::{HeapCell, Loc, StackHeapModel, Val};
 
@@ -77,9 +77,9 @@ pub(crate) struct AtomResult {
 }
 
 /// The candidate searches run at one location: per root variable,
-/// sub-heap and boundary, the atoms the search accepted, in acceptance
-/// order and under the names it drew.
-pub(crate) type AtomMemo = HashMap<(Symbol, Masks, BTreeSet<BoundaryItem>), Vec<AtomResult>>;
+/// sub-heap and boundary (in `BoundaryItem` order), the atoms the search
+/// accepted, in acceptance order and under the names it drew.
+pub(crate) type AtomMemo = HashMap<(Symbol, Masks, Vec<BoundaryItem>), Vec<AtomResult>>;
 
 /// One model's sub-heap as the checker takes it: the cells in address
 /// order, each one's position in the location's index, and the model
@@ -113,31 +113,32 @@ impl VarTy {
 }
 
 /// Derives variable types from the values observed across models: an
-/// address typed by its cell wins over `nil`; integers are `Int`.
-pub fn var_types<'m>(
-    models: impl IntoIterator<Item = &'m StackHeapModel>,
-) -> BTreeMap<Symbol, VarTy> {
-    let mut out: BTreeMap<Symbol, VarTy> = BTreeMap::new();
+/// address typed by its cell wins over `nil`; integers are `Int`. Each
+/// variable appears once, in the order the models first bind it, so a
+/// lookup scans the vector by symbol id.
+pub fn var_types<'m>(models: impl IntoIterator<Item = &'m StackHeapModel>) -> Vec<(Symbol, VarTy)> {
+    let mut out: Vec<(Symbol, VarTy)> = Vec::new();
     for m in models {
         for (w, val) in m.stack.iter() {
-            match val {
-                Val::Int(_) => {
-                    out.insert(w, VarTy::Int);
-                }
-                Val::Addr(loc) => {
-                    if let Some(cell) = m.heap.get(loc) {
-                        out.insert(w, VarTy::Ptr(cell.ty));
-                    } else {
-                        out.entry(w).or_insert(VarTy::NilPtr);
-                    }
-                }
-                Val::Nil => {
-                    out.entry(w).or_insert(VarTy::NilPtr);
-                }
+            // What this value says; a bare `nil` or dangling address says
+            // nothing a typed value has not.
+            let seen = match val {
+                Val::Int(_) => Some(VarTy::Int),
+                Val::Addr(loc) => m.heap.get(loc).map(|cell| VarTy::Ptr(cell.ty)),
+                Val::Nil => None,
+            };
+            match out.iter_mut().find(|(v, _)| *v == w) {
+                Some(slot) => slot.1 = seen.unwrap_or(slot.1),
+                None => out.push((w, seen.unwrap_or(VarTy::NilPtr))),
             }
         }
     }
     out
+}
+
+/// The type [`var_types`] derived for `var`, found by symbol id.
+pub(crate) fn type_of(types: &[(Symbol, VarTy)], var: Symbol) -> Option<VarTy> {
+    types.iter().find(|(v, _)| *v == var).map(|&(_, ty)| ty)
 }
 
 /// Runs `InferAtom` for the root variable `v` (Algorithm 2) on the
@@ -156,8 +157,8 @@ pub(crate) fn infer_atom(
     v: Symbol,
     index: &CellIndex<'_>,
     sub: &Masks,
-    boundary: &BTreeSet<BoundaryItem>,
-    types: &BTreeMap<Symbol, VarTy>,
+    boundary: &[BoundaryItem],
+    types: &[(Symbol, VarTy)],
     fresh: &mut FreshVars,
     memo: &mut AtomMemo,
 ) -> Vec<AtomResult> {
@@ -171,7 +172,7 @@ pub(crate) fn infer_atom(
         return vec![emp_result(index, sub)];
     }
 
-    let kept = match memo.entry((v, sub.clone(), boundary.clone())) {
+    let kept = match memo.entry((v, sub.clone(), boundary.to_vec())) {
         Entry::Occupied(first) => replay(v, first.get(), fresh),
         Entry::Vacant(slot) => {
             let found = slot.insert(search(
@@ -199,8 +200,8 @@ fn search(
     v: Symbol,
     index: &CellIndex<'_>,
     sub: &Masks,
-    boundary: &BTreeSet<BoundaryItem>,
-    types: &BTreeMap<Symbol, VarTy>,
+    boundary: &[BoundaryItem],
+    types: &[(Symbol, VarTy)],
     fresh: &mut FreshVars,
 ) -> Vec<AtomResult> {
     let mut results: Vec<AtomResult> = Vec::new();
@@ -221,7 +222,6 @@ fn search(
         .zip(&roots)
         .find_map(|(m, root)| Some(m.cells[(*root)?].1.ty));
     if let Some(root_ty) = root_ty {
-        let items: Vec<BoundaryItem> = boundary.iter().copied().collect();
         let mut subs = sub_heaps(index, sub);
         for pred in ctx.preds.for_root_type(root_ty) {
             infer_inductive(
@@ -230,7 +230,7 @@ fn search(
                 v,
                 index,
                 &mut subs,
-                &items,
+                boundary,
                 types,
                 pred,
                 fresh,
@@ -268,25 +268,29 @@ fn sub_heaps<'s>(index: &CellIndex<'s>, sub: &Masks) -> Vec<SubHeap<'s>> {
 /// renamed, because the ranking's tie-break reads the printed names;
 /// residues and instantiations are copied only for the kept atoms.
 fn replay(v: Symbol, first: &[AtomResult], fresh: &mut FreshVars) -> Vec<AtomResult> {
-    let names: Vec<Subst> = first
+    // Per atom, each existential and its new name, found by symbol id.
+    let names: Vec<Vec<(Symbol, Symbol)>> = first
         .iter()
         .map(|atom| {
             atom.formula
                 .exists
                 .iter()
-                .map(|&u| (u, Expr::Var(fresh.next())))
+                .map(|&u| (u, fresh.next()))
                 .collect()
         })
         .collect();
+    let renamed = |names: &[(Symbol, Symbol)], u: Symbol| {
+        names.iter().find(|(from, _)| *from == u).map(|&(_, to)| to)
+    };
     let mut formulas: Vec<SymHeap> = first
         .iter()
         .zip(&names)
-        .map(|(atom, names)| subst_symheap_bound(&atom.formula, names))
+        .map(|(atom, names)| map_vars(&atom.formula, |u| renamed(names, u).map(Expr::Var)))
         .collect();
     let kept = rank(v, first, &formulas.iter().collect::<Vec<_>>());
     kept.into_iter()
         .map(|i| {
-            let rename = |u: Symbol| names[i].get(&u).and_then(Expr::as_var).unwrap_or(u);
+            let rename = |u: Symbol| renamed(&names[i], u).unwrap_or(u);
             AtomResult {
                 formula: std::mem::take(&mut formulas[i]),
                 residues: first[i].residues.clone(),
@@ -371,7 +375,7 @@ fn infer_inductive(
     index: &CellIndex<'_>,
     subs: &mut [SubHeap<'_>],
     boundary: &[BoundaryItem],
-    types: &BTreeMap<Symbol, VarTy>,
+    types: &[(Symbol, VarTy)],
     pred: &PredDef,
     fresh: &mut FreshVars,
     results: &mut Vec<AtomResult>,
@@ -414,7 +418,7 @@ fn placements(
     set: &[BoundaryItem],
     n: usize,
     pred: &PredDef,
-    types: &BTreeMap<Symbol, VarTy>,
+    types: &[(Symbol, VarTy)],
 ) -> Vec<Vec<Option<BoundaryItem>>> {
     let mut out = Vec::new();
     let mut current: Vec<Option<BoundaryItem>> = vec![None; n];
@@ -426,7 +430,7 @@ fn place_rec(
     set: &[BoundaryItem],
     idx: usize,
     pred: &PredDef,
-    types: &BTreeMap<Symbol, VarTy>,
+    types: &[(Symbol, VarTy)],
     current: &mut Vec<Option<BoundaryItem>>,
     out: &mut Vec<Vec<Option<BoundaryItem>>>,
 ) {
@@ -442,7 +446,7 @@ fn place_rec(
         let param_ty = pred.params[pos].ty;
         let ok = match item {
             BoundaryItem::Nil => matches!(param_ty, FieldTy::Ptr(_)),
-            BoundaryItem::Var(w) => match types.get(&w) {
+            BoundaryItem::Var(w) => match type_of(types, w) {
                 Some(t) => t.fits(param_ty),
                 // Unknown (never-seen) variable: be permissive for
                 // pointer positions.
@@ -763,15 +767,10 @@ mod tests {
             .collect()
     }
 
-    fn boundary() -> BTreeSet<BoundaryItem> {
-        [
-            BoundaryItem::Var(sym("x")),
-            BoundaryItem::Var(sym("res")),
-            BoundaryItem::Nil,
-            BoundaryItem::Var(sym("tmp")),
-        ]
-        .into_iter()
-        .collect()
+    /// The Figure 3 boundary of `x`, in `BoundaryItem` order.
+    fn boundary() -> Vec<BoundaryItem> {
+        let var = |v| BoundaryItem::Var(sym(v));
+        vec![BoundaryItem::Nil, var("res"), var("tmp"), var("x")]
     }
 
     #[test]
@@ -830,7 +829,7 @@ mod tests {
             sym("res"),
             &index,
             &index.full(),
-            &BTreeSet::new(),
+            &[],
             &vt,
             &mut fresh,
             &mut AtomMemo::new(),
@@ -860,9 +859,7 @@ mod tests {
             sym("p"),
             &index,
             &index.full(),
-            &[BoundaryItem::Var(sym("p")), BoundaryItem::Var(sym("q"))]
-                .into_iter()
-                .collect(),
+            &[BoundaryItem::Var(sym("p")), BoundaryItem::Var(sym("q"))],
             &vt,
             &mut fresh,
             &mut AtomMemo::new(),
@@ -1009,8 +1006,8 @@ mod tests {
     fn var_types_from_models() {
         let models = fig3_submodels();
         let vt = var_types(&models);
-        assert_eq!(vt.get(&sym("x")), Some(&VarTy::Ptr(sym("Node"))));
+        assert_eq!(type_of(&vt, sym("x")), Some(VarTy::Ptr(sym("Node"))));
         // y = 0x04 is outside every sub-heap, so it stays a bare pointer.
-        assert_eq!(vt.get(&sym("y")), Some(&VarTy::NilPtr));
+        assert_eq!(type_of(&vt, sym("y")), Some(VarTy::NilPtr));
     }
 }

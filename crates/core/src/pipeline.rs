@@ -12,7 +12,7 @@
 //!
 //! The public entry point is [`crate::Engine`].
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
 
 use sling_checker::verify::prove;
@@ -23,7 +23,7 @@ use sling_models::StackHeapModel;
 
 use crate::cells::{CellIndex, Masks};
 use crate::collect::{collect_models, Executor};
-use crate::infer::{infer_atom, var_types, AtomMemo, VarTy};
+use crate::infer::{infer_atom, type_of, var_types, AtomMemo, VarTy};
 use crate::pure::infer_pure;
 use crate::report::{
     Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,
@@ -380,7 +380,7 @@ pub(crate) fn infer_location(
     // the list — once the list variable owns those cells, the header's
     // sub-heap is the lone header cell and a singleton matches).
     let mut worklist: std::collections::VecDeque<Symbol> = order.iter().copied().collect();
-    let mut deferred: BTreeSet<Symbol> = BTreeSet::new();
+    let mut deferred: Vec<Symbol> = Vec::new();
     while let Some(v) = worklist.pop_front() {
         let v = &v;
         // (parent index, child partial): the parent lineage keeps branch
@@ -418,7 +418,8 @@ pub(crate) fn infer_location(
                 ));
             }
         }
-        if all_emp && deferred.insert(*v) {
+        if all_emp && !deferred.contains(v) {
+            deferred.push(*v);
             // Nothing modeled this variable's (non-empty) sub-heap yet;
             // retry after the remaining variables.
             worklist.push_back(*v);
@@ -497,12 +498,12 @@ pub(crate) fn infer_location(
 /// already-analyzed variables, `res` last.
 fn variable_order(
     index: &CellIndex<'_>,
-    vt: &BTreeMap<Symbol, VarTy>,
+    vt: &[(Symbol, VarTy)],
     param_order: &[Symbol],
 ) -> Vec<Symbol> {
     let res = Symbol::intern("res");
     let all_vars: Vec<Symbol> = index.models[0].model.stack.vars().collect();
-    let pointer = |v: &Symbol| !matches!(vt.get(v), Some(VarTy::Int));
+    let pointer = |v: &Symbol| !matches!(type_of(vt, *v), Some(VarTy::Int));
 
     let mut queue: Vec<Symbol> = Vec::new();
     for p in param_order {
@@ -522,7 +523,7 @@ fn variable_order(
     // Dynamic selection: prefer the first queued variable that showed up
     // in the boundary of an already-analyzed one.
     let mut order: Vec<Symbol> = Vec::new();
-    let mut boundary_seen: BTreeSet<Symbol> = BTreeSet::new();
+    let mut boundary_seen: Vec<Symbol> = Vec::new();
     let mut remaining = queue;
     let full = index.full();
     while !remaining.is_empty() {
@@ -537,7 +538,9 @@ fn variable_order(
         let split = split_masks(index, &full, v);
         for item in &split.boundary {
             if let BoundaryItem::Var(w) = item {
-                boundary_seen.insert(*w);
+                if !boundary_seen.contains(w) {
+                    boundary_seen.push(*w);
+                }
             }
         }
         order.push(v);
@@ -548,17 +551,17 @@ fn variable_order(
 /// Free variables allowed at a location: parameters and `res` for entry
 /// and exits (function pre/postconditions, §2.3: "SLING only uses the
 /// function's parameters and the ghost variable res as free variables");
-/// all in-scope stack variables for labels and loop heads.
+/// all in-scope stack variables for labels and loop heads. The set is
+/// looked up by symbol id.
 fn scope_free_vars(
     location: Location,
     param_order: &[Symbol],
     models: &[&StackHeapModel],
-) -> BTreeSet<Symbol> {
+) -> Vec<Symbol> {
     match location {
         Location::Entry | Location::Exit(_) => {
-            let mut free: BTreeSet<Symbol> = param_order.iter().copied().collect();
-            free.insert(Symbol::intern("res"));
-            free
+            let res = Symbol::intern("res");
+            param_order.iter().copied().chain([res]).collect()
         }
         Location::Label(_) | Location::LoopHead(_) => models[0].stack.vars().collect(),
     }
@@ -568,28 +571,27 @@ fn scope_free_vars(
 /// free set becomes existential (e.g. the local `tmp` in the paper's
 /// `F_L3`), unused binders are dropped, and the survivors are renamed to
 /// `u1, u2, ...` in first-occurrence order — the paper's presentation.
-fn finalize_formula(formula: &mut SymHeap, free: &BTreeSet<Symbol>) {
-    // Quantify locals and any stray frees.
-    for v in formula.free_vars() {
-        if !free.contains(&v) {
-            formula.exists.push(v);
-        }
-    }
-    // Drop binders that no longer occur; dedupe.
-    let mut used = BTreeSet::new();
+/// Variables are told apart by symbol id.
+fn finalize_formula(formula: &mut SymHeap, free: &[Symbol]) {
+    let mut used = Vec::new();
     for s in &formula.spatial {
         s.free_vars_into(&mut used);
     }
     for p in &formula.pure {
         p.free_vars_into(&mut used);
     }
-    let mut seen = BTreeSet::new();
-    formula
-        .exists
-        .retain(|u| used.contains(u) && seen.insert(*u));
+    // Quantify locals and any stray frees; then drop binders that no
+    // longer occur, and repeats.
+    let mut binders = std::mem::take(&mut formula.exists);
+    binders.extend(used.iter().filter(|v| !free.contains(v)));
+    for u in binders {
+        if used.contains(&u) && !formula.exists.contains(&u) {
+            formula.exists.push(u);
+        }
+    }
 
     // Rename to u1..uk in first-occurrence order (stable, readable).
-    let binders: BTreeSet<Symbol> = formula.exists.iter().copied().collect();
+    let binders = &formula.exists;
     let mut order: Vec<Symbol> = Vec::new();
     let note = |e: &sling_logic::Expr, order: &mut Vec<Symbol>| {
         for v in e.free_vars() {
@@ -620,19 +622,11 @@ fn finalize_formula(formula: &mut SymHeap, free: &BTreeSet<Symbol>) {
     }
     let mut fresh = FreshVars::new("u");
     fresh.avoid_all(free.iter().copied());
-    let map: sling_logic::Subst = order
-        .iter()
-        .map(|&old| (old, sling_logic::Expr::Var(fresh.next())))
-        .collect();
-    *formula = sling_logic::subst_symheap_bound(formula, &map);
+    let renamed: Vec<Symbol> = fresh.take(order.len());
+    let rename = |v: Symbol| Some(renamed[order.iter().position(|&old| old == v)?]);
+    *formula = sling_logic::map_vars(formula, |v| rename(v).map(sling_logic::Expr::Var));
     // Binder list in occurrence order.
-    formula.exists = order
-        .iter()
-        .map(|old| match map.get(old) {
-            Some(sling_logic::Expr::Var(n)) => *n,
-            _ => *old,
-        })
-        .collect();
+    formula.exists = renamed;
 }
 
 #[cfg(test)]

@@ -17,10 +17,10 @@
 //!   atoms (`res = x`).
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use sling_checker::Instantiation;
-use sling_logic::{Expr, PureAtom, Subst, SymHeap, Symbol};
+use sling_logic::{map_vars, Expr, PureAtom, SymHeap, Symbol};
 use sling_models::{StackHeapModel, Val};
 
 /// One trackable entity. The derived ordering encodes representative
@@ -53,11 +53,14 @@ impl Entity {
 /// instantiations of `formula`'s existentials (same order), and `prefer`
 /// the variables that may stay free (parameters and `res` at entries and
 /// exits; every stack variable elsewhere).
+///
+/// Variables are looked up by symbol id; text is compared only to order
+/// the members of a class, which picks its representative.
 pub fn infer_pure<M: Borrow<StackHeapModel>>(
     formula: &SymHeap,
     models: &[M],
     insts: &[Instantiation],
-    prefer: &BTreeSet<Symbol>,
+    prefer: &[Symbol],
 ) -> SymHeap {
     assert_eq!(models.len(), insts.len());
     if models.is_empty() {
@@ -98,7 +101,7 @@ pub fn infer_pure<M: Borrow<StackHeapModel>>(
         classes.entry(vec).or_default().push(e);
     }
 
-    let mut subst = Subst::new();
+    let mut subst: Vec<(Symbol, Expr)> = Vec::new();
     let mut killed: Vec<Symbol> = Vec::new();
     let mut equalities: Vec<PureAtom> = Vec::new();
     for members in classes.values() {
@@ -117,7 +120,7 @@ pub fn infer_pure<M: Borrow<StackHeapModel>>(
                 }
                 // Entities that get quantified: substitute them away.
                 Entity::Local(w) | Entity::Exist(w) => {
-                    subst.insert(*w, rep_expr.clone());
+                    subst.push((*w, rep_expr.clone()));
                     killed.push(*w);
                 }
                 Entity::Nil => unreachable!("nil sorts first"),
@@ -132,8 +135,12 @@ pub fn infer_pure<M: Borrow<StackHeapModel>>(
     // capture; the surviving existentials are re-bound afterwards.
     let mut out = formula.clone();
     let binders = std::mem::take(&mut out.exists);
-    out = sling_logic::subst_symheap(&out, &subst);
-    let remaining = out.free_vars();
+    out = map_vars(&out, |v| {
+        // The last entry of a name wins, as a map insert would.
+        let (_, rep) = subst.iter().rev().find(|(w, _)| *w == v)?;
+        Some(rep.clone())
+    });
+    let remaining = out.var_occurrences();
     out.exists = binders
         .into_iter()
         .filter(|u| !killed.contains(u) && remaining.contains(u))
@@ -173,7 +180,7 @@ mod tests {
         StackHeapModel::new(stack, heap)
     }
 
-    fn prefer(names: &[&str]) -> BTreeSet<Symbol> {
+    fn prefer(names: &[&str]) -> Vec<Symbol> {
         names.iter().map(|n| sym(n)).collect()
     }
 

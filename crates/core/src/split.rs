@@ -81,7 +81,7 @@ pub fn split_heap(models: &[StackHeapModel], v: Symbol) -> Split {
             .map(|m| StackHeapModel::new(m.model.stack.clone(), m.heap(&split.sub)))
             .collect(),
         rest: index.models.iter().map(|m| m.heap(&split.rest)).collect(),
-        boundary: split.boundary,
+        boundary: split.boundary.into_iter().collect(),
     }
 }
 
@@ -91,22 +91,31 @@ pub fn split_heap(models: &[StackHeapModel], v: Symbol) -> Split {
 pub(crate) struct MaskSplit {
     pub(crate) sub: Masks,
     pub(crate) rest: Masks,
-    pub(crate) boundary: BTreeSet<BoundaryItem>,
+    /// The common boundary in `BoundaryItem` order (`nil`, then the
+    /// variables by name), each item once.
+    pub(crate) boundary: Vec<BoundaryItem>,
 }
 
 /// [`split_heap`] of the heaps `residues` selects from the index. A cell
 /// outside the mask counts as unallocated (dangling), exactly as a cell
 /// missing from a residue heap does.
+///
+/// Each model's boundary is written in order as the stack is walked (a
+/// stack iterates in name order), and the models' boundaries are
+/// intersected by symbol id, so the split reads no symbol text unless a
+/// model leaves the root unbound.
 pub(crate) fn split_masks(index: &CellIndex<'_>, residues: &Masks, v: Symbol) -> MaskSplit {
     let mut sub = index.empty();
-    let mut common: Option<BTreeSet<BoundaryItem>> = None;
+    let mut common: Option<Vec<BoundaryItem>> = None;
+    let mut boundary: Vec<BoundaryItem> = Vec::new();
     let mut stops: Vec<Loc> = Vec::new();
     let mut hit_stops: Vec<Loc> = Vec::new();
     let mut work: Vec<Val> = Vec::new();
 
     for m in &index.models {
         let stack = &m.model.stack;
-        let root = stack.get(v).unwrap_or(Val::Nil);
+        let bound = stack.get(v);
+        let root = bound.unwrap_or(Val::Nil);
         // Stop at cells pointed to by other (non-aliasing) stack pointers.
         stops.clear();
         stops.extend(
@@ -145,23 +154,28 @@ pub(crate) fn split_masks(index: &CellIndex<'_>, residues: &Masks, v: Symbol) ->
             work.extend(m.cells[i].1.fields.iter().rev().filter(|f| f.is_pointer()));
         }
 
-        let mut boundary: BTreeSet<BoundaryItem> = BTreeSet::new();
-        boundary.insert(BoundaryItem::Var(v));
+        // The root, `nil` if reached, and every variable whose value is a
+        // cell of the sub-heap or a stop it reached.
+        boundary.clear();
         if saw_nil {
-            boundary.insert(BoundaryItem::Nil);
+            boundary.push(BoundaryItem::Nil);
         }
         for (w, val) in stack.iter() {
-            if let Some(loc) = val.as_addr() {
-                let in_sub = m.slot(loc).is_some_and(|i| m.has(&sub, i));
-                if in_sub || hit_stops.contains(&loc) {
-                    boundary.insert(BoundaryItem::Var(w));
-                }
+            let on_rim = val.as_addr().is_some_and(|loc| {
+                m.slot(loc).is_some_and(|i| m.has(&sub, i)) || hit_stops.contains(&loc)
+            });
+            if w == v || on_rim {
+                boundary.push(BoundaryItem::Var(w));
             }
         }
-        common = Some(match common {
-            None => boundary,
-            Some(acc) => acc.intersection(&boundary).copied().collect(),
-        });
+        if bound.is_none() {
+            let at = boundary.partition_point(|item| *item < BoundaryItem::Var(v));
+            boundary.insert(at, BoundaryItem::Var(v));
+        }
+        match &mut common {
+            None => common = Some(boundary.clone()),
+            Some(acc) => acc.retain(|item| boundary.contains(item)),
+        }
     }
 
     MaskSplit {
@@ -265,9 +279,17 @@ mod tests {
         );
     }
 
+    /// The stack variables of the random models, interned in reverse
+    /// textual order so that id order and name order disagree.
+    fn random_vars() -> [Symbol; 3] {
+        let [c, b, a] = ["split_ref_c", "split_ref_b", "split_ref_a"].map(sym);
+        [a, b, c]
+    }
+
     /// A random model over two-field cells at addresses `1..=10` whose
-    /// fields and stack variables point into the heap, past it or to nil.
-    fn random_model(rng: &mut StdRng) -> StackHeapModel {
+    /// fields and stack variables point into the heap, past it or to nil;
+    /// each of `vars` is left unbound one time in six.
+    fn random_model(rng: &mut StdRng, vars: &[Symbol]) -> StackHeapModel {
         let val = |rng: &mut StdRng| match rng.gen_range(0..5) {
             0 => Val::Nil,
             _ => Val::Addr(l(rng.gen_range(1..=12u64))),
@@ -279,11 +301,48 @@ mod tests {
             }
         }
         let mut stack = Stack::new();
-        for v in ["x", "y", "z"] {
-            stack.bind(sym(v), val(rng));
+        for &v in vars {
+            if rng.gen_range(0..6) != 0 {
+                stack.bind(v, val(rng));
+            }
         }
         stack.bind(sym("k"), Val::Int(3));
         StackHeapModel::new(stack, heap)
+    }
+
+    /// The common boundary of the root `v` built from `traverse` alone:
+    /// per model, `v`, `nil` if the traversal saw it, and every variable
+    /// whose value is a traversed cell or a stop it hit; then the
+    /// intersection over the models.
+    fn reference_boundary(models: &[StackHeapModel], v: Symbol) -> Vec<BoundaryItem> {
+        let mut common: Option<BTreeSet<BoundaryItem>> = None;
+        for m in models {
+            let root = m.stack.get(v).unwrap_or(Val::Nil);
+            let stops = m
+                .stack
+                .iter()
+                .filter(|(w, val)| *w != v && *val != root)
+                .filter_map(|(_, val)| val.as_addr())
+                .collect();
+            let trav = traverse(&m.heap, root, &stops);
+            let mut boundary = BTreeSet::from([BoundaryItem::Var(v)]);
+            if trav.saw_nil {
+                boundary.insert(BoundaryItem::Nil);
+            }
+            for (w, val) in m.stack.iter() {
+                let on_rim = val
+                    .as_addr()
+                    .is_some_and(|loc| trav.cells.contains(&loc) || trav.hit_stops.contains(&loc));
+                if on_rim {
+                    boundary.insert(BoundaryItem::Var(w));
+                }
+            }
+            common = Some(match common {
+                None => boundary,
+                Some(acc) => &acc & &boundary,
+            });
+        }
+        common.unwrap_or_default().into_iter().collect()
     }
 
     #[test]
@@ -291,10 +350,12 @@ mod tests {
         // Inference splits residues as masks over the full models' cells;
         // a cell outside the mask must act as dangling, exactly as a cell
         // missing from a residue heap does (`tmp_split_on_residue`).
+        let vars = random_vars();
         let mut rng = StdRng::seed_from_u64(0x5b117);
+        let (mut unbound_roots, mut nil_roots) = (0, 0);
         for round in 0..300 {
             let models: Vec<StackHeapModel> = (0..rng.gen_range(1..=3usize))
-                .map(|_| random_model(&mut rng))
+                .map(|_| random_model(&mut rng, &vars))
                 .collect();
             let index = CellIndex::new(&models);
             let mut residues = index.empty();
@@ -310,10 +371,22 @@ mod tests {
                 .iter()
                 .map(|m| StackHeapModel::new(m.model.stack.clone(), m.heap(&residues)))
                 .collect();
-            for v in ["x", "y", "z"].map(sym) {
+            for v in vars {
+                let roots: Vec<Option<Val>> = models.iter().map(|m| m.stack.get(v)).collect();
+                unbound_roots += roots.iter().filter(|r| r.is_none()).count();
+                nil_roots += roots.iter().filter(|r| **r == Some(Val::Nil)).count();
                 let masked = split_masks(&index, &residues, v);
+                assert!(
+                    masked.boundary.windows(2).all(|w| w[0] < w[1]),
+                    "round {round}: {v}: boundary out of order: {:?}",
+                    masked.boundary
+                );
+                assert_eq!(
+                    masked.boundary,
+                    reference_boundary(&residue_models, v),
+                    "round {round}: {v}"
+                );
                 let heaps = split_heap(&residue_models, v);
-                assert_eq!(masked.boundary, heaps.boundary, "round {round}: {v}");
                 for (k, m) in index.models.iter().enumerate() {
                     let sub = &heaps.sub_models[k].heap;
                     assert_eq!(&m.heap(&masked.sub), sub, "round {round}: {v}");
@@ -331,6 +404,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            unbound_roots > 0 && nil_roots > 0,
+            "{unbound_roots}, {nil_roots}"
+        );
     }
 
     #[test]

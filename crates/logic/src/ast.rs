@@ -223,6 +223,20 @@ impl SymHeap {
         all
     }
 
+    /// Every variable occurrence, with repeats: the binders, then the
+    /// spatial atoms' variables and the pure atoms', in order. Unlike
+    /// [`SymHeap::all_vars`] it reads no symbol text.
+    pub fn var_occurrences(&self) -> Vec<Symbol> {
+        let mut all = self.exists.clone();
+        for s in &self.spatial {
+            s.free_vars_into(&mut all);
+        }
+        for p in &self.pure {
+            p.free_vars_into(&mut all);
+        }
+        all
+    }
+
     /// Separating conjunction of two symbolic heaps.
     ///
     /// Bound variables of `other` are renamed if they collide with any
@@ -231,21 +245,22 @@ impl SymHeap {
     pub fn star(mut self, other: SymHeap) -> SymHeap {
         let mut other = other;
         // Rename other's binders away from everything visible in self.
+        let mine = self.var_occurrences();
         let clash: Vec<Symbol> = other
             .exists
             .iter()
             .copied()
-            .filter(|v| self.all_vars().contains(v))
+            .filter(|v| mine.contains(v))
             .collect();
         if !clash.is_empty() {
             let mut fresh = crate::symbol::FreshVars::new("r");
-            fresh.avoid_all(self.all_vars());
-            fresh.avoid_all(other.all_vars());
-            let map: crate::subst::Subst = clash
-                .iter()
-                .map(|&v| (v, Expr::Var(fresh.next())))
-                .collect();
-            other = crate::subst::subst_symheap_bound(&other, &map);
+            fresh.avoid_all(mine);
+            fresh.avoid_all(other.var_occurrences());
+            let renamed: Vec<(Symbol, Symbol)> = clash.iter().map(|&v| (v, fresh.next())).collect();
+            other = crate::subst::map_vars(&other, |v| {
+                let (_, to) = renamed.iter().find(|(from, _)| *from == v)?;
+                Some(Expr::Var(*to))
+            });
         }
         self.exists.extend(other.exists);
         self.spatial.extend(other.spatial);

@@ -55,7 +55,7 @@ pub use parser::{parse_formula, parse_predicates, ParseError};
 pub use pred::{PredDef, PredEnv, PredEnvError, PredParam};
 pub use print::write_symheap;
 pub use span::{Span, Spanned};
-pub use subst::{subst_expr, subst_pure, subst_spatial, subst_symheap, subst_symheap_bound, Subst};
+pub use subst::{map_vars, subst_expr, subst_pure, subst_spatial, subst_symheap, Subst};
 pub use symbol::{FreshVars, Symbol};
 pub use types::{FieldDef, FieldTy, StructDef, TypeEnv, TypeEnvError};
 pub use wf::{check_pred_def, check_pred_env, check_symheap, normalize_points_to, WfError};

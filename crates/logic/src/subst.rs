@@ -8,47 +8,85 @@ use crate::symbol::{FreshVars, Symbol};
 /// A finite map from variables to expressions.
 pub type Subst = BTreeMap<Symbol, Expr>;
 
-/// Applies `map` to an expression.
-pub fn subst_expr(e: &Expr, map: &Subst) -> Expr {
+/// The image of a variable under a substitution, or `None` to keep it.
+type Image<'i> = &'i dyn Fn(Symbol) -> Option<Expr>;
+
+fn map_expr(e: &Expr, image: Image<'_>) -> Expr {
+    let sub = |e: &Expr| Box::new(map_expr(e, image));
     match e {
         Expr::Nil | Expr::Int(_) => e.clone(),
-        Expr::Var(v) => map.get(v).cloned().unwrap_or_else(|| e.clone()),
-        Expr::Neg(inner) => Expr::Neg(Box::new(subst_expr(inner, map))),
-        Expr::Add(a, b) => Expr::Add(Box::new(subst_expr(a, map)), Box::new(subst_expr(b, map))),
-        Expr::Sub(a, b) => Expr::Sub(Box::new(subst_expr(a, map)), Box::new(subst_expr(b, map))),
-        Expr::Mul(k, inner) => Expr::Mul(*k, Box::new(subst_expr(inner, map))),
+        Expr::Var(v) => image(*v).unwrap_or_else(|| e.clone()),
+        Expr::Neg(inner) => Expr::Neg(sub(inner)),
+        Expr::Add(a, b) => Expr::Add(sub(a), sub(b)),
+        Expr::Sub(a, b) => Expr::Sub(sub(a), sub(b)),
+        Expr::Mul(k, inner) => Expr::Mul(*k, sub(inner)),
     }
 }
 
-/// Applies `map` to a pure atom.
-pub fn subst_pure(p: &PureAtom, map: &Subst) -> PureAtom {
+fn map_pure(p: &PureAtom, image: Image<'_>) -> PureAtom {
+    let (a, b) = p.operands();
+    let (a, b) = (map_expr(a, image), map_expr(b, image));
     match p {
-        PureAtom::Eq(a, b) => PureAtom::Eq(subst_expr(a, map), subst_expr(b, map)),
-        PureAtom::Neq(a, b) => PureAtom::Neq(subst_expr(a, map), subst_expr(b, map)),
-        PureAtom::Lt(a, b) => PureAtom::Lt(subst_expr(a, map), subst_expr(b, map)),
-        PureAtom::Le(a, b) => PureAtom::Le(subst_expr(a, map), subst_expr(b, map)),
+        PureAtom::Eq(..) => PureAtom::Eq(a, b),
+        PureAtom::Neq(..) => PureAtom::Neq(a, b),
+        PureAtom::Lt(..) => PureAtom::Lt(a, b),
+        PureAtom::Le(..) => PureAtom::Le(a, b),
     }
 }
 
-/// Applies `map` to a spatial atom.
-pub fn subst_spatial(s: &SpatialAtom, map: &Subst) -> SpatialAtom {
+fn map_spatial(s: &SpatialAtom, image: Image<'_>) -> SpatialAtom {
     match s {
         SpatialAtom::PointsTo { root, ty, fields } => SpatialAtom::PointsTo {
-            root: subst_expr(root, map),
+            root: map_expr(root, image),
             ty: *ty,
             fields: fields
                 .iter()
                 .map(|f| FieldAssign {
                     name: f.name,
-                    value: subst_expr(&f.value, map),
+                    value: map_expr(&f.value, image),
                 })
                 .collect(),
         },
         SpatialAtom::Pred { name, args } => SpatialAtom::Pred {
             name: *name,
-            args: args.iter().map(|a| subst_expr(a, map)).collect(),
+            args: args.iter().map(|a| map_expr(a, image)).collect(),
         },
     }
+}
+
+/// Replaces every variable of `h`, bound or free, by its `image` (a
+/// variable whose image is `None` stays), and renames each binder to the
+/// variable its image names (a binder whose image is not a variable
+/// stays). Nothing is renamed to avoid capture.
+///
+/// A caller that maps a few names can look them up in a vector by symbol
+/// id, which reads no symbol text, where a [`Subst`] compares names.
+pub fn map_vars(h: &SymHeap, image: impl Fn(Symbol) -> Option<Expr>) -> SymHeap {
+    let image: Image<'_> = &image;
+    SymHeap {
+        exists: h
+            .exists
+            .iter()
+            .map(|&v| image(v).and_then(|e| e.as_var()).unwrap_or(v))
+            .collect(),
+        spatial: h.spatial.iter().map(|s| map_spatial(s, image)).collect(),
+        pure: h.pure.iter().map(|p| map_pure(p, image)).collect(),
+    }
+}
+
+/// Applies `map` to an expression.
+pub fn subst_expr(e: &Expr, map: &Subst) -> Expr {
+    map_expr(e, &|v| map.get(&v).cloned())
+}
+
+/// Applies `map` to a pure atom.
+pub fn subst_pure(p: &PureAtom, map: &Subst) -> PureAtom {
+    map_pure(p, &|v| map.get(&v).cloned())
+}
+
+/// Applies `map` to a spatial atom.
+pub fn subst_spatial(s: &SpatialAtom, map: &Subst) -> SpatialAtom {
+    map_spatial(s, &|v| map.get(&v).cloned())
 }
 
 /// Capture-avoiding substitution of free variables in a symbolic heap.
@@ -91,7 +129,7 @@ pub fn subst_symheap(h: &SymHeap, map: &Subst) -> SymHeap {
             .iter()
             .map(|&v| (v, Expr::Var(fresh.next())))
             .collect();
-        h = subst_symheap_bound(&h, &rename);
+        h = map_vars(&h, |v| rename.get(&v).cloned());
     }
 
     // Do not substitute the (now clash-free) binders.
@@ -109,25 +147,6 @@ pub fn subst_symheap(h: &SymHeap, map: &Subst) -> SymHeap {
             .map(|s| subst_spatial(s, &filtered))
             .collect(),
         pure: h.pure.iter().map(|p| subst_pure(p, &filtered)).collect(),
-    }
-}
-
-/// Renames *bound* variables of `h` according to `map` (which must map
-/// variables to variables). Used internally for alpha-renaming; exposed for
-/// the star operation.
-pub fn subst_symheap_bound(h: &SymHeap, map: &Subst) -> SymHeap {
-    let exists = h
-        .exists
-        .iter()
-        .map(|v| match map.get(v) {
-            Some(Expr::Var(w)) => *w,
-            _ => *v,
-        })
-        .collect();
-    SymHeap {
-        exists,
-        spatial: h.spatial.iter().map(|s| subst_spatial(s, map)).collect(),
-        pure: h.pure.iter().map(|p| subst_pure(p, map)).collect(),
     }
 }
 

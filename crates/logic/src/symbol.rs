@@ -4,13 +4,35 @@
 //! workspace is a [`Symbol`]: a small copyable index into a global string
 //! interner. Equality and hashing use the index, so they are O(1).
 //! Ordering is textual, so that maps keyed by `Symbol` iterate in the same
-//! order whatever order the names were interned in. The model checker's
-//! search reads symbol text only while it sets up (its variables are
-//! search-local ids), but canonical cache keys, formula `Display`, and
-//! inference's symbol-keyed maps still read it on every check, so a read
-//! must not take a lock: with the locked read in place of the mirror below,
-//! the `corpus_cold` benchmark's `wall_s` rose 21% (0.97 → 1.17 s, median
-//! of 6 runs each on 2 cores, slower in 6 of 6 pairs).
+//! order whatever order the names were interned in.
+//!
+//! A textual comparison reads both texts, so the inference path looks its
+//! variables up by id and compares text only where an order reaches its
+//! output or a cache key. A stack model or an instantiation is a vector of
+//! bindings in name order that a lookup scans by id; split boundaries,
+//! variable types, the free set of a location and the renamings of
+//! replayed and finalized formulas are small vectors scanned by id; the
+//! checker's search numbers its variables by first occurrence. Text is
+//! still read by:
+//!
+//! * formula printing: `Display`, the formula part of a cache key, and the
+//!   printed tie-break of `InferAtom`'s ranking;
+//! * the sorts that keep an order: of a formula part's free variables, of
+//!   a stack or instantiation built from unordered bindings (and the
+//!   binary search or merge that adds names to one), and of an equality
+//!   class's members in pure inference, which picks its representative;
+//! * maps keyed by `Symbol`: the type and predicate environments, the
+//!   bytecode VM's field table (a field access finds its slot by name),
+//!   and substitutions (`Subst`).
+//!
+//! In a single-worker `corpus_warm` pass that is about 134,000 textual
+//! comparisons: 77,000 keep instantiations in name order (merges, and
+//! the sorts of decoded and replayed ones), 34,000 are the VM's field
+//! lookups and 14,000 build the snapshots' stacks. Keying inference by
+//! `Symbol` in ordered maps made 1,287,000. A read happens on every check,
+//! so it must not take a lock: with the locked read in place of the mirror
+//! below, the `corpus_cold` benchmark's `wall_s` rose 21% (0.97 → 1.17 s,
+//! median of 6 runs each on 2 cores, slower in 6 of 6 pairs).
 //!
 //! The interner's table of strings is append-only: an id, once handed
 //! out, names the same `&'static str` forever. Each thread therefore keeps
