@@ -67,10 +67,14 @@
 //!
 //! # Eviction
 //!
-//! Each shard evicts its least-recently-used entry, exactly. A hit only
-//! re-stamps its entry; the stamp-ordered index is brought up to date
-//! lazily, when eviction finds that its oldest record belongs to an entry
-//! touched since (see `ShardMap::evict_lru`).
+//! Each shard holds at most its share of the capacity (see
+//! [`CheckCache::with_capacity`]). A store of a new key into a full shard
+//! first evicts one entry, the first one the shard's map yields: an
+//! order the keys' fingerprints set, unrelated to use. Nothing tracks
+//! recency, so a hit only reads its entry. The bound keeps a
+//! long-lived engine's memory in check; it is not a replacement policy,
+//! and under sustained eviction a hot entry may go and be searched again
+//! on its next miss.
 //!
 //! # Persistence
 //!
@@ -122,7 +126,7 @@
 //! ```
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -264,8 +268,7 @@ impl KeyPart {
 /// so no text is hashed on probes; equality still compares the parts
 /// (one pointer compare when both keys share a part's text, which is
 /// refcounted), so fingerprint collisions cannot alias entries. Cloning
-/// a key — the LRU stamp index holds one clone per entry — costs two
-/// pointer bumps.
+/// a key costs two pointer bumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CacheKey {
     fingerprint: u64,
@@ -380,24 +383,6 @@ type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
 struct Entry {
     value: Option<CachedReduction>,
     warm: bool,
-    /// Last-access stamp from the shard clock; the LRU victim is the
-    /// entry with the smallest stamp.
-    stamp: u64,
-    /// The stamp the entry's one `by_stamp` record is filed under: its
-    /// `stamp` as of its insert or its last re-filing, so at most
-    /// `stamp`.
-    filed: u64,
-}
-
-impl Entry {
-    fn new(value: Option<CachedReduction>, warm: bool) -> Entry {
-        Entry {
-            value,
-            warm,
-            stamp: 0,
-            filed: 0,
-        }
-    }
 }
 
 /// Fixed per-entry bookkeeping cost added to the measured payload when
@@ -419,85 +404,43 @@ fn entry_bytes(key: &CacheKey, value: &Option<CachedReduction>) -> u64 {
     ENTRY_OVERHEAD + (key.formula.len() + key.model.len() + payload) as u64
 }
 
-/// The mutable interior of one shard: the map, its access clock, the
-/// stamp-ordered LRU index, and the resident-byte ledger — everything
-/// that moves together under the shard lock.
+/// The mutable interior of one shard: the map and its resident-byte
+/// ledger, which move together under the shard lock.
 #[derive(Debug, Default)]
 struct ShardMap {
     entries: HashMap<CacheKey, Entry, FingerprintBuild>,
-    /// One record per entry, filed under the entry's `filed` stamp.
-    /// Stamps are unique (the clock only goes up), and an entry's stamp
-    /// only grows, so the first record whose entry is untouched since
-    /// filing names exactly the least recently used entry. Key clones
-    /// here are pointer bumps (a key's parts are `Arc<str>`).
-    by_stamp: BTreeMap<u64, CacheKey>,
-    /// Monotonic per-shard access clock; every hit and insert stamps
-    /// the touched entry, so LRU selection needs no global ordering.
-    clock: u64,
     resident_bytes: u64,
 }
 
 impl ShardMap {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn remove(&mut self, key: &CacheKey) -> Option<Entry> {
-        let entry = self.entries.remove(key)?;
-        self.by_stamp.remove(&entry.filed);
-        self.resident_bytes -= entry_bytes(key, &entry.value);
-        Some(entry)
-    }
-
     /// Inserts or replaces `key`'s entry with one map probe; a replaced
-    /// entry's record and bytes go with it.
-    fn insert(&mut self, key: CacheKey, mut entry: Entry) {
-        let stamp = self.tick();
-        entry.stamp = stamp;
-        entry.filed = stamp;
+    /// entry's bytes go with it.
+    fn insert(&mut self, key: CacheKey, entry: Entry) {
         self.resident_bytes += entry_bytes(&key, &entry.value);
         if let Some(old) = self.entries.insert(key.clone(), entry) {
-            self.by_stamp.remove(&old.filed);
             self.resident_bytes -= entry_bytes(&key, &old.value);
         }
-        self.by_stamp.insert(stamp, key);
     }
 
-    /// Refreshes an entry's access stamp and returns its verdict and
-    /// warmth, if present. The entry's `by_stamp` record stays where it
-    /// is; eviction re-files it if it comes up.
-    fn touch(&mut self, key: &CacheKey) -> Option<(Option<CachedReduction>, bool)> {
-        let stamp = self.tick();
-        let entry = self.entries.get_mut(key)?;
-        entry.stamp = stamp;
+    /// The verdict and warmth stored under `key`, if any.
+    fn get(&self, key: &CacheKey) -> Option<(Option<CachedReduction>, bool)> {
+        let entry = self.entries.get(key)?;
         Some((entry.value.clone(), entry.warm))
     }
 
-    /// Evicts the least-recently-used entry. The oldest record's entry
-    /// is the victim if it has not been touched since filing; otherwise
-    /// the record is filed again under the entry's current stamp and the
-    /// next oldest is tried. Every other entry's stamp is at least its
-    /// record's, which is above the oldest record's, so the victim is
-    /// exactly the entry with the smallest stamp. Re-filing costs at most
-    /// one B-tree insert per hit, paid here instead of on the hit.
-    fn evict_lru(&mut self) -> bool {
-        while let Some((filed, key)) = self.by_stamp.pop_first() {
-            let Some(entry) = self.entries.get_mut(&key) else {
-                continue;
-            };
-            if entry.stamp == filed {
-                return self.remove(&key).is_some();
-            }
-            entry.filed = entry.stamp;
-            self.by_stamp.insert(entry.filed, key);
-        }
-        false
+    /// Evicts the first entry the map yields, whichever that is; `false`
+    /// when the shard is empty.
+    fn evict_one(&mut self) -> bool {
+        let Some(key) = self.entries.keys().next().cloned() else {
+            return false;
+        };
+        let entry = self.entries.remove(&key).expect("a key just yielded");
+        self.resident_bytes -= entry_bytes(&key, &entry.value);
+        true
     }
 
     fn clear(&mut self) {
         self.entries.clear();
-        self.by_stamp.clear();
         self.resident_bytes = 0;
     }
 }
@@ -513,7 +456,8 @@ struct Shard {
 }
 
 /// A shared, thread-safe memo table for checker reductions, sharded for
-/// concurrent use.
+/// concurrent use and bounded per shard: a store of a new key into a
+/// full shard evicts one entry, whichever the shard's map yields first.
 ///
 /// Create one per [`crate::CheckCtx`] scope (an engine, a batch run) and
 /// pass it via [`crate::CheckCtx::with_cache`]. Both satisfiable and
@@ -530,8 +474,8 @@ impl Default for CheckCache {
     }
 }
 
-/// Default bound on stored entries; beyond it new results are computed
-/// but not retained (the working set of a corpus run stays far below).
+/// Default bound on stored entries; past it a store evicts one entry of
+/// its shard (the working set of a corpus run stays far below).
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
 impl CheckCache {
@@ -579,7 +523,7 @@ impl CheckCache {
 
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Option<CachedReduction>> {
         let shard = &self.shards[key.shard()];
-        let found = shard.map.lock().expect("cache lock").touch(key);
+        let found = shard.map.lock().expect("cache lock").get(key);
         match &found {
             Some((_, warm)) => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
@@ -594,18 +538,18 @@ impl CheckCache {
         found.map(|(value, _)| value)
     }
 
-    /// Stores a freshly computed verdict, evicting the shard's
-    /// least-recently-used entry first when the shard is full.
+    /// Stores a freshly computed verdict. A new key into a full shard
+    /// first evicts one other entry, the first the shard's map yields.
     pub(crate) fn store(&self, key: CacheKey, value: Option<CachedReduction>) {
         let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().expect("cache lock");
         if map.entries.len() >= self.shard_capacity && !map.entries.contains_key(&key) {
-            if !map.evict_lru() {
+            if !map.evict_one() {
                 return; // zero-capacity shard: nothing to evict into
             }
             shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        map.insert(key, Entry::new(value, false));
+        map.insert(key, Entry { value, warm: false });
     }
 
     /// Inserts an entry loaded from a persisted snapshot; hits on it
@@ -619,7 +563,7 @@ impl CheckCache {
         let mut map = shard.map.lock().expect("cache lock");
         let inserted = map.entries.len() < self.shard_capacity && !map.entries.contains_key(&key);
         if inserted {
-            map.insert(key, Entry::new(value, true));
+            map.insert(key, Entry { value, warm: true });
         }
         inserted
     }
@@ -666,7 +610,7 @@ pub(crate) enum CanonName {
 }
 
 /// One memoized reduction, expressed in canonical space.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CachedReduction {
     pub(crate) residual: Vec<u32>,
     pub(crate) inst: Vec<(CanonName, CanonVal)>,
@@ -1029,7 +973,7 @@ impl ModelKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1487,17 +1431,14 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_coldest_entry_first() {
-        // One shard in play (capacity 1 per shard, but shapes spread):
-        // use a generous per-shard view instead — fill one cache to its
-        // bound, touch an early shape to refresh it, overflow, and the
-        // refreshed shape must survive while an untouched one dies.
+    fn evicted_key_misses_when_queried_again() {
+        // One entry per shard: a second shape landing on the first's
+        // shard evicts it, and querying the first again is a miss with
+        // the correct verdict, never a stale or aliased answer.
         let (types, preds) = envs();
-        let cache = CheckCache::with_capacity(SHARD_COUNT); // 1 entry/shard
+        let cache = CheckCache::with_capacity(SHARD_COUNT);
         let ctx = CheckCtx::with_cache(&types, &preds, Default::default(), &cache);
         let f = parse_formula("clist(x)").unwrap();
-
-        // Find two shapes landing on the same shard.
         let scope = QueryScope {
             env_tag: ctx.env_tag,
             node_budget: ctx.config.node_budget,
@@ -1510,24 +1451,24 @@ mod tests {
             .expect("some shape shares shard with a");
 
         let _ = ctx.check(&list_model(a, 1), &f); // miss, cached
-        let _ = ctx.check(&list_model(a, 99), &f); // hit, refreshes stamp
-        let _ = ctx.check(&list_model(b, 1), &f); // same shard: evicts, caches b
+        let _ = ctx.check(&list_model(b, 1), &f); // same shard: evicts a
         assert_eq!(cache.stats().evictions, 1);
 
-        // `a` was the evictee; re-querying is a miss with the correct
-        // verdict, never a stale or aliased answer.
         let before = cache.stats();
-        let red = ctx.check(&list_model(a, 7), &f).expect("still satisfiable");
-        assert!(red.residual.is_empty());
+        let m = list_model(a, 7);
+        let red = ctx.check(&m, &f).expect("still satisfiable");
+        assert_eq!(Some(red), CheckCtx::new(&types, &preds).check(&m, &f));
         let after = cache.stats();
         assert_eq!(after.misses, before.misses + 1, "evicted key must miss");
     }
 
     #[test]
-    fn lru_matches_a_reference_model() {
+    fn eviction_matches_a_reference_model() {
         // Seeded random stores and lookups over more keys than the cache
-        // holds, checked call by call against a per-shard `VecDeque` LRU
-        // (front = coldest).
+        // holds, checked call by call against a per-shard map from each
+        // resident key to the value last stored under it. The cache picks
+        // its victims, so the model learns which key went and checks
+        // only that exactly one other key did.
         const PER_SHARD: usize = 4;
         const KEYS: usize = 200;
         const CALLS: usize = 10_000;
@@ -1541,13 +1482,23 @@ mod tests {
                 )
             })
             .collect();
-        let value = |i: usize| {
-            (!i.is_multiple_of(3)).then(|| CachedReduction {
-                residual: (0..(i % 5) as u32).collect(),
-                inst: vec![(CanonName::Binder(0), CanonVal::Nil); i % 2],
+        let index: HashMap<CacheKey, usize> = keys
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, k)| (k, i))
+            .collect();
+        let value = |v: u64| {
+            (!v.is_multiple_of(3)).then(|| CachedReduction {
+                residual: (0..(v % 5) as u32).collect(),
+                inst: vec![(CanonName::Binder(0), CanonVal::Nil); (v % 2) as usize],
             })
         };
-        let mut model: Vec<VecDeque<usize>> = vec![VecDeque::new(); SHARD_COUNT];
+        let resident = |s: usize| -> BTreeSet<usize> {
+            let map = cache.shards[s].map.lock().unwrap();
+            map.entries.keys().map(|k| index[k]).collect()
+        };
+        let mut model: Vec<BTreeMap<usize, u64>> = vec![BTreeMap::new(); SHARD_COUNT];
         let mut evictions = 0u64;
         let mut rng = 0x5eed_u64;
         for call in 0..CALLS {
@@ -1558,49 +1509,49 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^= z >> 31;
             let i = (z >> 8) as usize % KEYS;
-            let lru = &mut model[keys[i].shard()];
-            let pos = lru.iter().position(|k| *k == i);
+            let s = keys[i].shard();
             if z.is_multiple_of(2) {
-                cache.store(keys[i].clone(), value(i));
-                match pos {
-                    Some(p) => {
-                        lru.remove(p);
-                    }
-                    None if lru.len() == PER_SHARD => {
-                        lru.pop_front();
-                        evictions += 1;
-                    }
-                    None => {}
+                let v = z >> 40;
+                cache.store(keys[i].clone(), value(v));
+                let after = resident(s);
+                assert!(
+                    after.contains(&i),
+                    "call {call}: stored key {i} is not resident"
+                );
+                if !model[s].contains_key(&i) && model[s].len() == PER_SHARD {
+                    let gone: Vec<usize> = model[s]
+                        .keys()
+                        .filter(|k| !after.contains(k))
+                        .copied()
+                        .collect();
+                    assert_eq!(gone.len(), 1, "call {call}: a full store evicted {gone:?}");
+                    model[s].remove(&gone[0]);
+                    evictions += 1;
                 }
-                lru.push_back(i);
+                model[s].insert(i, v);
             } else {
                 let hit = cache.lookup(&keys[i]);
-                assert_eq!(hit.is_some(), pos.is_some(), "call {call}: key {i}");
-                if let Some(p) = pos {
-                    lru.remove(p);
-                    lru.push_back(i);
-                }
+                assert_eq!(
+                    hit,
+                    model[s].get(&i).map(|v| value(*v)),
+                    "call {call}: key {i}"
+                );
             }
 
+            // A resident store and a store into a shard with room evict
+            // nothing; a new key into a full shard evicts one other key.
             assert_eq!(cache.stats().evictions, evictions, "call {call}");
             for (s, shard) in cache.shards.iter().enumerate() {
                 let map = shard.map.lock().unwrap();
-                let mut resident: Vec<String> = map.entries.keys().map(CacheKey::text).collect();
-                let mut expected: Vec<String> = model[s].iter().map(|i| keys[*i].text()).collect();
-                resident.sort_unstable();
-                expected.sort_unstable();
-                assert_eq!(resident, expected, "call {call}: shard {s}");
+                assert!(map.entries.len() <= PER_SHARD, "call {call}: shard {s}");
+                let held: BTreeSet<usize> = map.entries.keys().map(|k| index[k]).collect();
+                assert!(held.iter().eq(model[s].keys()), "call {call}: shard {s}");
                 let bytes: u64 = map
                     .entries
                     .iter()
                     .map(|(k, e)| entry_bytes(k, &e.value))
                     .sum();
                 assert_eq!(map.resident_bytes, bytes, "call {call}: shard {s}");
-                assert_eq!(map.by_stamp.len(), map.entries.len(), "call {call}");
-                for key in map.entries.keys() {
-                    let records = map.by_stamp.values().filter(|k| *k == key).count();
-                    assert_eq!(records, 1, "call {call}: {}", key.text());
-                }
             }
         }
         assert!(

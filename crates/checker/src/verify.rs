@@ -226,24 +226,27 @@ enum Conc {
     Same(Symbol),
 }
 
+/// The representative of `v`'s union-find class.
+fn find(vals: &BTreeMap<Symbol, Conc>, mut v: Symbol) -> Symbol {
+    while let Some(Conc::Same(p)) = vals.get(&v) {
+        v = *p;
+    }
+    v
+}
+
+/// The concrete value of `v`'s class, if resolved.
+fn value_of(vals: &BTreeMap<Symbol, Conc>, v: Symbol) -> Option<Val> {
+    match vals.get(&find(vals, v))? {
+        Conc::Val(val) => Some(*val),
+        Conc::Same(_) => None,
+    }
+}
+
 /// Turns a fully-unfolded branch into a concrete model, or `None` if the
 /// branch is visibly inconsistent. Heuristic by design: the caller
 /// re-certifies the result with the model checker.
 fn concretize(ctx: &CheckCtx<'_>, reference: &SymHeap, branch: &Branch) -> Option<StackHeapModel> {
     let mut vals: BTreeMap<Symbol, Conc> = BTreeMap::new();
-
-    fn find(vals: &BTreeMap<Symbol, Conc>, mut v: Symbol) -> Symbol {
-        while let Some(Conc::Same(p)) = vals.get(&v) {
-            v = *p;
-        }
-        v
-    }
-    fn value_of(vals: &BTreeMap<Symbol, Conc>, v: Symbol) -> Option<Val> {
-        match vals.get(&find(vals, v))? {
-            Conc::Val(val) => Some(*val),
-            Conc::Same(_) => None,
-        }
-    }
 
     // 1. Allocate one cell per points-to atom, roots in atom order. A
     //    non-variable root (nil, int, arithmetic) kills the branch.
@@ -382,19 +385,10 @@ fn concretize(ctx: &CheckCtx<'_>, reference: &SymHeap, branch: &Branch) -> Optio
 
 /// Evaluates an expression over resolved variables to a concrete value.
 fn eval_const(vals: &BTreeMap<Symbol, Conc>, e: &Expr) -> Option<Val> {
-    fn find(vals: &BTreeMap<Symbol, Conc>, mut v: Symbol) -> Symbol {
-        while let Some(Conc::Same(p)) = vals.get(&v) {
-            v = *p;
-        }
-        v
-    }
     match e {
         Expr::Nil => Some(Val::Nil),
         Expr::Int(k) => Some(Val::Int(*k)),
-        Expr::Var(v) => match vals.get(&find(vals, *v))? {
-            Conc::Val(val) => Some(*val),
-            Conc::Same(_) => None,
-        },
+        Expr::Var(v) => value_of(vals, *v),
         Expr::Neg(inner) => match eval_const(vals, inner)? {
             Val::Int(k) => Some(Val::Int(k.checked_neg()?)),
             _ => None,

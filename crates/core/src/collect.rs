@@ -29,8 +29,7 @@ pub enum Executor {
     Bytecode,
     /// The tree-walk interpreter (`sling_lang::Vm`) — the reference
     /// oracle, selectable via
-    /// [`SlingConfig::executor`](crate::SlingConfig::executor) or
-    /// `sling-serve --executor treewalk`.
+    /// [`SlingConfig::executor`](crate::SlingConfig::executor).
     Treewalk,
 }
 

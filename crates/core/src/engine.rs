@@ -44,9 +44,10 @@
 //! [`CacheStats::warm_hits`] reports how many queries the restored
 //! entries answered.
 //!
-//! [`EngineBuilder::cache_capacity`] bounds the cache: past the bound,
-//! the least-recently-used entry of the landing shard is evicted
-//! ([`CacheStats::evictions`], [`CacheStats::resident_bytes`]).
+//! [`EngineBuilder::cache_capacity`] bounds the cache per shard: a new
+//! entry for a full shard evicts one of its entries, whichever the
+//! shard's map yields first ([`CacheStats::evictions`],
+//! [`CacheStats::resident_bytes`]).
 //!
 //! # Examples
 //!
@@ -411,9 +412,10 @@ impl EngineBuilder {
     }
 
     /// Bounds the entailment cache to roughly `capacity` entries: past
-    /// the bound the least-recently-used entry of the landing shard is
-    /// evicted to make room ([`CacheStats::evictions`] counts them, and
-    /// [`CacheStats::resident_bytes`] reports what is held). The bound
+    /// the bound a new entry evicts one entry of its shard, whichever the
+    /// shard's map yields first, to make room ([`CacheStats::evictions`]
+    /// counts them, and [`CacheStats::resident_bytes`] reports what is
+    /// held). Nothing tracks recency, so a hot entry may go. The bound
     /// is enforced per shard, so the retained total can overshoot a
     /// capacity that is not a multiple of the shard count by at most
     /// `SHARD_COUNT - 1` entries.
@@ -1753,7 +1755,7 @@ mod tests {
 
     #[test]
     fn executor_parse_paths() {
-        // `sling-serve --executor` and the wire decoder parse names here.
+        // The wire decoder parses a report's executor tag here.
         assert_eq!(Executor::parse("bytecode"), Some(Executor::Bytecode));
         assert_eq!(Executor::parse("treewalk"), Some(Executor::Treewalk));
         assert_eq!(Executor::parse("Bytecode"), None, "names are exact");

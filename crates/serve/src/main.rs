@@ -27,7 +27,7 @@ const USAGE: &str = "\
 usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                    [--addr HOST:PORT] [--cache FILE|DIR] [--snapshot-secs N]
                    [--cache-cap N] [--max-conns N] [--parallelism N]
-                   [--pool-cap N] [--executor bytecode|treewalk] [--verify]
+                   [--pool-cap N] [--verify]
 
   --program FILE      MiniC source of the default program to serve; with
                       neither --program nor --corpus the daemon boots
@@ -47,8 +47,9 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                       path is created as a directory. Needs a default
                       tenant (uploaded tenants are ephemeral)
   --snapshot-secs N   background snapshot period (default 60; needs --cache)
-  --cache-cap N       bound each engine's entailment cache to ~N entries
-                      with LRU eviction (default: unbounded within memory)
+  --cache-cap N       bound each engine's entailment cache to ~N entries;
+                      a store into a full shard evicts one entry
+                      (default: 2^20 entries)
   --max-conns N       serve at most N concurrent connections; excess
                       connections get a typed `busy` frame and should
                       retry (default: unbounded)
@@ -56,10 +57,6 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
   --pool-cap N        hold at most N uploaded-tenant engines resident,
                       evicting least-recently-used (default 8; the
                       default tenant is pinned and not counted)
-  --executor TIER     execution tier for trace collection: `bytecode`
-                      (compiled stack VM, the default) or `treewalk`
-                      (the reference interpreter — identical traces,
-                      slower)
   --verify            grade every inferred invariant with the static
                       verification post-pass (counterexample-guided
                       refinement on refutation); the summed grade totals
@@ -76,7 +73,6 @@ struct Args {
     max_conns: Option<usize>,
     parallelism: Option<usize>,
     pool_cap: Option<usize>,
-    executor: Option<sling::Executor>,
     verify: bool,
 }
 
@@ -99,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
         max_conns: None,
         parallelism: None,
         pool_cap: None,
-        executor: None,
         verify: false,
     };
     let mut it = std::env::args().skip(1);
@@ -146,12 +141,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("bad --pool-cap: {e}"))?,
                 );
-            }
-            "--executor" => {
-                let name = value("--executor")?;
-                args.executor = Some(sling::Executor::parse(&name).ok_or_else(|| {
-                    format!("bad --executor {name:?}: want `bytecode` or `treewalk`")
-                })?);
             }
             "--verify" => args.verify = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -213,6 +202,7 @@ fn cache_layout(
 
 fn build_engine(
     args: &Args,
+    config: SlingConfig,
     cache_path: &Option<std::path::PathBuf>,
 ) -> Result<Engine, Box<dyn std::error::Error>> {
     let (program, predicates) = match &args.corpus {
@@ -224,11 +214,6 @@ fn build_engine(
             std::fs::read_to_string(args.program.as_ref().expect("validated"))?,
             std::fs::read_to_string(args.predicates.as_ref().expect("validated"))?,
         ),
-    };
-    let config = SlingConfig {
-        executor: args.executor.unwrap_or_default(),
-        verify: args.verify,
-        ..SlingConfig::default()
     };
     let mut builder = Engine::builder()
         .program_source(&program)?
@@ -298,8 +283,13 @@ fn main() -> ExitCode {
         }
     };
     let (cache_path, cache_dir) = cache_layout(&args.cache);
+    // The default tenant and every uploaded one run with these settings.
+    let config = SlingConfig {
+        verify: args.verify,
+        ..SlingConfig::default()
+    };
     let engine = if args.has_default_tenant() {
-        match build_engine(&args, &cache_path) {
+        match build_engine(&args, config, &cache_path) {
             Ok(engine) => Some(engine),
             Err(e) => {
                 eprintln!("sling-serve: failed to build the engine: {e}");
@@ -340,13 +330,6 @@ fn main() -> ExitCode {
         }
     }
     let warm = engine.as_ref().map_or(0, Engine::warm_entries);
-    // Uploaded tenants inherit the daemon's run settings; the default
-    // tenant keeps its own (identical) build.
-    let mut config = SlingConfig::default();
-    if let Some(executor) = args.executor {
-        config.executor = executor;
-    }
-    config.verify = args.verify;
     let settings = PoolSettings {
         config,
         parallelism: args.parallelism,
@@ -371,8 +354,8 @@ fn main() -> ExitCode {
     };
     // The boot line is the readiness signal scripts wait for.
     let tenant = match service.engine() {
-        Some(engine) => format!("{} executor", engine.config().executor),
-        None => "no default tenant — uploads only".to_string(),
+        Some(_) => "default tenant",
+        None => "no default tenant — uploads only",
     };
     println!(
         "sling-serve: listening on {} ({} warm cache entries, {} workers, {tenant}, pool cap {pool_cap}{})",

@@ -24,6 +24,13 @@
 //! cache-off pass's searches must equal the cached pass's lookups, hits
 //! plus misses.
 //!
+//! The paper's Table 2 is pinned as well: each pass sums the rows of
+//! `table2` (documented properties, found by both SLING and the
+//! bi-abduction baseline, by the baseline only, by SLING only, by
+//! neither) and must equal the recorded totals, so a change in
+//! `sling_suite::matcher::subsumes` or in `sling-biabduce` that moves
+//! the comparison fails here.
+//!
 //! Trace soundness is the paper's contract: every non-spurious invariant
 //! holds on every model it was inferred from. The gate re-collects each
 //! program's models with `collect_models`, selects them per location as
@@ -35,10 +42,10 @@
 //! cargo run --release -p sling-examples --example corpus_digest
 //! ```
 //!
-//! Exit status: 0 when both passes match, the cached pass makes the
-//! recorded number of lookups, the cache-off pass has no hit and asks
-//! as many questions as the cached pass, and no pair is rejected; 1
-//! otherwise.
+//! Exit status: 0 when both passes match and give the recorded Table 2
+//! totals, the cached pass makes the recorded number of lookups, the
+//! cache-off pass has no hit and asks as many questions as the cached
+//! pass, and no pair is rejected; 1 otherwise.
 
 use std::sync::Arc;
 
@@ -46,7 +53,7 @@ use sling::{collect_models, select_models, CheckCache};
 use sling_checker::CheckCtx;
 use sling_logic::Symbol;
 use sling_suite::corpus::all_benches;
-use sling_suite::eval::{engine_for, run_bench_cached, run_corpus, BenchRun, EvalConfig};
+use sling_suite::eval::{engine_for, run_bench_cached, run_corpus, table2, BenchRun, EvalConfig};
 
 /// Invariants the corpus run infers.
 const EXPECTED_INVARIANTS: usize = 1380;
@@ -56,6 +63,33 @@ const EXPECTED_SPURIOUS: usize = 213;
 const EXPECTED_DIGEST: u64 = 0xcfbb_7dfc_3205_398d;
 /// Checker lookups the cached pass makes, hits plus misses.
 const EXPECTED_LOOKUPS: u64 = 38_669;
+/// Table 2 summed over the categories: documented properties, found by
+/// both tools, by the baseline only, by SLING only, by neither.
+const EXPECTED_TABLE2: [usize; 5] = [216, 7, 1, 118, 90];
+
+/// The rows of Table 2 for `runs`, summed in [`EXPECTED_TABLE2`]'s order.
+fn table2_totals(runs: &[BenchRun]) -> [usize; 5] {
+    table2(runs)
+        .iter()
+        .fold([0; 5], |[total, both, s2, sling, neither], row| {
+            [
+                total + row.total,
+                both + row.both,
+                s2 + row.s2_only,
+                sling + row.sling_only,
+                neither + row.neither,
+            ]
+        })
+}
+
+/// `totals` as the gate prints them.
+fn table2_line(totals: [usize; 5]) -> String {
+    let [total, both, s2, sling, neither] = totals;
+    format!(
+        "table 2: {total} documented, {both} both, {s2} baseline only, \
+         {sling} SLING only, {neither} neither"
+    )
+}
 
 /// Checks every non-spurious invariant of a run against every model its
 /// location selected, re-collected; returns the pairs checked and a
@@ -141,6 +175,10 @@ fn main() {
         off.len()
     );
 
+    let table2_cached = table2_totals(&runs);
+    let table2_off = table2_totals(&off);
+    println!("{}", table2_line(table2_cached));
+
     let (mut pairs, mut rejected) = (0, Vec::new());
     for run in &runs {
         let (n, bad) = trace_soundness(run, &config);
@@ -158,6 +196,16 @@ fn main() {
             eprintln!(
                 "{pass} output changed: expected {EXPECTED_INVARIANTS} invariant(s), \
                  {EXPECTED_SPURIOUS} spurious, digest {EXPECTED_DIGEST:016x}"
+            );
+            failed = true;
+        }
+    }
+    for (pass, got) in [("corpus", table2_cached), ("cache-off", table2_off)] {
+        if got != EXPECTED_TABLE2 {
+            eprintln!(
+                "{pass} Table 2 changed: {}, expected {}",
+                table2_line(got),
+                table2_line(EXPECTED_TABLE2)
             );
             failed = true;
         }
